@@ -410,31 +410,38 @@ class IdealRingMap:
         return {self.embed(j): j for j in self.ring.elements()}
 
 
+def _truncate(ring: CGRing, exponents: Iterable[int]) -> tuple[CGRing, Callable, Callable]:
+    """The ring keeping component i mod p_i^exponents[i] (0 drops it).
+
+    Returns the target ring, the reduction of coefficients into it, and
+    the lift that reads its coefficients back as a source element.
+    """
+    kept = [(ci, comp, e) for ci, (comp, e) in enumerate(zip(ring.components, exponents)) if e]
+    target = CGRing([make_galois_ring(comp.p, e, comp.d) for _, comp, e in kept])
+
+    def reduce(a: int) -> int:
+        parts = ring.parts(a)
+        out = []
+        for (ci, comp, e), new in zip(kept, target.components):
+            q = comp.p**e
+            out.append(new.index(tuple(c % q for c in comp.coeffs(parts[ci]))))
+        return target.from_parts(out)
+
+    def lift(b: int) -> int:
+        parts = [0] * len(ring.components)
+        for (ci, comp, _), new, i in zip(kept, target.components, target.parts(b)):
+            parts[ci] = comp.index(new.coeffs(i))
+        return ring.from_parts(parts)
+
+    return target, reduce, lift
+
+
 def quotient(ring: CGRing, m: int) -> QuotientMap:
     """R / mR for a divisor m > 1 of the characteristic."""
     vals = ring.valuations(m)
     if m == 1:
         raise ValueError("quotient by the whole ring is degenerate")
-    kept = [
-        (ci, comp, v) for ci, (comp, v) in enumerate(zip(ring.components, vals)) if v > 0
-    ]
-    target = CGRing([make_galois_ring(comp.p, v, comp.d) for _, comp, v in kept])
-
-    def pi(a: int, _kept=kept, _src=ring, _dst=target) -> int:
-        parts = _src.parts(a)
-        out = []
-        for (ci, comp, v), new in zip(_kept, _dst.components):
-            q = comp.p**v
-            out.append(new.index(tuple(c % q for c in comp.coeffs(parts[ci]))))
-        return _dst.from_parts(out)
-
-    def section(b: int, _kept=kept, _src=ring, _dst=target) -> int:
-        sub = _dst.parts(b)
-        parts = [0] * len(_src.components)
-        for (ci, comp, v), new, i in zip(_kept, _dst.components, sub):
-            parts[ci] = comp.index(new.coeffs(i))
-        return _src.from_parts(parts)
-
+    target, pi, section = _truncate(ring, vals)
     return QuotientMap(ring, target, m, pi, section)
 
 
@@ -443,29 +450,9 @@ def ideal_ring(ring: CGRing, m: int) -> IdealRingMap:
     vals = ring.valuations(m)
     if m == ring.char:
         raise ValueError("the zero ideal does not carry a ring structure")
-    kept = [
-        (ci, comp, v)
-        for ci, (comp, v) in enumerate(zip(ring.components, vals))
-        if v < comp.n
-    ]
-    target = CGRing([make_galois_ring(comp.p, comp.n - v, comp.d) for _, comp, v in kept])
-
-    def to_model(a: int, _kept=kept, _src=ring, _dst=target) -> int:
-        parts = _src.parts(a)
-        out = []
-        for (ci, comp, v), new in zip(_kept, _dst.components):
-            q = comp.p ** (comp.n - v)
-            out.append(new.index(tuple(c % q for c in comp.coeffs(parts[ci]))))
-        return _dst.from_parts(out)
-
-    def embed(b: int, _kept=kept, _src=ring, _dst=target, _m=m) -> int:
-        sub = _dst.parts(b)
-        parts = [0] * len(_src.components)
-        for (ci, comp, v), new, i in zip(_kept, _dst.components, sub):
-            parts[ci] = comp.index(new.coeffs(i))
-        return _src.scale(_src.from_parts(parts), _m)
-
-    return IdealRingMap(ring, target, m, to_model, embed)
+    exponents = [comp.n - v for comp, v in zip(ring.components, vals)]
+    target, to_model, lift = _truncate(ring, exponents)
+    return IdealRingMap(ring, target, m, to_model, lambda b: ring.scale(lift(b), m))
 
 
 def make_cg_ring(components, max_size: int = DEFAULT_MAX_RING_SIZE) -> CGRing:

@@ -12,8 +12,6 @@ a soft negative: it signals a bug, not a property of the input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterator
 
 from .cgring import CGRing, ideal_ring
 from .duality import dual_sring
@@ -23,6 +21,7 @@ from .sring import (
     WreathCert,
     cyclotomic,
     is_tensor_over,
+    proper_prime_splits,
     quotient_sring,
     wreath_pairs,
 )
@@ -80,20 +79,13 @@ def _is_field(ring: CGRing) -> bool:
     return len(ring.components) == 1 and ring.components[0].n == 1
 
 
-def _proper_prime_subsets(ring: CGRing) -> Iterator[frozenset[int]]:
-    primes = sorted(ring.primes)
-    for size in range(1, len(primes)):
-        for Q in combinations(primes, size):
-            yield frozenset(Q)
-
-
 def _rank2_nonfield_split(A: SRing) -> TensorSplit | None:
     """First tensor split whose left factor has rank 2 over a non-field.
 
     Complement subsets are enumerated too, so a rank-2 factor on either
     side of some split is found.
     """
-    for Q in _proper_prime_subsets(A.ring):
+    for Q in proper_prime_splits(A.ring):
         split = is_tensor_over(A, Q)
         if split.ok and split.left.rank == 2 and not _is_field(split.left.ring):
             return split
@@ -163,17 +155,10 @@ def decompose_pure(A: SRing) -> Decomposition:
     factors: list[Factor] = []
     certs: list[TensorSplit] = []
     rest = A
-    peeled = True
-    while peeled:
-        peeled = False
-        for Q in _proper_prime_subsets(rest.ring):
-            split = is_tensor_over(rest, Q)
-            if split.ok and split.left.rank == 2 and not _is_field(split.left.ring):
-                factors.append((Q, split.left, ROLE_RANK2))
-                certs.append(split)
-                rest = split.right
-                peeled = True
-                break
+    while (split := _rank2_nonfield_split(rest)) is not None:
+        factors.append((split.primes, split.left, ROLE_RANK2))
+        certs.append(split)
+        rest = split.right
 
     if rest.rank == 2 and not _is_field(rest.ring):
         factors.append((frozenset(rest.ring.primes), rest, ROLE_RANK2))
@@ -230,7 +215,7 @@ def classify_rational(A: SRing) -> Decomposition:
         factor = (frozenset(ring.primes), A, ROLE_RANK2)
         return Decomposition(KIND_RATIONAL_TENSOR, (factor,), ())
 
-    for Q in _proper_prime_subsets(ring):
+    for Q in proper_prime_splits(ring):
         split = is_tensor_over(A, Q)
         if split.ok and split.left.rank == 2:
             factors = (

@@ -293,8 +293,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "pretty"), default="json",
                         help="output style (default: json, one line)")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker bound; results never depend on it")
     return common
 
 
@@ -385,9 +383,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return EXIT_USAGE if err.code else EXIT_OK
-    if args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     try:
         max_size = int(os.environ.get(ENV_MAX_RING_SIZE, DEFAULT_MAX_RING_SIZE))
     except ValueError:

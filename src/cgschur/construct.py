@@ -12,6 +12,7 @@ exactly on each build; a failure raises instead of returning.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -334,7 +335,9 @@ def build_nonpure_dense_sring(
         checks.append(CheckResult(name, bool(ok), witness))
 
     report = verify_sring(ring, classes)
-    check("partition_axioms", report.ok, "; ".join(report.failures) or "all axioms hold")
+    check("partition_axioms", report.ok,
+          "; ".join(json.dumps(f, sort_keys=True) for f in report.failures)
+          or "all axioms hold")
     check("dense", built.is_dense(), "every ideal is a union of classes")
     check("not_pure", not built.is_pure(), f"lower ideal divisor {built.lower_ideal()}")
     check("lower_ideal", built.lower_ideal() == p * q * q,

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .cgring import CGRing
 from .sring import (
     SRing,
     StructureError,
     is_tensor_over,
+    proper_prime_splits,
     quotient_sring,
     restrict,
     wreath_pairs,
@@ -156,14 +156,19 @@ def character_table(ring: CGRing) -> CharacterTable:
     return _TABLES[ring]
 
 
-def dual_sring(A: SRing, table: CharacterTable | None = None) -> SRing:
-    """Group r by the vector of character sums over the classes of A."""
-    table = table or character_table(A.ring)
+def dual_classes(table: CharacterTable, classes: Sequence[Iterable[int]]) -> list[list[int]]:
+    """Group r by the vector of character sums over the given classes."""
     groups: dict[tuple, list[int]] = {}
-    for r in A.ring.elements():
-        key = tuple(table._sum_key(r, X) for X in A.classes)
+    for r in table.ring.elements():
+        key = tuple(table._sum_key(r, X) for X in classes)
         groups.setdefault(key, []).append(r)
-    B = SRing(A.ring, groups.values())
+    return list(groups.values())
+
+
+def dual_sring(A: SRing, table: CharacterTable | None = None) -> SRing:
+    """The dual Schur ring: dual_classes of A, with the rank checked."""
+    table = table or character_table(A.ring)
+    B = SRing(A.ring, dual_classes(table, A.classes))
     if B.rank != A.rank:
         raise StructureError(f"dual rank {B.rank} differs from rank {A.rank}")
     return B
@@ -189,14 +194,6 @@ class DualityReport:
 
     def to_doc(self) -> dict:
         return {"ok": self.ok, "failures": list(self.failures)}
-
-
-def _proper_prime_splits(ring: CGRing) -> list[frozenset[int]]:
-    primes = sorted(ring.primes)
-    out = []
-    for k in range(1, len(primes)):
-        out.extend(frozenset(sub) for sub in combinations(primes, k))
-    return out
 
 
 def check_duality(A: SRing) -> DualityReport:
@@ -226,7 +223,7 @@ def check_duality(A: SRing) -> DualityReport:
     if A.is_pure() != B.is_pure():
         failures.append("purity not preserved by the dual")
 
-    for Q in _proper_prime_splits(ring):
+    for Q in proper_prime_splits(ring):
         split, dual_split = is_tensor_over(A, Q), is_tensor_over(B, Q)
         if split.ok != dual_split.ok:
             failures.append(f"tensor split over {sorted(Q)} does not match the dual")

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import combinations
+from typing import Iterable, Iterator, Sequence
 
 from .cgring import CGRing, ideal_ring, parse_ring_spec, quotient
 from .galois import DEFAULT_MAX_RING_SIZE
@@ -201,80 +202,35 @@ def cyclotomic(ring: CGRing, K: Iterable[int]) -> SRing:
     return SRing(ring, ring.orbit_partition(K))
 
 
-def _split_classes(classes: list[set[int]], class_of: list[int], k: int,
-                   groups: dict) -> None:
-    parts = sorted(groups.values(), key=lambda part: min(part))
-    classes[k] = set(parts[0])
-    for part in parts[1:]:
-        classes.append(set(part))
-        for x in part:
-            class_of[x] = len(classes) - 1
-
-
-def _refine_by_key(classes: list[set[int]], class_of: list[int], key) -> bool:
-    changed = False
-    for k in range(len(classes)):
-        groups: dict = {}
-        for x in classes[k]:
-            groups.setdefault(key(x), []).append(x)
-        if len(groups) > 1:
-            _split_classes(classes, class_of, k, groups)
-            changed = True
-    return changed
-
-
 def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
     """The smallest Schur ring whose A-sets include the seeds.
 
-    The initial partition separates {0}, the unit-multiplication strata
-    mR^x, and each seed from its complement; it is then refined until
-    negation, unit translation, and convolution multiplicities are
-    constant on every class.  The fixed point is the coarsest stable
-    refinement, hence the smallest such Schur ring.
+    The start partition groups x by its unit stratum mR^x and by which
+    seeds contain u*x for each unit u, so {0} is a class, and every
+    Schur ring that keeps the seeds as A-sets refines it.  Each round
+    replaces P by its double character-sum dual P**.  P** refines P, and
+    taking the dual preserves refinement, so a Schur ring S refining P
+    also refines P** (S** = S); the dual is always closed under negation
+    and keeps unit invariance.  The loop stops when P and P* have equal
+    rank, which by the duality criterion makes P a Schur ring, and then
+    the smallest one refining the start partition.
     """
+    from .duality import character_table, dual_classes  # .duality imports this module
+
     seed_sets = [frozenset(S) for S in seeds]
+    units = ring.units()
     start: dict = {}
     for x in ring.elements():
         stratum = ring.upper_ideal(frozenset({x})) if x else 0
-        key = (x == 0, stratum, tuple(x in S for S in seed_sets))
+        key = (stratum, tuple(tuple(ring.mul(u, x) in S for S in seed_sets) for u in units))
         start.setdefault(key, []).append(x)
-    classes: list[set[int]] = [set(part) for part in start.values()]
-    class_of = [-1] * ring.size
-    for k, part in enumerate(classes):
-        for x in part:
-            class_of[x] = k
-
-    units = ring.units()
+    table = character_table(ring)
+    P = list(start.values())
     while True:
-        changed = _refine_by_key(classes, class_of, lambda x: class_of[ring.neg(x)])
-        changed |= _refine_by_key(
-            classes, class_of, lambda x: tuple(class_of[ring.mul(u, x)] for u in units)
-        )
-        # One convolution split restarts the scan: class ids shift after a split.
-        split = True
-        while split:
-            split = False
-            for i in range(len(classes)):
-                for j in range(i, len(classes)):
-                    counts: Counter[int] = Counter()
-                    for x in classes[i]:
-                        for y in classes[j]:
-                            counts[ring.add(x, y)] += 1
-                    for k in range(len(classes)):
-                        groups: dict = {}
-                        for z in classes[k]:
-                            groups.setdefault(counts[z], []).append(z)
-                        if len(groups) > 1:
-                            _split_classes(classes, class_of, k, groups)
-                            split = changed = True
-                            break
-                    if split:
-                        break
-                if split:
-                    break
-        if not changed:
-            break
-    return SRing(ring, classes)
+        D = dual_classes(table, P)
+        if len(D) == len(P):
+            return SRing(ring, P)
+        P = dual_classes(table, D)
 
 
 # -- derived rings -----------------------------------------------------------
@@ -322,6 +278,14 @@ class TensorSplit:
     primes: frozenset[int]
     left: SRing | None
     right: SRing | None
+
+
+def proper_prime_splits(ring: CGRing) -> Iterator[frozenset[int]]:
+    """Nonempty proper subsets of the ring's primes, smallest first."""
+    primes = sorted(ring.primes)
+    for size in range(1, len(primes)):
+        for Q in combinations(primes, size):
+            yield frozenset(Q)
 
 
 def is_tensor_over(A: SRing, primes: Iterable[int]) -> TensorSplit:

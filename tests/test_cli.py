@@ -15,6 +15,8 @@ import sys
 import pytest
 
 from cgschur.cli import main
+from cgschur.construct import ConstructionError, build_nonpure_dense_sring
+from cgschur.sring import VerifyReport
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -233,6 +235,20 @@ def test_construct_rejects_bad_hypotheses(capsys):
     assert "does not divide" in err
 
 
+def test_construct_failed_check_exits_1(capsys, monkeypatch):
+    # Axiom failures are dicts: the check message must format them, or the
+    # failed build surfaces as a TypeError and exit 2 instead of exit 1.
+    failure = {"axiom": "convolution", "pair": [0, 1], "class": 2}
+    monkeypatch.setattr("cgschur.construct.verify_sring",
+                        lambda ring, classes: VerifyReport(False, (failure,)))
+    with pytest.raises(ConstructionError, match="partition_axioms"):
+        build_nonpure_dense_sring(2, 2, 3, 1)
+    code, _, err = run_cli(capsys, "construct", "t210809a",
+                           "--p", "2", "--d", "2", "--q", "3", "--e", "1")
+    assert code == 1
+    assert '"axiom": "convolution"' in err
+
+
 # -- classify ------------------------------------------------------------------
 
 
@@ -310,8 +326,6 @@ def test_output_is_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "ring", "info", "GR(4,2)xGR(9)")
     _, second, _ = run_cli(capsys, "ring", "info", "GR(4,2)xGR(9)")
     assert first == second
-    _, threaded, _ = run_cli(capsys, "ring", "info", "GR(4,2)xGR(9)", "--threads", "3")
-    assert threaded == first
 
 
 def test_pretty_format_same_document(capsys):
@@ -319,12 +333,6 @@ def test_pretty_format_same_document(capsys):
     _, pretty, _ = run_cli(capsys, "ring", "info", "GR(9)", "--format", "pretty")
     assert compact != pretty
     assert json.loads(compact) == json.loads(pretty)
-
-
-def test_threads_must_be_positive(capsys):
-    code, _, err = run_cli(capsys, "ring", "info", "GR(9)", "--threads", "0")
-    assert code == 2
-    assert "--threads" in err
 
 
 def test_env_size_gate(capsys, monkeypatch):

@@ -117,6 +117,19 @@ def test_schur_closure_is_smallest(z36):
                 assert B.is_aset(X)
 
 
+def test_schur_closure_fixes_schur_rings(corpus):
+    for label, A in corpus:
+        if label.startswith(("cyc", "closure")):
+            assert schur_closure(A.ring, A.classes) == A, label
+
+
+def test_schur_closure_of_one_unit_is_discrete():
+    ring = make_cg_ring([(2, 2, 2), (3, 2, 1)])
+    A = schur_closure(ring, [{ring.one}])
+    assert A.rank == 144
+    assert verify_sring(ring, A.classes).ok
+
+
 def test_a_ideals_and_density(z9, z36):
     full = cyclotomic(z36, [z36.one])
     assert full.a_ideal_divisors() == z36.divisors()

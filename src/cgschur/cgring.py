@@ -15,9 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .galois import DEFAULT_MAX_RING_SIZE, GaloisRing, is_prime, make_galois_ring
-
-GLOBAL_TABLE_LIMIT = 700
+from .galois import DEFAULT_MAX_RING_SIZE, TABLE_LIMIT, GaloisRing, is_prime, make_galois_ring
 
 
 class EmptySetError(ValueError):
@@ -76,6 +74,10 @@ class CGRing:
     def elements(self) -> range:
         return range(self.size)
 
+    def is_element(self, x: object) -> bool:
+        """Whether x is an element index: an int (not a bool) in 0 .. |R|-1."""
+        return type(x) is int and 0 <= x < self.size
+
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
@@ -111,10 +113,8 @@ class CGRing:
     def mul_table(self) -> list[list[int]]:
         """Dense multiplication table, built once; only for small rings."""
         if self._mul_table is None:
-            if self.size > GLOBAL_TABLE_LIMIT:
+            if self.size > TABLE_LIMIT:
                 raise ValueError(f"ring of size {self.size} is too large to tabulate")
-            for comp in self.components:
-                comp.mul_table()
             mul = self.mul
             self._mul_table = [
                 [mul(a, b) for b in self.elements()] for a in self.elements()

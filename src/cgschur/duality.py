@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cgring import CGRing
+from .galois import TABLE_LIMIT
 from .sring import (
     SRing,
     StructureError,
@@ -124,7 +125,7 @@ class CharacterTable:
                 zip(weights, ring.components, ring.parts(x))) % c
             for x in ring.elements()
         ]
-        if ring.size <= 700:
+        if ring.size <= TABLE_LIMIT:
             ring.mul_table()
         for s in ring.elements():
             if s and all(self.exponent[ring.mul(s, x)] == 0 for x in ring.elements()):

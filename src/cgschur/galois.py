@@ -14,8 +14,8 @@ from functools import lru_cache
 
 DEFAULT_MAX_RING_SIZE = 1 << 20
 
-# Full add/mul tables are only built for rings at most this large.
-TABLE_LIMIT = 4096
+# Product tables are only built for rings at most this large.
+TABLE_LIMIT = 700
 
 
 class NotAUnit(ArithmeticError):
@@ -98,6 +98,7 @@ class GaloisRing:
         self.residue_size = p**d
         self.unit_count = (self.residue_size - 1) * p ** ((n - 1) * d)
         self._mul_table: list[list[int]] | None = None
+        self._direct_products = 0
 
     def __repr__(self) -> str:
         return f"GaloisRing({self.spec()})"
@@ -160,8 +161,18 @@ class GaloisRing:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
+        table = self._mul_table
+        if table is not None:
+            return table[a][b]
+        if self.d == 1:
+            return a * b % self.char
+        # A table costs size**2 direct products, so it is built only once
+        # that many have been made: a ring used for a few products never
+        # pays for one, and a busy ring spends on its table no more than
+        # it already spent without it.
+        self._direct_products += 1
+        if self._direct_products >= self.size * self.size and self.size <= TABLE_LIMIT:
+            return self.mul_table()[a][b]
         return self._mul(a, b)
 
     def _mul(self, a: int, b: int) -> int:

@@ -32,15 +32,17 @@ class SRing:
 
     def __init__(self, ring: CGRing, classes: Iterable[Iterable[int]]):
         self.ring = ring
-        norm = sorted((frozenset(X) for X in classes), key=lambda X: min(X, default=-1))
-        self.classes = tuple(norm)
-        self.class_of = [-1] * ring.size
-        for k, X in enumerate(self.classes):
+        sets = [frozenset(X) for X in classes]
+        for X in sets:
             if not X:
                 raise PartitionError("empty class")
             for x in X:
-                if not 0 <= x < ring.size:
-                    raise PartitionError(f"element {x} outside the ring")
+                if not ring.is_element(x):
+                    raise PartitionError(f"element {x!r} outside the ring")
+        self.classes = tuple(sorted(sets, key=min))
+        self.class_of = [-1] * ring.size
+        for k, X in enumerate(self.classes):
+            for x in X:
                 if self.class_of[x] != -1:
                     raise PartitionError(f"element {x} covered twice")
                 self.class_of[x] = k
@@ -217,7 +219,13 @@ def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
     """
     from .duality import character_table, dual_classes  # .duality imports this module
 
-    seed_sets = [frozenset(S) for S in seeds]
+    seed_sets = []
+    for S in seeds:
+        S = list(S)
+        for x in S:
+            if not ring.is_element(x):
+                raise ValueError(f"seed element {x!r} is not an element index of {ring.spec()}")
+        seed_sets.append(frozenset(S))
     units = ring.units()
     start: dict = {}
     for x in ring.elements():

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import cgschur
 from cgschur.cli import main
 from cgschur.construct import ConstructionError, build_nonpure_dense_sring
 from cgschur.sring import VerifyReport
@@ -98,6 +100,18 @@ def test_cyc_rejects_nonunit_generator(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("cyc", "GR(9)", "--group", "-1"),
+    ("cyc", "GR(9)", "--group", "10"),
+    ("closure", "GR(9)", "--seed", "12"),
+])
+def test_element_out_of_range_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, "sring", *argv)
+    assert code == 2
+    assert out == ""
+    assert "not an element index" in err
+
+
 def test_closure_seed_becomes_aset(capsys):
     code, doc = run_json(capsys, "sring", "closure", "GR(9)", "--seed", "1,2")
     assert code == 0
@@ -115,6 +129,20 @@ def test_verify_reports_witness(capsys, tmp_path):
     assert code == 1
     assert not doc["ok"]
     assert any(f["axiom"] == "unit-invariance" for f in doc["failures"])
+
+
+def test_boolean_element_is_rejected(capsys, tmp_path):
+    path = write_doc(tmp_path, "bool.json", {
+        "ring": "GR(9)",
+        "classes": [[0], [True, 8], [2, 7], [3, 6], [4, 5]],
+    })
+    code, out, err = run_cli(capsys, "sring", "pure", path)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    code, doc = run_json(capsys, "sring", "verify", path)
+    assert code == 1
+    assert doc["failures"] == [{"axiom": "partition", "witness": "element True outside the ring"}]
 
 
 def test_verify_rejects_malformed_json(capsys, tmp_path):
@@ -352,9 +380,12 @@ def test_usage_errors_and_help(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same cgschur as this process, installed or not
+    src = os.path.dirname(os.path.dirname(cgschur.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cgschur", "ring", "info", "GR(9)"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["size"] == 9

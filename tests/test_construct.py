@@ -30,6 +30,9 @@ def test_subgroup_generated_basics(z9, z36):
     assert subgroup_generated(z36, []) == {z36.one}
     with pytest.raises(ValueError):
         subgroup_generated(z9, [3])
+    for bad in (-1, 9, True, 1.0, "1"):
+        with pytest.raises(ValueError):
+            subgroup_generated(z9, [bad])
 
 
 def test_subgroup_generated_is_smallest_enclosing(z36):
@@ -41,8 +44,10 @@ def test_subgroup_generated_is_smallest_enclosing(z36):
 
 
 def test_all_subgroups_counts(z9, z36):
-    f4 = parse_ring_spec("GR(4,2)")
-    for ring, expected in ((z9, 4), (f4, 10), (z36, 10)):
+    cases = [(z9, 4), (parse_ring_spec("GR(4,2)"), 10), (z36, 10)]
+    cases += [(parse_ring_spec(spec), expected) for spec, expected in
+              (("GR(8)xGR(9)", 32), ("GR(8,2)", 54), ("GR(4,2)xGR(9)", 96))]
+    for ring, expected in cases:
         found = all_subgroups(ring, ring.units())
         assert len(found) == expected
         assert set(found) == set(enumerate_subgroups(ring))

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from cgschur.galois import (
+    TABLE_LIMIT,
     GaloisRing,
     NotAUnit,
     canonical_modulus,
@@ -94,6 +95,30 @@ def test_d1_matches_integers_mod_char(p, n):
         else:
             with pytest.raises(NotAUnit):
                 R.inv(a)
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 1, 3), (3, 2, 2)])
+def test_mul_matches_direct_before_and_after_tabulation(p, n, d):
+    R = make_galois_ring(p, n, d)
+    pairs = [(a, b) for a in R.elements() for b in R.elements()]
+    # the first pass makes size**2 products, after which d > 1 reads a table
+    for _ in range(2):
+        for a, b in pairs:
+            assert R.mul(a, b) == R._mul(a, b)
+    assert (R._mul_table is not None) == (d > 1)
+
+
+def test_tables_wait_for_size_squared_products():
+    R = make_galois_ring(2, 1, 9)
+    assert R.mul(3, 5) == R._mul(3, 5)
+    assert R._mul_table is None
+    huge = make_galois_ring(2, 1, 10)
+    assert huge.size > TABLE_LIMIT
+    huge._direct_products = huge.size**2
+    assert huge.mul(3, 5) == huge._mul(3, 5)
+    assert huge._mul_table is None
+    with pytest.raises(ValueError):
+        huge.mul_table()
 
 
 def test_index_coeff_roundtrip():

@@ -38,6 +38,9 @@ def test_partition_validation(z9):
         SRing(z9, [{0}, {1, 2}])
     with pytest.raises(PartitionError):
         SRing(z9, [set(), {0, 1, 2, 3, 4, 5, 6, 7, 8}])
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(PartitionError):
+            SRing(z9, [[0], [bad, 2, 3, 4, 5, 6, 7, 8]])
     A = SRing(z9, [{3, 6}, {0}, {1, 2, 4, 5, 7, 8}])
     assert [min(X) for X in A.classes] == [0, 1, 3]
 
@@ -92,6 +95,12 @@ def test_schur_closure_examples(z9):
     assert A == cyclotomic(z9, z9.units())
     assert schur_closure(z9) == cyclotomic(z9, z9.units())
     assert schur_closure(z9, [{x} for x in z9.elements()]).rank == 9
+
+
+def test_schur_closure_rejects_non_elements(z9):
+    for bad in (-1, 9, 12, True, 1.0):
+        with pytest.raises(ValueError):
+            schur_closure(z9, [[1, bad]])
 
 
 def test_schur_closure_outputs_are_sring(z36):

@@ -159,6 +159,8 @@ class CGRing:
 
     def valuations(self, m: int) -> tuple[int, ...]:
         """Per-component p-adic valuation vector of a divisor of c."""
+        if m < 1:
+            raise ValueError(f"the divisor must be a positive integer, got {m}")
         if self.char % m:
             raise ValueError(f"{m} does not divide the characteristic {self.char}")
         out = []

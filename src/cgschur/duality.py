@@ -97,6 +97,12 @@ class CharacterTable:
     The exponent map combines the component traces, scaled so each
     component contributes on its own coprime part of the conductor.
     Faithfulness of r -> chi(r*.) is checked exhaustively on build.
+
+    Each reduced power row is also packed into one int (Kronecker
+    substitution), coefficient i in the signed digit i of `width` bits.
+    A sum over at most |R| elements keeps every digit below
+    2**(width - 1) in absolute value, so packed sums are equal exactly
+    when their coefficient vectors are.
     """
 
     def __init__(self, ring: CGRing):
@@ -118,6 +124,9 @@ class CharacterTable:
                     row[i] -= lead * modulus[i]
                 row = row[: self.phi]
         self.power_rows = rows
+        bound = ring.size * max(abs(a) for row in rows for a in row)
+        self.width = bound.bit_length() + 1
+        self.packed = [self.pack(row) for row in rows]
 
         weights = [c // comp.char for comp in ring.components]
         self.exponent = [
@@ -130,6 +139,7 @@ class CharacterTable:
         for s in ring.elements():
             if s and all(self.exponent[ring.mul(s, x)] == 0 for x in ring.elements()):
                 raise StructureError(f"generating character not faithful at {s}")
+        self._packed_exponent = [self.packed[e] for e in self.exponent]
 
     def char_value(self, r: int, x: int) -> CycInt:
         return CycInt(self.c, self.power_rows[self.exponent[self.ring.mul(r, x)]])
@@ -147,6 +157,20 @@ class CharacterTable:
     def char_sum(self, r: int, S: Iterable[int]) -> CycInt:
         return CycInt(self.c, self._sum_key(r, S))
 
+    def pack(self, coeffs: Iterable[int]) -> int:
+        """The packed int of a coefficient vector."""
+        return sum(a << (self.width * i) for i, a in enumerate(coeffs))
+
+    def packed_row(self, r: int) -> list[int]:
+        """The packed value of chi(r*x), indexed by x."""
+        mul, values = self.ring.mul, self._packed_exponent
+        return [values[mul(r, x)] for x in self.ring.elements()]
+
+    def packed_sum(self, r: int, S: Iterable[int]) -> int:
+        """The packed character sum of chi(r*.) over S."""
+        mul, values = self.ring.mul, self._packed_exponent
+        return sum(values[mul(r, x)] for x in S)
+
 
 _TABLES: dict[CGRing, CharacterTable] = {}
 
@@ -158,10 +182,11 @@ def character_table(ring: CGRing) -> CharacterTable:
 
 
 def dual_classes(table: CharacterTable, classes: Sequence[Iterable[int]]) -> list[list[int]]:
-    """Group r by the vector of character sums over the given classes."""
+    """Group r by the vector of packed character sums over the given classes."""
     groups: dict[tuple, list[int]] = {}
     for r in table.ring.elements():
-        key = tuple(table._sum_key(r, X) for X in classes)
+        values = table.packed_row(r).__getitem__
+        key = tuple(sum(map(values, X)) for X in classes)
         groups.setdefault(key, []).append(r)
     return list(groups.values())
 
@@ -284,10 +309,10 @@ def separation_check(ring: CGRing, K: Iterable[int], S: Iterable[int],
     separator = None
     nonzero = None
     for r in ring.units():
-        key = table._sum_key(r, S)
-        if nonzero is None and any(key):
+        key = table.packed_sum(r, S)
+        if nonzero is None and key:
             nonzero = r
-        if separator is None and S != S2 and key != table._sum_key(r, S2):
+        if separator is None and S != S2 and key != table.packed_sum(r, S2):
             separator = r
         if nonzero is not None and (separator is not None or S == S2):
             break

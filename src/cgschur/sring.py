@@ -113,7 +113,10 @@ class SRing:
 
     def is_rational(self, primes: Iterable[int] | None = None) -> bool:
         """Whether every class is fixed setwise by the chosen component units."""
-        keep = set(primes) if primes is not None else set(self.ring.primes)
+        own = set(self.ring.primes)
+        keep = set(primes) if primes is not None else own
+        if keep - own:
+            raise ValueError(f"primes {sorted(keep - own)} are not primes of {self.ring.spec()}")
         for ci, comp in enumerate(self.ring.components):
             if comp.p not in keep:
                 continue
@@ -180,7 +183,10 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
             for x in X:
                 for y in Y:
                     counts[ring.add(x, y)] += 1
-            for k, Z in enumerate(A.classes):
+            # A class that misses the support has all counts 0, so only
+            # the classes meeting it can fail; scanned in class order.
+            for k in sorted({A.class_of[z] for z in counts}):
+                Z = A.classes[k]
                 values = {counts[z] for z in Z}
                 if len(values) > 1:
                     zs = sorted(Z, key=lambda z: counts[z])
@@ -198,6 +204,10 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
 
 def cyclotomic(ring: CGRing, K: Iterable[int]) -> SRing:
     """The Schur ring whose classes are the orbits of a unit subgroup."""
+    K = list(K)  # checked before the set merges True into 1
+    for k in K:
+        if not ring.is_element(k):
+            raise ValueError(f"unit {k!r} is not an element index of {ring.spec()}")
     K = frozenset(K)
     if not all(ring.is_unit(k) for k in K) or not ring.is_subgroup(K):
         raise ValueError("K must be a subgroup of the units")

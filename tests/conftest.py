@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from typing import Iterable, Sequence
 
 import pytest
 
 from cgschur.cgring import CGRing, make_cg_ring
-from cgschur.sring import SRing, cyclotomic, schur_closure
+from cgschur.sring import PartitionError, SRing, cyclotomic, schur_closure
 
 
 def enumerate_subgroups(ring: CGRing) -> list[frozenset[int]]:
@@ -33,6 +35,70 @@ def enumerate_subgroups(ring: CGRing) -> list[frozenset[int]]:
                 found.add(grown)
                 frontier.append(grown)
     return sorted(found, key=lambda K: (len(K), sorted(K)))
+
+
+def verify_sring_oracle(ring: CGRing, classes: Sequence[Iterable[int]]) -> dict:
+    """Full-scan axiom check: every class against every convolution.
+
+    The report document `verify_sring(...).to_doc()` must equal.
+    """
+    try:
+        A = SRing(ring, classes)
+    except PartitionError as err:
+        return {"ok": False, "failures": [{"axiom": "partition", "witness": str(err)}]}
+    failures: list[dict] = []
+    if not A.is_class(frozenset({0})):
+        failures.append({"axiom": "zero-class", "witness": sorted(A.class_containing(0))})
+    for k, X in enumerate(A.classes):
+        image = frozenset(ring.neg(x) for x in X)
+        if not A.is_class(image):
+            failures.append({"axiom": "negation", "class": k, "witness": sorted(image)})
+    for u in ring.units():
+        bad = [k for k, X in enumerate(A.classes)
+               if not A.is_class(frozenset(ring.mul(u, x) for x in X))]
+        if bad:
+            failures.append({"axiom": "unit-invariance", "unit": u, "class": bad[0]})
+            break
+    for i, X in enumerate(A.classes):
+        for j in range(i, A.rank):
+            counts = Counter(ring.add(x, y) for x in X for y in A.classes[j])
+            for k, Z in enumerate(A.classes):
+                if len({counts[z] for z in Z}) > 1:
+                    zs = sorted(Z, key=lambda z: counts[z])
+                    failures.append({
+                        "axiom": "convolution",
+                        "pair": [i, j],
+                        "class": k,
+                        "witness": {str(zs[0]): counts[zs[0]], str(zs[-1]): counts[zs[-1]]},
+                    })
+    return {"ok": not failures, "failures": failures}
+
+
+def character_sum_coeffs(table, r: int, S: Iterable[int]) -> tuple[int, ...]:
+    """The character sum of chi(r*.) over S as a coefficient tuple, summed row by row."""
+    total = [0] * table.phi
+    for x in S:
+        row = table.power_rows[table.exponent[table.ring.mul(r, x)]]
+        total = [a + b for a, b in zip(total, row)]
+    return tuple(total)
+
+
+def dual_classes_oracle(table, classes: Sequence[Iterable[int]]) -> list[list[int]]:
+    """Group r by its vector of coefficient-tuple character sums over the classes."""
+    groups: dict[tuple, list[int]] = {}
+    for r in table.ring.elements():
+        key = tuple(character_sum_coeffs(table, r, X) for X in classes)
+        groups.setdefault(key, []).append(r)
+    return list(groups.values())
+
+
+def swap_broken(A: SRing, rng: random.Random) -> list[list[int]]:
+    """The classes of A with two elements of different classes swapped."""
+    classes = [sorted(X) for X in A.classes]
+    i, j = rng.sample(range(len(classes)), 2)
+    a, b = rng.randrange(len(classes[i])), rng.randrange(len(classes[j]))
+    classes[i][a], classes[j][b] = classes[j][b], classes[i][a]
+    return classes
 
 
 def rank2(ring: CGRing) -> SRing:

@@ -168,6 +168,16 @@ def test_quotient_and_restrict(capsys, sign_doc):
     assert doc == {"ring": "GR(3)", "classes": [[0], [1, 2]]}
 
 
+@pytest.mark.parametrize("verb", [("sring", "quotient"), ("sring", "restrict"),
+                                  ("classify", "quotient")])
+@pytest.mark.parametrize("modulus", ["0", "-3"])
+def test_nonpositive_modulus_exits_2(capsys, sign_doc, verb, modulus):
+    # 0 used to end in a ZeroDivisionError traceback, -3 was read as 3
+    code, out, err = run_cli(capsys, *verb, sign_doc, "--modulus", modulus)
+    assert code == 2 and out == ""
+    assert "positive integer" in err
+
+
 def test_tensor_of_coprime_rings(capsys, sign_doc, tmp_path):
     other = write_doc(tmp_path, "four.json", {
         "ring": "GR(4)",
@@ -210,6 +220,9 @@ def test_rational_flag(capsys, units_doc, sign_doc):
     assert run_json(capsys, "sring", "rational", sign_doc) == (0, {"rational": False})
     assert run_json(capsys, "sring", "rational", sign_doc, "--primes", "3") \
         == (0, {"rational": False})
+    code, out, err = run_cli(capsys, "sring", "rational", sign_doc, "--primes", "7")
+    assert code == 2 and out == ""
+    assert "not primes of GR(9)" in err
 
 
 # -- dual ----------------------------------------------------------------------

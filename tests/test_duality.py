@@ -19,12 +19,13 @@ from cgschur.duality import (
     character_table,
     check_duality,
     cyclotomic_polynomial,
+    dual_classes,
     dual_sring,
     perp_of_ideal,
     separation_check,
 )
 from cgschur.sring import SRing, cyclotomic, wreath_pairs
-from conftest import enumerate_subgroups
+from conftest import character_sum_coeffs, dual_classes_oracle, enumerate_subgroups
 
 
 def oracle_poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -118,6 +119,53 @@ def test_char_sum_examples(z9, z36):
     assert big.char_sum(z36.one, z36.units()).is_zero()
     assert big.char_sum(z36.one, z36.ideal(6)).is_zero()
     assert not big.char_sum(z36.one, {z36.one, z36.neg(z36.one)}).is_zero()
+
+
+def unpack(table: CharacterTable, packed: int) -> tuple[int, ...]:
+    """Signed base-2**width digits of a packed sum, low digit first."""
+    digits = []
+    half, full = 1 << (table.width - 1), 1 << table.width
+    for _ in range(table.phi):
+        digit = packed % full
+        if digit >= half:
+            digit -= full
+        digits.append(digit)
+        packed = (packed - digit) >> table.width
+    assert packed == 0
+    return tuple(digits)
+
+
+def test_packing_width_c105():
+    # Phi_105 has coefficient -2, so the power rows reach +-2 and the
+    # digit width must leave room for |R| * 2 in absolute value.
+    ring = parse_ring_spec("GR(3)xGR(5)xGR(7)")
+    table = character_table(ring)
+    assert table.c == 105 and table.phi == 48
+    assert max(abs(a) for row in table.power_rows for a in row) == 2
+    for r in ring.elements():
+        total = table.packed_sum(r, ring.elements())
+        assert total == table.pack(table._sum_key(r, ring.elements()))
+        assert total == sum(table.packed_row(r))
+    for row in table.power_rows:
+        # the extreme sum: |R| copies of one row, digits up to 2 * |R|
+        assert unpack(table, ring.size * table.pack(row)) == tuple(ring.size * a for a in row)
+        assert unpack(table, -ring.size * table.pack(row)) == tuple(-ring.size * a for a in row)
+
+
+def test_dual_classes_match_coefficient_oracle():
+    rng = random.Random(105)
+    for spec in ("GR(9)", "GR(4,2)", "GR(4)xGR(9)", "GR(3)xGR(5)xGR(7)"):
+        ring = parse_ring_spec(spec)
+        table = character_table(ring)
+        for rank in (2, 5, 12):
+            labels = [0] + [rng.randrange(1, rank) for _ in range(ring.size - 1)]
+            classes = [[x for x in ring.elements() if labels[x] == k] for k in range(rank)]
+            classes = [X for X in classes if X]
+            assert dual_classes(table, classes) == dual_classes_oracle(table, classes)
+        for K in ([ring.one], ring.units()):
+            A = cyclotomic(ring, K)
+            assert dual_sring(A) == SRing(ring, dual_classes_oracle(table, A.classes))
+        assert character_sum_coeffs(table, 1, ring.units()) == table.char_sum(1, ring.units()).coeffs
 
 
 def test_hermitian_symmetry(z36):

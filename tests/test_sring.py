@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from conftest import enumerate_subgroups, rank2
+from conftest import enumerate_subgroups, rank2, swap_broken, verify_sring_oracle
 
 from cgschur.cgring import make_cg_ring
 from cgschur.cgring import quotient as ring_quotient
@@ -62,6 +62,23 @@ def test_verify_rejects_split_orbit(z9):
     assert "unit-invariance" in axioms or "convolution" in axioms
 
 
+def test_verify_matches_full_scan_oracle():
+    # verify_sring scans only the classes that meet each convolution's
+    # support; the oracle scans them all and must give the same report.
+    rng = random.Random(404)
+    failures = 0
+    for spec in ([(3, 2, 1)], [(2, 2, 2)], [(2, 2, 1), (3, 2, 1)], [(2, 2, 2), (3, 2, 1)]):
+        ring = make_cg_ring(spec)
+        subgroups = enumerate_subgroups(ring)
+        for _ in range(4):
+            A = cyclotomic(ring, rng.choice(subgroups))
+            for classes in (A.classes, swap_broken(A, rng)):
+                doc = verify_sring(ring, classes).to_doc()
+                assert doc == verify_sring_oracle(ring, classes)
+                failures += len(doc["failures"])
+    assert failures > 100
+
+
 def test_verify_reports_zero_and_negation():
     ring = make_cg_ring([(5, 1, 1)])
     report = verify_sring(ring, [{0, 1, 2, 3, 4}])
@@ -87,6 +104,14 @@ def test_cyclotomic_examples(z9, z36):
         cyclotomic(z9, [1, 3])
     with pytest.raises(ValueError):
         cyclotomic(z9, [1, 4])
+
+
+def test_cyclotomic_rejects_non_elements(z9):
+    # 17 would be read as 8 and True as 1 by the arithmetic
+    with pytest.raises(ValueError, match="not an element index"):
+        cyclotomic(z9, [1, 8, 17])
+    with pytest.raises(ValueError, match="not an element index"):
+        cyclotomic(make_cg_ring([(2, 2, 2)]), [1, True])
 
 
 def test_schur_closure_examples(z9):
@@ -167,6 +192,10 @@ def test_rationality(z9, z36):
     A = cyclotomic(z9, [1, 8])
     assert not A.is_rational()
     assert SRing(z9, [{0}, {3, 6}, set(z9.units())]).is_rational()
+    with pytest.raises(ValueError, match="not primes"):
+        A.is_rational([7])
+    with pytest.raises(ValueError, match="not primes"):
+        cyclotomic(z36, z36.units()).is_rational([2, 5])
 
 
 def test_restrict_and_quotient(z9, z36):

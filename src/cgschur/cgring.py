@@ -95,9 +95,6 @@ class CGRing:
             comp.neg(i) for comp, i in zip(self.components, self.parts(a))
         )
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if self._mul_table is not None:
             return self._mul_table[a][b]
@@ -202,13 +199,6 @@ class CGRing:
     def maximal_divisors(self) -> list[int]:
         return sorted(self.primes)
 
-    def minimal_divisors(self) -> list[int]:
-        return sorted(self.char // p for p in self.primes)
-
-    def socle_divisor(self) -> int:
-        """Divisor of the largest ideal annihilated by every prime, prod of c_p / p."""
-        return math.prod(c.char // c.p for c in self.components)
-
     def ideal_generators(self, m: int) -> list[int]:
         """Additive generators of mR, one per coefficient slot per component."""
         gens = []
@@ -257,16 +247,6 @@ class CGRing:
                 break
         return g
 
-    def annihilator(self, X: frozenset[int]) -> int:
-        """Divisor of {r : rX = 0}; the whole ring for empty X."""
-        mins = [comp.n for comp in self.components]
-        for x in X:
-            for k, (comp, i) in enumerate(zip(self.components, self.parts(x))):
-                mins[k] = min(mins[k], comp.valuation(i))
-        return self.divisor_from_valuations(
-            comp.n - v for comp, v in zip(self.components, mins)
-        )
-
     # -- projections and subrings -------------------------------------------
 
     def project(self, a: int, primes: Iterable[int]) -> int:
@@ -288,29 +268,26 @@ class CGRing:
         keep = set(primes)
         return math.prod(c.char for c in self.components if c.p not in keep)
 
-    def embed_component_units(self, comp_index: int) -> list[int]:
-        """Units of one component as global units, 1 in the other slots."""
-        out = []
-        k = len(self.components)
-        for u in self.components[comp_index].unit_indices():
-            parts = [1] * k
-            parts[comp_index] = u
-            out.append(self.from_parts(parts))
-        return out
+    def embed(self, ci: int, members: Iterable[int]) -> list[int]:
+        """Elements of component ci as global elements, 1 in the other slots."""
+        shift = math.prod(c.size for c in self.components[:ci])
+        base = self.one - shift  # self.one with slot ci emptied
+        return [base + m * shift for m in members]
 
-    def embed_principal_units(self, comp_index: int) -> list[int]:
+    def embed_component_units(self, ci: int) -> list[int]:
+        """Units of one component as global units."""
+        return self.embed(ci, self.components[ci].unit_indices())
+
+    def embed_principal_units(self, ci: int) -> list[int]:
         """The group 1 + pR_p of one component, as global units."""
-        comp = self.components[comp_index]
+        comp = self.components[ci]
         p = comp.p
-        out = []
-        k = len(self.components)
+        principal = []
         for a in comp.elements():
             cs = comp.coeffs(a)
             if cs[0] % p == 1 and all(c % p == 0 for c in cs[1:]):
-                parts = [1] * k
-                parts[comp_index] = a
-                out.append(self.from_parts(parts))
-        return out
+                principal.append(a)
+        return self.embed(ci, principal)
 
     # -- group actions ---------------------------------------------------
 
@@ -353,29 +330,6 @@ class CGRing:
         one = self.one
         for p in self.primes:
             if all(self.add(one, g) in K for g in self.ideal(self.char // p)):
-                return False
-        return True
-
-    def pure_subgroup_by_rank(self, K: frozenset[int]) -> bool:
-        """Rank criterion: pure iff rk(K meet 1+pR_p) < d_p for every p.
-
-        Valid when every non-field component has p odd or n = 2; for p = 2
-        and n >= 3 the principal unit group is not homocyclic and the
-        criterion breaks, so such rings are rejected.
-        """
-        for ci, comp in enumerate(self.components):
-            if comp.n == 1:
-                continue
-            if comp.p == 2 and comp.n > 2:
-                raise ValueError("rank criterion needs odd p or n <= 2, use is_pure_subgroup")
-            principal = set(self.embed_principal_units(ci))
-            H = K & principal
-            powers = {self.pow(h, comp.p) for h in H}
-            quot, rank = len(H) // len(powers), 0
-            while quot > 1:
-                quot //= comp.p
-                rank += 1
-            if rank >= comp.d:
                 return False
         return True
 
@@ -477,6 +431,8 @@ _COMPONENT_RE = re.compile(r"^GR\((\d+)(?:\^(\d+))?(?:,(\d+))?\)$")
 
 def parse_ring_spec(spec: str, max_size: int = DEFAULT_MAX_RING_SIZE) -> CGRing:
     """Parse strings like "GR(4,2)xGR(9)" or "GR(2^2,2)xGR(3^2)"."""
+    if not isinstance(spec, str):
+        raise ValueError(f"the ring spec must be a string, got {spec!r}")
     comps = []
     for token in spec.replace(" ", "").split("x"):
         match = _COMPONENT_RE.match(token)

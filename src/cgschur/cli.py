@@ -167,15 +167,13 @@ def _cmd_sring(args: argparse.Namespace, max_size: int) -> int:
         return EXIT_OK
     if args.action == "pure":
         A = _load_sring(args.file, max_size)
-        units = frozenset(A.ring.units())
         doc = {
             "pure": A.is_pure(),
             "dense": A.is_dense(),
             "lower_ideal": A.lower_ideal(),
             "unit_classes": [
-                {"class": k, "lower_ideal": A.ring.lower_ideal(X)}
-                for k, X in enumerate(A.classes)
-                if X & units
+                {"class": k, "lower_ideal": A.ring.lower_ideal(A.classes[k])}
+                for k in A.unit_class_indices()
             ],
         }
         _emit(doc, fmt)
@@ -250,8 +248,7 @@ def _cmd_classify(args: argparse.Namespace, max_size: int) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace, max_size: int) -> int:
     ring = parse_ring_spec(args.spec, max_size=max_size)
-    groups = sorted(all_subgroups(ring, frozenset(ring.units())),
-                    key=lambda K: (len(K), sorted(K)))
+    groups = all_subgroups(ring, frozenset(ring.units()))
     if args.action == "subgroups":
         doc = {
             "ring": ring.spec(),

@@ -139,23 +139,13 @@ def _cyclic_epimorphism(ring: CGRing, gen: int, order: int,
 # -- component subgroups, embedded globally ------------------------------------
 
 
-def _embed(ring: CGRing, ci: int, members: Iterable[int]) -> frozenset[int]:
-    width = len(ring.components)
-    out = []
-    for m in members:
-        parts = [1] * width
-        parts[ci] = m
-        out.append(ring.from_parts(parts))
-    return frozenset(out)
-
-
 def _torsion_subgroup(ring: CGRing, ci: int, order: int) -> frozenset[int]:
     """The unique order-`order` subgroup of a component's Teichmuller group."""
     comp = ring.components[ci]
     members = [t for t in comp.teichmuller_group() if comp.pow(t, order) == comp.one]
     if len(members) != order:
         raise ConstructionError(f"no unique torsion subgroup of order {order}")
-    return _embed(ring, ci, members)
+    return frozenset(ring.embed(ci, members))
 
 
 def _principal_log(comp, u: int) -> list[int]:
@@ -192,8 +182,7 @@ def _principal_decomposition(
     """
     comp = ring.components[ci]
     p = comp.p
-    principal = sorted(_embed(ring, ci, (u for u in comp.unit_indices()
-                                         if comp.valuation(comp.sub(u, comp.one)) >= 1)))
+    principal = ring.embed_principal_units(ci)
     gen = next(x for x in principal if x != ring.one)
     rows: dict[int, list[int]] = {}
     _extend_basis(rows, _principal_log(comp, ring.parts(gen)[ci]), p)

@@ -66,8 +66,6 @@ def test_frozen_counts_gr42_gr9(big):
     assert len(big.units()) == 72
     assert len(big.divisors()) == 9
     assert big.maximal_divisors() == [2, 3]
-    assert big.minimal_divisors() == [12, 18]
-    assert big.socle_divisor() == 6
     assert big.spec() == "GR(4,2)xGR(9)"
     for m in big.divisors():
         assert len(big.ideal(m)) == big.ideal_size(m)
@@ -108,8 +106,6 @@ def test_lower_ideal_against_z36_oracle(z36):
         assert z36.lower_ideal(mapped) == oracle_lower_ideal_z36(X)
         g = math.gcd(*X, 36)
         assert z36.upper_ideal(mapped) == g
-        ann = [r for r in range(36) if all(r * x % 36 == 0 for x in X)]
-        assert z36.annihilator(mapped) == 36 // len(ann)
 
 
 def test_empty_set_operations(z36):
@@ -117,7 +113,6 @@ def test_empty_set_operations(z36):
         z36.lower_ideal(frozenset())
     with pytest.raises(EmptySetError):
         z36.upper_ideal(frozenset())
-    assert z36.annihilator(frozenset()) == 1
 
 
 def test_zero_and_full_sets():
@@ -126,8 +121,6 @@ def test_zero_and_full_sets():
     assert R.lower_ideal(frozenset(R.elements())) == 1
     assert R.lower_ideal(frozenset({3, 6})) == 9
     assert R.upper_ideal(frozenset({3, 6})) == 3
-    assert R.annihilator(frozenset({3})) == 3
-    assert R.annihilator(frozenset({0})) == 1
     assert R.is_pure_set(frozenset({3, 6}))
     assert not R.is_pure_set(frozenset({0, 3, 6}))
 
@@ -258,7 +251,6 @@ def test_purity_definitions_agree(z36, big):
             assert ring.is_subgroup(K)
             definitional = ring.lower_ideal(K) == ring.char
             assert ring.is_pure_subgroup(K) == definitional
-            assert ring.pure_subgroup_by_rank(K) == definitional
 
 
 def test_purity_z9_cases():
@@ -269,13 +261,11 @@ def test_purity_z9_cases():
     assert not R.is_pure_subgroup(frozenset(R.units()))
 
 
-def test_rank_criterion_fails_for_z8():
+def test_purity_z8_cases():
     R = make_cg_ring([(2, 3, 1)])
     assert R.is_pure_subgroup(frozenset({1, 7}))
     assert not R.is_pure_subgroup(frozenset({1, 5}))
     assert R.lower_ideal(frozenset({1, 5})) == 4
-    with pytest.raises(ValueError):
-        R.pure_subgroup_by_rank(frozenset({1, 7}))
 
 
 def test_embedded_unit_groups(big):
@@ -288,6 +278,22 @@ def test_embedded_unit_groups(big):
     for u in big.embed_principal_units(1):
         i = big.parts(u)[1]
         assert i % 3 == 1
+
+
+@pytest.mark.parametrize("spec", ["GR(4,2)xGR(9)", "GR(8,2)xGR(9)", "GR(27)xGR(4,2)"])
+def test_embed_matches_unit_definitions(spec):
+    ring = parse_ring_spec(spec)
+    for ci, comp in enumerate(ring.components):
+        units = ring.embed(ci, comp.unit_indices())
+        assert units == ring.embed_component_units(ci)
+        assert all(ring.is_unit(u) for u in units)
+        principal = {u for u, i in zip(units, comp.unit_indices())
+                     if comp.valuation(comp.sub(i, comp.one)) >= 1}
+        assert set(ring.embed_principal_units(ci)) == principal
+        for u, i in zip(units, comp.unit_indices()):
+            parts = [1] * len(ring.components)
+            parts[ci] = i
+            assert u == ring.from_parts(parts)
 
 
 def test_projections(z36):
@@ -316,6 +322,9 @@ def test_parse_ring_spec_round_trip():
             parse_ring_spec(bad)
     with pytest.raises(ValueError):
         parse_ring_spec("GR(4,2)xGR(9)", max_size=100)
+    for not_text in [5, None, ["GR(9)"], b"GR(9)"]:
+        with pytest.raises(ValueError):
+            parse_ring_spec(not_text)
 
 
 def test_mul_table_matches_direct(z36):

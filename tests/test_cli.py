@@ -247,6 +247,25 @@ def test_dual_check_passes(capsys, units_doc):
     assert doc == {"ok": True, "failures": []}
 
 
+def test_dual_check_reports_non_schur_input(capsys, tmp_path):
+    path = write_doc(tmp_path, "broken.json", {
+        "ring": "GR(9)", "classes": [[0], [1, 2], [3, 4, 5, 6, 7, 8]]})
+    code, out, _ = run_cli(capsys, "dual", "check", path)
+    assert code == 1
+    assert out == '{"failures":["rank not preserved"],"ok":false}\n'
+
+
+@pytest.mark.parametrize("ring", [5, None, ["GR(9)"]], ids=["int", "null", "list"])
+@pytest.mark.parametrize("verb", [("sring", "pure"), ("sring", "verify"), ("dual",)],
+                         ids=["sring-pure", "sring-verify", "dual"])
+def test_non_string_ring_spec_exits_2(capsys, tmp_path, verb, ring):
+    path = write_doc(tmp_path, "doc.json", {"ring": ring, "classes": [[0], [1, 8]]})
+    code, out, err = run_cli(capsys, *verb, path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_dual_usage_errors(capsys, sign_doc):
     assert run_cli(capsys, "dual", "check")[0] == 2
     assert run_cli(capsys, "dual", sign_doc, sign_doc)[0] == 2

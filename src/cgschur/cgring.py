@@ -224,14 +224,19 @@ class CGRing:
         return True
 
     def lower_ideal(self, X: frozenset[int]) -> int:
-        """Divisor of the largest ideal I with X + I = X."""
+        """Divisor of the largest ideal I with X + I = X.
+
+        Such ideals are closed under sums, so the largest is the sum of
+        the largest one inside each component.
+        """
         if not X:
             raise EmptySetError("the lower ideal of the empty set is undefined")
-        order = sorted(self.divisors(), key=lambda m: (-self.ideal_size(m), m))
-        for m in order:
-            if self.coset_closed(X, m):
-                return m
-        raise AssertionError("unreachable, the zero ideal always qualifies")
+        vals = []
+        for comp in self.components:
+            others = self.char // comp.char  # others*R is this component
+            vals.append(next(v for v in range(comp.n + 1)
+                             if self.coset_closed(X, others * comp.p**v)))
+        return self.divisor_from_valuations(vals)
 
     def upper_ideal(self, X: frozenset[int]) -> int:
         """Divisor of the smallest ideal containing X."""

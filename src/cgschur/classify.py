@@ -6,7 +6,8 @@ remainder; Schur rings whose unit classes are fixed by every unit carry
 a nontrivial wreath layering or a rank-2 tensor factor.  Both splits are
 certified and reassembled exactly.  The splits are guaranteed for valid
 inputs, so a failed step raises FalsificationError instead of returning
-a soft negative: it signals a bug, not a property of the input.
+a soft negative: it signals a bug, not a property of the input.  Input
+outside a theorem's scope gives NotApplicable or a report with `ok` false.
 """
 
 from __future__ import annotations
@@ -194,7 +195,7 @@ def classify_rational(A: SRing) -> Decomposition:
     Returns the first nontrivial wreath layering when one exists,
     otherwise a tensor split with a rank-2 factor.  Valid inputs always
     admit one of the two, so reaching neither raises FalsificationError;
-    inputs with a moved unit class are rejected.
+    an input with a moved unit class gives NotApplicable.
     """
     ring = A.ring
     for ci in range(len(ring.components)):
@@ -202,9 +203,10 @@ def classify_rational(A: SRing) -> Decomposition:
             for k in A.unit_class_indices():
                 X = A.classes[k]
                 if frozenset(ring.mul(u, x) for x in X) != X:
-                    raise ValueError(
+                    return Decomposition(
+                        KIND_NOT_APPLICABLE, (), (),
                         f"the unit {u} moves the class {sorted(X)};"
-                        " the input is not rational"
+                        " the input is not rational",
                     )
 
     cert = next((c for c in wreath_pairs(A) if c.nontrivial), None)
@@ -345,7 +347,7 @@ def check_quotient_purity(A: SRing, m: int) -> QuotientPurityReport:
     every prime (so no component collapses completely); m equal to the
     characteristic quotients by the zero ideal.  Hypothesis violations
     give a non-applicable report; an impure quotient on an applicable
-    input raises FalsificationError.
+    input gives a report with `ok` false.
     """
     ring = A.ring
     vals = ring.valuations(m)
@@ -366,10 +368,4 @@ def check_quotient_purity(A: SRing, m: int) -> QuotientPurityReport:
     if reasons:
         return QuotientPurityReport(False, tuple(reasons), None)
 
-    quo = quotient_sring(A, m)
-    if not quo.is_pure():
-        raise FalsificationError(
-            f"the quotient of a pure Schur ring over {ring.spec()} by {m}R"
-            " is not pure"
-        )
-    return QuotientPurityReport(True, (), True)
+    return QuotientPurityReport(True, (), quotient_sring(A, m).is_pure())

@@ -18,6 +18,7 @@ from typing import Sequence
 
 from .cgring import CGRing, parse_ring_spec
 from .classify import (
+    KIND_NOT_APPLICABLE,
     FalsificationError,
     check_nondense_structure,
     check_quotient_purity,
@@ -55,16 +56,12 @@ EXIT_USAGE = 2
 # -- output and input helpers --------------------------------------------------
 
 
+def _canonical(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 def _emit(doc: dict, fmt: str) -> None:
-    if fmt == "pretty":
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-
-
-def _digest(doc: dict) -> str:
-    blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    print(json.dumps(doc, sort_keys=True, indent=2) if fmt == "pretty" else _canonical(doc))
 
 
 def _read_doc(path: str) -> dict:
@@ -91,9 +88,14 @@ def _parse_elements(text: str) -> list[int]:
 
 
 # -- subcommand handlers -------------------------------------------------------
+#
+# Each handler returns the document to print and whether every check,
+# classification or construction it ran succeeded; main prints the
+# document and turns the flag into the exit code.
 
 
-def _ring_info_doc(ring: CGRing) -> dict:
+def _cmd_ring(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
+    ring = parse_ring_spec(args.spec, max_size=max_size)
     components = [
         {
             "p": c.p,
@@ -113,61 +115,43 @@ def _ring_info_doc(ring: CGRing) -> dict:
         "unit_count": len(ring.units()),
         "components": components,
         "ideals": [{"divisor": m, "size": ring.ideal_size(m)} for m in sorted(ring.divisors())],
-    }
+    }, True
 
 
-def _cmd_ring(args: argparse.Namespace, max_size: int) -> int:
-    ring = parse_ring_spec(args.spec, max_size=max_size)
-    _emit(_ring_info_doc(ring), args.format)
-    return EXIT_OK
-
-
-def _cmd_sring(args: argparse.Namespace, max_size: int) -> int:
-    fmt = args.format
+def _cmd_sring(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
     if args.action == "cyc":
         ring = parse_ring_spec(args.spec, max_size=max_size)
         K = subgroup_generated(ring, _parse_elements(args.group))
-        _emit(cyclotomic(ring, K).to_doc(), fmt)
-        return EXIT_OK
+        return cyclotomic(ring, K).to_doc(), True
     if args.action == "closure":
         ring = parse_ring_spec(args.spec, max_size=max_size)
         seeds = [frozenset(_parse_elements(s)) for s in args.seed]
-        _emit(schur_closure(ring, seeds).to_doc(), fmt)
-        return EXIT_OK
+        return schur_closure(ring, seeds).to_doc(), True
     if args.action == "verify":
         doc = _read_doc(args.file)
         ring = parse_ring_spec(doc["ring"], max_size=max_size)
         report = verify_sring(ring, doc["classes"])
-        _emit(report.to_doc(), fmt)
-        return EXIT_OK if report.ok else EXIT_FAILED
-    if args.action == "quotient":
-        A = _load_sring(args.file, max_size)
-        _emit(quotient_sring(A, args.modulus).to_doc(), fmt)
-        return EXIT_OK
-    if args.action == "restrict":
-        A = _load_sring(args.file, max_size)
-        _emit(restrict(A, args.modulus).to_doc(), fmt)
-        return EXIT_OK
+        return report.to_doc(), report.ok
     if args.action == "tensor":
         left = _load_sring(args.left, max_size)
         right = _load_sring(args.right, max_size)
-        _emit(tensor(left, right).to_doc(), fmt)
-        return EXIT_OK
+        return tensor(left, right).to_doc(), True
+    A = _load_sring(args.file, max_size)
+    if args.action == "quotient":
+        return quotient_sring(A, args.modulus).to_doc(), True
+    if args.action == "restrict":
+        return restrict(A, args.modulus).to_doc(), True
     if args.action == "wreath":
-        A = _load_sring(args.file, max_size)
         pairs = wreath_pairs(A)
-        doc = {
+        return {
             "pairs": [
                 {"outer": w.outer, "inner": w.inner, "nontrivial": w.nontrivial}
                 for w in pairs
             ],
             "nontrivial": any(w.nontrivial for w in pairs),
-        }
-        _emit(doc, fmt)
-        return EXIT_OK
+        }, True
     if args.action == "pure":
-        A = _load_sring(args.file, max_size)
-        doc = {
+        return {
             "pure": A.is_pure(),
             "dense": A.is_dense(),
             "lower_ideal": A.lower_ideal(),
@@ -175,88 +159,67 @@ def _cmd_sring(args: argparse.Namespace, max_size: int) -> int:
                 {"class": k, "lower_ideal": A.ring.lower_ideal(A.classes[k])}
                 for k in A.unit_class_indices()
             ],
-        }
-        _emit(doc, fmt)
-        return EXIT_OK
+        }, True
     if args.action == "rational":
-        A = _load_sring(args.file, max_size)
         primes = _parse_elements(args.primes) if args.primes else None
-        _emit({"rational": A.is_rational(primes)}, fmt)
-        return EXIT_OK
+        return {"rational": A.is_rational(primes)}, True
     raise ValueError(f"unknown sring action {args.action!r}")
 
 
-def _cmd_dual(args: argparse.Namespace, max_size: int) -> int:
+def _cmd_dual(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
     words = args.target
     if words[0] == "check":
         if len(words) != 2:
             raise ValueError("usage: dual check FILE")
-        A = _load_sring(words[1], max_size)
-        report = check_duality(A)
-        _emit(report.to_doc(), args.format)
-        return EXIT_OK if report.ok else EXIT_FAILED
+        report = check_duality(_load_sring(words[1], max_size))
+        return report.to_doc(), report.ok
     if len(words) != 1:
         raise ValueError("usage: dual [check] FILE")
     A = _load_sring(words[0], max_size)
     doc = dual_sring(A).to_doc()
-    doc["dual_of"] = _digest(A.to_doc())
-    _emit(doc, args.format)
-    return EXIT_OK
+    doc["dual_of"] = hashlib.sha256(_canonical(A.to_doc()).encode()).hexdigest()
+    return doc, True
 
 
-def _cmd_construct(args: argparse.Namespace, max_size: int) -> int:
+def _cmd_construct(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
     instance, built, report = build_nonpure_dense_sring(
         args.p, args.d, args.q, args.e, max_size=max_size
     )
-    doc = {
+    if args.out and report.ok:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(_canonical(built.to_doc()) + "\n")
+    return {
         "instance": instance.to_doc(),
         "sring": built.to_doc(),
         "report": report.to_doc(),
-    }
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(built.to_doc(), sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
-    _emit(doc, args.format)
-    return EXIT_OK if report.ok else EXIT_FAILED
+    }, report.ok
 
 
-def _cmd_classify(args: argparse.Namespace, max_size: int) -> int:
+def _cmd_classify(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
     A = _load_sring(args.file, max_size)
-    fmt = args.format
     if args.action == "pure":
-        _emit(decompose_pure(A).to_doc(), fmt)
-        return EXIT_OK
+        return decompose_pure(A).to_doc(), True
     if args.action == "rational":
-        try:
-            dec = classify_rational(A)
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return EXIT_FAILED
-        _emit(dec.to_doc(), fmt)
-        return EXIT_OK
+        dec = classify_rational(A)
+        return dec.to_doc(), dec.kind != KIND_NOT_APPLICABLE
     if args.action == "nondense":
         report = check_nondense_structure(A)
-        _emit(report.to_doc(), fmt)
-        return EXIT_OK if report.ok else EXIT_FAILED
+        return report.to_doc(), report.ok
     if args.action == "quotient":
         quo_report = check_quotient_purity(A, args.modulus)
-        _emit(quo_report.to_doc(), fmt)
-        return EXIT_OK if quo_report.ok else EXIT_FAILED
+        return quo_report.to_doc(), quo_report.ok
     raise ValueError(f"unknown classify action {args.action!r}")
 
 
-def _cmd_enumerate(args: argparse.Namespace, max_size: int) -> int:
+def _cmd_enumerate(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
     ring = parse_ring_spec(args.spec, max_size=max_size)
     groups = all_subgroups(ring, frozenset(ring.units()))
     if args.action == "subgroups":
-        doc = {
+        return {
             "ring": ring.spec(),
             "count": len(groups),
             "subgroups": [sorted(K) for K in groups],
-        }
-        _emit(doc, args.format)
-        return EXIT_OK
+        }, True
     rows = []
     for K in groups:
         A = cyclotomic(ring, K)
@@ -268,9 +231,7 @@ def _cmd_enumerate(args: argparse.Namespace, max_size: int) -> int:
             "lower_ideal": A.lower_ideal(),
             "classes": [sorted(X) for X in A.classes],
         })
-    doc = {"ring": ring.spec(), "count": len(rows), "srings": rows}
-    _emit(doc, args.format)
-    return EXIT_OK
+    return {"ring": ring.spec(), "count": len(rows), "srings": rows}, True
 
 
 _HANDLERS = {
@@ -314,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     cyc.add_argument("spec")
     cyc.add_argument("--group", required=True, help="comma separated unit generators")
     closure = ss.add_parser("closure", parents=[common],
-                            help="least Schur ring whose A-sets include the seeds")
+                            help="least dense Schur ring whose A-sets include the seeds")
     closure.add_argument("spec")
     closure.add_argument("--seed", action="append", default=[],
                          help="comma separated elements; repeatable")
@@ -386,10 +347,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {ENV_MAX_RING_SIZE} must be an integer", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _HANDLERS[args.command](args, max_size)
+        doc, ok = _HANDLERS[args.command](args, max_size)
+        _emit(doc, args.format)
     except (ConstructionError, StructureError, FalsificationError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILED
     except (KeyError, TypeError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if ok else EXIT_FAILED

@@ -7,7 +7,7 @@ Each group couples a torsion part on one side with a principal-unit
 part on the other through a fiber product, which is what makes the
 result dense but not pure while admitting no nontrivial wreath
 decomposition.  Every identity the design relies on is re-verified
-exactly on each build; a failure raises instead of returning.
+exactly on each build, and the returned report records every check.
 """
 
 from __future__ import annotations
@@ -281,8 +281,9 @@ def build_nonpure_dense_sring(
     """Build and fully verify the two-sided orbit Schur ring.
 
     Returns the instance (all intermediate subgroups), the Schur ring,
-    and a report of every checked identity.  Hypothesis violations
-    raise ValueError; a failed identity raises ConstructionError.
+    and a report of every checked identity, failed or not.  Hypothesis
+    violations raise ValueError; ConstructionError means an intermediate
+    subgroup broke its invariant before the checks ran.
     """
     for name, value in (("p", p), ("d", d), ("q", q), ("e", e)):
         if not isinstance(value, int) or value < 1:
@@ -380,14 +381,9 @@ def build_nonpure_dense_sring(
           _same_orbits(ring, [full_group, nonunits_group], _stratum(ring, 1, 0)),
           "full group and nonunits group agree on the stratum of p times units")
 
-    result = ConstructionReport(tuple(checks))
-    if not result.ok:
-        failing = [f"{c.name} ({c.witness})" for c in checks if not c.ok]
-        raise ConstructionError("verification failed: " + "; ".join(failing))
-
     instance = ConstructionInstance(
         p, d, q, e, ring, left_torsion, right_torsion, left_principal,
         right_principal, left_cyclic, left_complement, right_cyclic,
         right_complement, units_link, nonunits_link, units_group,
         nonunits_group, full_group)
-    return instance, built, result
+    return instance, built, ConstructionReport(tuple(checks))

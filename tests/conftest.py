@@ -92,6 +92,13 @@ def dual_classes_oracle(table, classes: Sequence[Iterable[int]]) -> list[list[in
     return list(groups.values())
 
 
+def lower_ideal_oracle(ring: CGRing, X: frozenset[int]) -> int:
+    """Divisor of the largest ideal I with X + I = X, by trying every ideal."""
+    closed = [m for m in ring.divisors()
+              if all(ring.add(x, i) in X for x in X for i in ring.ideal(m))]
+    return max(closed, key=lambda m: len(ring.ideal(m)))
+
+
 def swap_broken(A: SRing, rng: random.Random) -> list[list[int]]:
     """The classes of A with two elements of different classes swapped."""
     classes = [sorted(X) for X in A.classes]

@@ -8,6 +8,8 @@ from itertools import combinations
 
 import pytest
 
+from conftest import lower_ideal_oracle
+
 from cgschur.cgring import (
     CGRing,
     EmptySetError,
@@ -16,6 +18,7 @@ from cgschur.cgring import (
     parse_ring_spec,
     quotient,
 )
+from cgschur.construct import subgroup_generated
 from cgschur.galois import make_galois_ring
 
 
@@ -106,6 +109,29 @@ def test_lower_ideal_against_z36_oracle(z36):
         assert z36.lower_ideal(mapped) == oracle_lower_ideal_z36(X)
         g = math.gcd(*X, 36)
         assert z36.upper_ideal(mapped) == g
+
+
+@pytest.mark.parametrize("spec", ["GR(4,2)xGR(9)", "GR(27)xGR(4)", "GR(2)xGR(3)xGR(5)"])
+def test_lower_ideal_against_oracle(spec):
+    # Classes and class unions of cyclotomic rings, cosets of every ideal,
+    # and random sets: each lower ideal equals the one found by trying
+    # every ideal.
+    ring = parse_ring_spec(spec)
+    rng = random.Random(spec)
+    units = ring.units()
+    sets = []
+    for gens in ([ring.one], [ring.neg(ring.one)], [rng.choice(units)], units):
+        classes = ring.orbit_partition(subgroup_generated(ring, gens))
+        sets += classes[:6]
+        sets += [frozenset().union(*rng.sample(classes, rng.randint(1, len(classes))))
+                 for _ in range(3)]
+    for m in ring.divisors():
+        x = rng.randrange(ring.size)
+        sets.append(frozenset(ring.add(x, i) for i in ring.ideal(m)))
+    sets += [frozenset(rng.sample(range(ring.size), rng.randint(1, ring.size)))
+             for _ in range(10)]
+    for X in sets:
+        assert ring.lower_ideal(X) == lower_ideal_oracle(ring, X)
 
 
 def test_empty_set_operations(z36):

@@ -14,6 +14,7 @@ from conftest import rank2
 
 from cgschur.cgring import ideal_ring, make_cg_ring, quotient
 from cgschur.classify import (
+    KIND_NOT_APPLICABLE,
     Decomposition,
     FalsificationError,
     check_nondense_structure,
@@ -266,8 +267,10 @@ def test_classify_cyc_units_mixed_ring():
 def test_classify_rejects_non_rational():
     z9 = make_cg_ring([(3, 2, 1)])
     A = cyclotomic(z9, frozenset({1, 4, 7}))
-    with pytest.raises(ValueError, match="not rational"):
-        classify_rational(A)
+    dec = classify_rational(A)
+    assert dec.kind == KIND_NOT_APPLICABLE
+    assert dec.factors == () and dec.certificates == ()
+    assert "not rational" in dec.reason
 
 
 # -- check_nondense_structure -------------------------------------------------

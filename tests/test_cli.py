@@ -17,8 +17,9 @@ import pytest
 
 import cgschur
 from cgschur.cli import main
-from cgschur.construct import ConstructionError, build_nonpure_dense_sring
-from cgschur.sring import VerifyReport
+from cgschur.cgring import parse_ring_spec
+from cgschur.construct import build_nonpure_dense_sring
+from cgschur.sring import SRing, VerifyReport
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -301,12 +302,13 @@ def test_construct_failed_check_exits_1(capsys, monkeypatch):
     failure = {"axiom": "convolution", "pair": [0, 1], "class": 2}
     monkeypatch.setattr("cgschur.construct.verify_sring",
                         lambda ring, classes: VerifyReport(False, (failure,)))
-    with pytest.raises(ConstructionError, match="partition_axioms"):
-        build_nonpure_dense_sring(2, 2, 3, 1)
-    code, _, err = run_cli(capsys, "construct", "t210809a",
-                           "--p", "2", "--d", "2", "--q", "3", "--e", "1")
+    _, _, report = build_nonpure_dense_sring(2, 2, 3, 1)
+    assert report.ok is False
+    code, doc = run_json(capsys, "construct", "t210809a",
+                         "--p", "2", "--d", "2", "--q", "3", "--e", "1")
     assert code == 1
-    assert '"axiom": "convolution"' in err
+    axioms = next(c for c in doc["report"]["checks"] if c["name"] == "partition_axioms")
+    assert not axioms["ok"] and '"axiom": "convolution"' in axioms["witness"]
 
 
 # -- classify ------------------------------------------------------------------
@@ -327,9 +329,10 @@ def test_classify_rational_wreath(capsys, units_doc):
 
 
 def test_classify_rational_rejects_nonrational(capsys, sign_doc):
-    code, _, err = run_cli(capsys, "classify", "rational", sign_doc)
+    code, doc = run_json(capsys, "classify", "rational", sign_doc)
     assert code == 1
-    assert "not rational" in err
+    assert doc["kind"] == "NotApplicable"
+    assert "not rational" in doc["reason"]
 
 
 def test_classify_nondense(capsys, rank2_doc):
@@ -349,6 +352,17 @@ def test_classify_quotient(capsys, sign_doc, tmp_path):
     code, doc = run_json(capsys, "classify", "quotient", even, "--modulus", "2")
     assert code == 0
     assert not doc["applicable"] and doc["ok"]
+
+
+def test_classify_quotient_reports_impure_image(capsys, sign_doc, monkeypatch):
+    # The purity theorem makes this image pure, so only a broken quotient
+    # reaches the failed report; it must print with exit 1, not raise.
+    z9 = parse_ring_spec("GR(9)")
+    monkeypatch.setattr("cgschur.classify.quotient_sring",
+                        lambda A, m: SRing(z9, [[0], [3, 6], [1, 2, 4, 5, 7, 8]]))
+    code, doc = run_json(capsys, "classify", "quotient", sign_doc, "--modulus", "3")
+    assert code == 1
+    assert doc == {"applicable": True, "reasons": [], "quotient_pure": False, "ok": False}
 
 
 # -- enumerate -----------------------------------------------------------------

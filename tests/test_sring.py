@@ -122,6 +122,16 @@ def test_schur_closure_examples(z9):
     assert schur_closure(z9, [{x} for x in z9.elements()]).rank == 9
 
 
+def test_schur_closure_is_the_dense_closure(z9):
+    # {0}, R - {0} is a Schur ring with the seed as a class, but it is not
+    # dense: 3R is no A-set.  The closure keeps 3R and so splits R - {0}.
+    seed = set(range(1, 9))
+    assert verify_sring(z9, [[0], sorted(seed)]).ok
+    A = schur_closure(z9, [seed])
+    assert A.is_dense()
+    assert sorted(sorted(X) for X in A.classes) == [[0], [1, 2, 4, 5, 7, 8], [3, 6]]
+
+
 def test_schur_closure_rejects_non_elements(z9):
     for bad in (-1, 9, 12, True, 1.0):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .galois import DEFAULT_MAX_RING_SIZE, TABLE_LIMIT, GaloisRing, is_prime, make_galois_ring
 
@@ -40,7 +40,9 @@ class CGRing:
         self._units: tuple[int, ...] | None = None
         self._ideals: dict[int, frozenset[int]] = {}
         self._mul_table: list[list[int]] | None = None
+        self._direct_products = 0
         self._divisors: list[int] | None = None
+        self._unit_generators: tuple[int, ...] | None = None
 
     def __repr__(self) -> str:
         return f"CGRing({self.spec()})"
@@ -96,8 +98,17 @@ class CGRing:
         )
 
     def mul(self, a: int, b: int) -> int:
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
+        table = self._mul_table
+        if table is not None:
+            return table[a][b]
+        # The table rule of GaloisRing.mul: tabulate once size**2 direct
+        # products have been made, so a one-off product never pays for it.
+        self._direct_products += 1
+        if self._direct_products >= self.size * self.size and self.size <= TABLE_LIMIT:
+            return self.mul_table()[a][b]
+        return self._mul(a, b)
+
+    def _mul(self, a: int, b: int) -> int:
         out = 0
         shift = 1
         for comp in self.components:
@@ -112,7 +123,7 @@ class CGRing:
         if self._mul_table is None:
             if self.size > TABLE_LIMIT:
                 raise ValueError(f"ring of size {self.size} is too large to tabulate")
-            mul = self.mul
+            mul = self._mul
             self._mul_table = [
                 [mul(a, b) for b in self.elements()] for a in self.elements()
             ]
@@ -144,6 +155,76 @@ class CGRing:
         if self._units is None:
             self._units = tuple(a for a in self.elements() if self.is_unit(a))
         return self._units
+
+    def extend_subgroup(self, H: frozenset[int], g: int) -> frozenset[int]:
+        """The unit group <H, g>, as the union of the cosets H*g^k.
+
+        k runs below the order of g modulo H.  Units commute, so
+        H*g^j * H*g^k = H*g^(j+k), and the union is closed under
+        products; it costs |<H, g>| products.
+        """
+        mul = self.mul
+        grown = set(H)
+        coset = list(H)
+        while True:
+            coset = [mul(x, g) for x in coset]
+            if coset[0] in H:  # g^k lies in H, so H*g^k = H
+                return frozenset(grown)
+            grown.update(coset)
+
+    def unit_generators(self) -> tuple[int, ...]:
+        """A generating set of the units, chosen greedily in index order.
+
+        A unit joins the set when it lies outside the group generated so
+        far, which then grows by its cosets.
+        """
+        if self._unit_generators is None:
+            gens = []
+            group = frozenset({self.one})
+            for u in self.units():
+                if u not in group:
+                    gens.append(u)
+                    group = self.extend_subgroup(group, u)
+            self._unit_generators = tuple(gens)
+        return self._unit_generators
+
+    def orbit_representatives(self) -> list[int]:
+        """One element m*1 per unit orbit, in divisor order.
+
+        Each element is a unit times m*1 for the divisor m generating its
+        ideal, so these orbits cover R, one per divisor.
+        """
+        return [self.scale(self.one, m) for m in self.divisors()]
+
+    def class_permutations(self, classes: Sequence[Sequence[int]]) -> list[list[int]] | None:
+        """For each unit generator g, the permutation k -> index of g*X_k.
+
+        None when the classes do not partition R or some g*X_k is not a
+        class, that is when the partition is not unit-invariant.  Costs
+        one product per generator and element.
+        """
+        class_of = [-1] * self.size
+        for k, X in enumerate(classes):
+            for x in X:
+                if class_of[x] != -1:
+                    return None
+                class_of[x] = k
+        if -1 in class_of:
+            return None
+        mul = self.mul
+        perms = []
+        for g in self.unit_generators():
+            perm = []
+            for X in classes:
+                image = {class_of[mul(g, x)] for x in X}
+                if len(image) != 1:
+                    return None
+                k = image.pop()
+                if len(classes[k]) != len(X):
+                    return None
+                perm.append(k)
+            perms.append(perm)
+        return perms
 
     # -- ideals -------------------------------------------------------------
 

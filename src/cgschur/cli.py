@@ -198,7 +198,8 @@ def _cmd_construct(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]
 def _cmd_classify(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
     A = _load_sring(args.file, max_size)
     if args.action == "pure":
-        return decompose_pure(A).to_doc(), True
+        dec = decompose_pure(A)
+        return dec.to_doc(), dec.kind != KIND_NOT_APPLICABLE
     if args.action == "rational":
         dec = classify_rational(A)
         return dec.to_doc(), dec.kind != KIND_NOT_APPLICABLE

@@ -54,17 +54,14 @@ def all_subgroups(ring: CGRing, group: Iterable[int],
                   limit: int = 256) -> list[frozenset[int]]:
     """Every subgroup of an abelian unit group, by closure over extensions.
 
-    Each extension <H, g> is built as the union of the cosets H*g^k for
-    k below the order of g modulo H.  Because the group is abelian,
-    H*g^j * H*g^k = H*g^(j+k), so that union is closed under products
-    and is the subgroup; it costs |<H, g>| products.
+    Each extension <H, g> is grown by cosets (CGRing.extend_subgroup),
+    at |<H, g>| products.
     """
     members = frozenset(group)
     if len(members) > limit:
         raise ValueError(f"group of order {len(members)} exceeds the limit {limit}")
     if not ring.is_subgroup(members):
         raise ValueError("not a unit subgroup")
-    mul = ring.mul
     trivial = frozenset({ring.one})
     found = {trivial}
     frontier = [trivial]
@@ -73,14 +70,7 @@ def all_subgroups(ring: CGRing, group: Iterable[int],
         for g in members:
             if g in H:
                 continue
-            grown = set(H)
-            coset = list(H)
-            while True:
-                coset = [mul(x, g) for x in coset]
-                if coset[0] in H:  # g^k lies in H, so H*g^k = H
-                    break
-                grown.update(coset)
-            bigger = frozenset(grown)
+            bigger = ring.extend_subgroup(H, g)
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)

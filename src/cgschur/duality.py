@@ -9,12 +9,10 @@ dual Schur rings live on the same element indices as the source ring.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .cgring import CGRing
-from .galois import TABLE_LIMIT
 from .sring import (
     SRing,
     StructureError,
@@ -58,23 +56,15 @@ def cyclotomic_polynomial(c: int) -> tuple[int, ...]:
     return tuple(build(c))
 
 
-@dataclass(frozen=True)
-class CycInt:
-    """An element of Z[x]/(Phi_c), stored as phi(c) integer coefficients."""
-
-    c: int
-    coeffs: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-
 class CharacterTable:
     """Exponent table e with chi(r*x) = zeta_c^e(rx), plus reduced zeta powers.
 
-    The exponent map combines the component traces, scaled so each
-    component contributes on its own coprime part of the conductor.
-    Faithfulness of r -> chi(r*.) is checked exhaustively on build.
+    chi is the product of the component characters zeta_c^(w_i*tr_i)
+    with weights w_i = c/c_i, so the exponent of x is the weighted sum
+    of its component traces.  Each w_i is coprime to c_i, so chi(s*.)
+    is trivial exactly when every component character at s_i is;
+    faithfulness of r -> chi(r*.) is therefore checked per component on
+    build, in O(sum |R_i|^2).
 
     Each reduced power row is also packed into one int (Kronecker
     substitution), coefficient i in the signed digit i of `width` bits.
@@ -90,6 +80,11 @@ class CharacterTable:
         modulus = cyclotomic_polynomial(c)
         self.phi = len(modulus) - 1
 
+        # x^(k+1) is x^k shifted up one place, less lead * Phi_c where lead
+        # is the coefficient pushed to degree phi; only the nonzero terms
+        # of Phi_c are subtracted.  Packing is linear, so the packed rows
+        # follow the same recurrence on whole ints.
+        terms = [(i, a) for i, a in enumerate(modulus[:-1]) if a]
         rows: list[tuple[int, ...]] = []
         row = [1] + [0] * (self.phi - 1)
         for _ in range(c):
@@ -97,39 +92,32 @@ class CharacterTable:
             lead = row[-1]
             row = [0] + row[:-1]
             if lead:
-                for i in range(self.phi):
-                    row[i] -= lead * modulus[i]
-                row = row[: self.phi]
+                for i, a in terms:
+                    row[i] -= lead * a
         self.power_rows = rows
-        bound = ring.size * max(abs(a) for row in rows for a in row)
+        bound = ring.size * max(max(map(abs, row)) for row in rows)
         self.width = bound.bit_length() + 1
-        self.packed = [self.pack(row) for row in rows]
+        packed_modulus = self.pack(modulus)
+        self.packed = [1]
+        for row in rows[:-1]:
+            self.packed.append((self.packed[-1] << self.width) - row[-1] * packed_modulus)
 
-        weights = [c // comp.char for comp in ring.components]
-        self.exponent = [
-            sum(w * comp.trace(part) for w, comp, part in
-                zip(weights, ring.components, ring.parts(x))) % c
-            for x in ring.elements()
-        ]
-        if ring.size <= TABLE_LIMIT:
-            ring.mul_table()
-        for s in ring.elements():
-            if s and all(self.exponent[ring.mul(s, x)] == 0 for x in ring.elements()):
-                raise StructureError(f"generating character not faithful at {s}")
+        # Mixed radix, component 0 least significant: each component
+        # contributes w_i*tr_i to every element sharing its part.
+        exponent = [0]
+        shift = 1
+        for comp in ring.components:
+            traces = [comp.trace(a) for a in comp.elements()]
+            kernel = [s for s in comp.elements()
+                      if s and all(traces[comp.mul(s, x)] == 0 for x in comp.elements())]
+            if kernel:
+                # the least global s with chi(s*.) trivial has this part alone
+                raise StructureError(f"generating character not faithful at {kernel[0] * shift}")
+            w = c // comp.char
+            exponent = [e + w * t for t in traces for e in exponent]
+            shift *= comp.size
+        self.exponent = [e % c for e in exponent]
         self._packed_exponent = [self.packed[e] for e in self.exponent]
-
-    def _sum_key(self, r: int, S: Iterable[int]) -> tuple[int, ...]:
-        mul, exponent = self.ring.mul, self.exponent
-        counts: Counter[int] = Counter(exponent[mul(r, x)] for x in S)
-        total = [0] * self.phi
-        for k, n in counts.items():
-            row = self.power_rows[k]
-            for i in range(self.phi):
-                total[i] += n * row[i]
-        return tuple(total)
-
-    def char_sum(self, r: int, S: Iterable[int]) -> CycInt:
-        return CycInt(self.c, self._sum_key(r, S))
 
     def pack(self, coeffs: Iterable[int]) -> int:
         """The packed int of a coefficient vector."""
@@ -156,11 +144,43 @@ def character_table(ring: CGRing) -> CharacterTable:
 
 
 def dual_classes(table: CharacterTable, classes: Sequence[Iterable[int]]) -> list[list[int]]:
-    """Group r by the vector of packed character sums over the given classes."""
+    """Group r by the vector of packed character sums over the given classes.
+
+    For a unit-invariant partition, the sum over X_k at g*r is the sum
+    over g*X_k at r, so the key of g*r is the key of r with the classes
+    permuted by g.  Then one packed row per unit orbit is summed, and
+    the keys spread along the unit generators; the packed sums are
+    interned as small ints so keys stay short.  Any other partition
+    takes one packed row per element.  Either way the groups come out
+    in element order.
+    """
+    ring = table.ring
+    classes = [list(X) for X in classes]
+    perms = ring.class_permutations(classes)
+    keys: list = [None] * ring.size
+    if perms is None:
+        for r in ring.elements():
+            values = table.packed_row(r).__getitem__
+            keys[r] = tuple(sum(map(values, X)) for X in classes)
+    else:
+        mul, gens = ring.mul, ring.unit_generators()
+        interned: dict[int, int] = {}
+        for r0 in ring.orbit_representatives():
+            values = table.packed_row(r0).__getitem__
+            keys[r0] = tuple(interned.setdefault(sum(map(values, X)), len(interned))
+                             for X in classes)
+            frontier = [r0]
+            while frontier:
+                r = frontier.pop()
+                key = keys[r].__getitem__
+                for g, perm in zip(gens, perms):
+                    s = mul(g, r)
+                    if keys[s] is None:
+                        keys[s] = tuple(map(key, perm))
+                        frontier.append(s)
+    assert None not in keys, "an element received no key"
     groups: dict[tuple, list[int]] = {}
-    for r in table.ring.elements():
-        values = table.packed_row(r).__getitem__
-        key = tuple(sum(map(values, X)) for X in classes)
+    for r, key in enumerate(keys):
         groups.setdefault(key, []).append(r)
     return list(groups.values())
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import pytest
@@ -83,6 +84,42 @@ def character_sum_coeffs(table, r: int, S: Iterable[int]) -> tuple[int, ...]:
     return tuple(total)
 
 
+@dataclass(frozen=True)
+class CycInt:
+    """An element of Z[x]/(Phi_c), stored as phi(c) integer coefficients."""
+
+    c: int
+    coeffs: tuple[int, ...]
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+
+def sum_key(table, r: int, S: Iterable[int]) -> tuple[int, ...]:
+    """The character sum of chi(r*.) over S, power rows weighted by exponent counts."""
+    counts = Counter(table.exponent[table.ring.mul(r, x)] for x in S)
+    total = [0] * table.phi
+    for k, n in counts.items():
+        for i, a in enumerate(table.power_rows[k]):
+            total[i] += n * a
+    return tuple(total)
+
+
+def char_sum(table, r: int, S: Iterable[int]) -> CycInt:
+    """The character sum of chi(r*.) over S as an exact cyclotomic integer."""
+    return CycInt(table.c, sum_key(table, r, S))
+
+
+def exponent_oracle(ring: CGRing) -> list[int]:
+    """The exponent of chi at every element, from that element's own traces."""
+    c = ring.char
+    return [
+        sum(c // comp.char * comp.trace(part)
+            for comp, part in zip(ring.components, ring.parts(x))) % c
+        for x in ring.elements()
+    ]
+
+
 def dual_classes_oracle(table, classes: Sequence[Iterable[int]]) -> list[list[int]]:
     """Group r by its vector of coefficient-tuple character sums over the classes."""
     groups: dict[tuple, list[int]] = {}
@@ -106,6 +143,54 @@ def swap_broken(A: SRing, rng: random.Random) -> list[list[int]]:
     a, b = rng.randrange(len(classes[i])), rng.randrange(len(classes[j]))
     classes[i][a], classes[j][b] = classes[j][b], classes[i][a]
     return classes
+
+
+def random_coarsening(A: SRing, rng: random.Random) -> list[list[int]]:
+    """The classes of A merged at random into unions, usually not unit-invariant."""
+    blocks: dict[int, list[int]] = {}
+    labels = rng.randrange(2, A.rank + 1)
+    for X in A.classes:
+        blocks.setdefault(0 if 0 in X else rng.randrange(1, labels), []).extend(X)
+    return list(blocks.values())
+
+
+def merge_strata(A: SRing, rng: random.Random) -> list[list[int]]:
+    """A unit-invariant coarsening of a dense A: some nonzero unit orbits merged whole.
+
+    The picked orbits are joined into one or two classes; A's classes in
+    the other orbits stay, so every unit maps each class onto a class.
+    """
+    strata = A.ring.orbit_partition(A.ring.units())[1:]  # [0] is {0}
+    picked = rng.sample(strata, rng.randrange(1, len(strata) + 1))
+    cut = rng.randrange(1, len(picked) + 1)
+    merged = [sorted(set().union(*part)) for part in (picked[:cut], picked[cut:]) if part]
+    kept = [sorted(X) for X in A.classes if not any(X <= S for S in picked)]
+    return kept + merged
+
+
+def merge_multiples(A: SRing, m: int, w: int) -> list[list[int]]:
+    """A unit-invariant coarsening of a cyclotomic A: each unit class X joined to m*w*X.
+
+    For A = cyclotomic(K) and a unit w, m*w*(K*u) = K*(m*w*u) is a class,
+    and u*(X + m*w*X) = u*X + m*w*(u*X), so the merged classes are
+    permuted by every unit.
+    """
+    ring = A.ring
+    parent = list(range(A.rank))
+
+    def find(k: int) -> int:
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for k, X in enumerate(A.classes):
+        x = min(X)
+        if ring.is_unit(x):
+            parent[find(k)] = find(A.class_of[ring.scale(ring.mul(w, x), m)])
+    blocks: dict[int, list[int]] = {}
+    for k, X in enumerate(A.classes):
+        blocks.setdefault(find(k), []).extend(X)
+    return [sorted(X) for X in blocks.values()]
 
 
 def rank2(ring: CGRing) -> SRing:

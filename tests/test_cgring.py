@@ -19,7 +19,7 @@ from cgschur.cgring import (
     quotient,
 )
 from cgschur.construct import subgroup_generated
-from cgschur.galois import make_galois_ring
+from cgschur.galois import TABLE_LIMIT, make_galois_ring
 
 
 def z36_iso(ring: CGRing):
@@ -362,6 +362,57 @@ def test_mul_table_matches_direct(z36):
     huge = make_galois_ring(2, 1, 10)
     with pytest.raises(ValueError):
         CGRing([huge]).mul_table()
+
+
+@pytest.mark.parametrize("spec", ["GR(4)xGR(9)", "GR(8,2)", "GR(3)xGR(5)xGR(7)"])
+def test_cg_mul_matches_direct_before_and_after_tabulation(spec):
+    ring = parse_ring_spec(spec)
+    pairs = [(a, b) for a in ring.elements() for b in ring.elements()]
+    # the first pass makes size**2 products, after which mul reads a table
+    for _ in range(2):
+        for a, b in pairs:
+            assert ring.mul(a, b) == ring._mul(a, b)
+    assert ring._mul_table is not None
+
+
+def test_cg_tables_wait_for_size_squared_products():
+    ring = parse_ring_spec("GR(4,2)xGR(9)")
+    assert ring.mul(3, 5) == ring._mul(3, 5)
+    assert ring._mul_table is None
+    huge = parse_ring_spec("GR(8)xGR(125)")
+    assert huge.size > TABLE_LIMIT
+    huge._direct_products = huge.size**2
+    assert huge.mul(3, 5) == huge._mul(3, 5)
+    assert huge._mul_table is None
+    with pytest.raises(ValueError):
+        huge.mul_table()
+
+
+UNIT_ORBIT_RINGS = ["GR(9)", "GR(4,2)", "GR(4)xGR(9)", "GR(4,2)xGR(9)",
+                    "GR(3)xGR(5)xGR(7)", "GR(27)xGR(4,2)"]
+
+
+@pytest.mark.parametrize("spec", UNIT_ORBIT_RINGS)
+def test_unit_generators_generate_the_units(spec):
+    ring = parse_ring_spec(spec)
+    gens = ring.unit_generators()
+    assert gens is ring.unit_generators()  # cached
+    assert subgroup_generated(ring, gens) == frozenset(ring.units())
+    # greedy: no generator lies in the group generated by the earlier ones
+    for k, g in enumerate(gens):
+        assert g not in subgroup_generated(ring, gens[:k])
+
+
+@pytest.mark.parametrize("spec", UNIT_ORBIT_RINGS)
+def test_orbit_representatives_partition_the_ring(spec):
+    ring = parse_ring_spec(spec)
+    reps = ring.orbit_representatives()
+    assert len(reps) == len(ring.divisors())
+    orbits = [ring.orbit(ring.units(), r) for r in reps]
+    assert sum(map(len, orbits)) == ring.size
+    assert frozenset().union(*orbits) == frozenset(ring.elements())
+    for m, orbit in zip(ring.divisors(), orbits):
+        assert all(ring.upper_ideal(frozenset({x})) == m for x in orbit if x)
 
 
 def test_pow_and_scale(big):

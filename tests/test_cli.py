@@ -321,6 +321,17 @@ def test_classify_pure_rank2(capsys, rank2_doc):
     assert [f["role"] for f in doc["factors"]] == ["rank2"]
 
 
+@pytest.mark.parametrize("doc, reason", [
+    ({"ring": "GR(4)", "classes": [[0], [1, 2, 3]]}, "the characteristic is even"),
+    ({"ring": "GR(9)", "classes": [[0], [3, 6], [1, 2, 4, 5, 7, 8]]}, "the input is not pure"),
+])
+def test_classify_pure_not_applicable_exits_1(capsys, tmp_path, doc, reason):
+    # the same report kind exits 1 from every classify verb
+    code, out = run_json(capsys, "classify", "pure", write_doc(tmp_path, "in.json", doc))
+    assert code == 1
+    assert out == {"certificates": [], "factors": [], "kind": "NotApplicable", "reason": reason}
+
+
 def test_classify_rational_wreath(capsys, units_doc):
     code, doc = run_json(capsys, "classify", "rational", units_doc)
     assert code == 0

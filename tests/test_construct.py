@@ -20,6 +20,7 @@ from cgschur.construct import (
     subdirect,
     subgroup_generated,
 )
+from cgschur.sring import has_nontrivial_wreath
 from conftest import enumerate_subgroups
 
 
@@ -132,6 +133,16 @@ def test_build_3122_mirrored():
     assert len(instance.full_group) == 72
     assert built.lower_ideal() == 12
     assert report.ok
+
+
+def test_build_3222_third_instance():
+    # the paper's third instance, over GR(9,2) x GR(4,2): 1296 elements
+    _instance, built, report = build_nonpure_dense_sring(3, 2, 2, 2)
+    assert report.ok, report.to_doc()
+    assert built.ring.size == 1296
+    assert built.is_dense()
+    assert not built.is_pure()
+    assert not has_nontrivial_wreath(built)
 
 
 def test_build_rejections():

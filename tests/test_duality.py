@@ -23,8 +23,20 @@ from cgschur.duality import (
     perp_of_ideal,
     separation_check,
 )
-from cgschur.sring import SRing, cyclotomic, wreath_pairs
-from conftest import character_sum_coeffs, dual_classes_oracle, enumerate_subgroups
+from cgschur.construct import subgroup_generated
+from cgschur.sring import SRing, cyclotomic, schur_closure, wreath_pairs
+from conftest import (
+    char_sum,
+    character_sum_coeffs,
+    dual_classes_oracle,
+    enumerate_subgroups,
+    exponent_oracle,
+    merge_multiples,
+    merge_strata,
+    random_coarsening,
+    sum_key,
+    swap_broken,
+)
 
 
 def oracle_poly_mul(a: list[int], b: list[int]) -> list[int]:
@@ -71,11 +83,12 @@ def test_cyclotomic_polynomials_multiply_to_xn_minus_1():
 
 
 def test_power_rows_match_naive_remainder():
-    for spec in ("GR(9)", "GR(4)xGR(9)", "GR(4,2)"):
+    for spec in ("GR(9)", "GR(4)xGR(9)", "GR(4,2)", "GR(3)xGR(5)xGR(7)"):
         table = character_table(parse_ring_spec(spec))
         modulus = cyclotomic_polynomial(table.c)
         for k in range(table.c):
             assert table.power_rows[k] == oracle_power_mod(k, modulus)
+            assert table.packed[k] == table.pack(table.power_rows[k])
 
 
 def test_exponent_map_additive_and_surjective(z9, z36):
@@ -95,18 +108,18 @@ def test_exponent_map_additive_and_surjective(z9, z36):
 
 def test_char_sum_examples(z9, z36):
     table = character_table(z9)
-    assert table.char_sum(0, {1, 4, 7}).coeffs == (3, 0, 0, 0, 0, 0)
+    assert char_sum(table, 0, {1, 4, 7}).coeffs == (3, 0, 0, 0, 0, 0)
     # zeta + zeta^4 + zeta^7 = zeta * Phi_9(zeta^?) pattern: sums to zero
-    assert table.char_sum(1, {1, 4, 7}).is_zero()
-    assert table.char_sum(1, {0, 3, 6}).is_zero()
-    assert table.char_sum(1, {1}).coeffs == (0, 1, 0, 0, 0, 0)
-    assert table.char_sum(1, {0}).coeffs == (1, 0, 0, 0, 0, 0)
+    assert char_sum(table, 1, {1, 4, 7}).is_zero()
+    assert char_sum(table, 1, {0, 3, 6}).is_zero()
+    assert char_sum(table, 1, {1}).coeffs == (0, 1, 0, 0, 0, 0)
+    assert char_sum(table, 1, {0}).coeffs == (1, 0, 0, 0, 0, 0)
     big = character_table(z36)
-    assert big.char_sum(z36.one, z36.elements()).is_zero()
+    assert char_sum(big, z36.one, z36.elements()).is_zero()
     # both factor sums are Ramanujan sums at squarefull moduli, hence zero
-    assert big.char_sum(z36.one, z36.units()).is_zero()
-    assert big.char_sum(z36.one, z36.ideal(6)).is_zero()
-    assert not big.char_sum(z36.one, {z36.one, z36.neg(z36.one)}).is_zero()
+    assert char_sum(big, z36.one, z36.units()).is_zero()
+    assert char_sum(big, z36.one, z36.ideal(6)).is_zero()
+    assert not char_sum(big, z36.one, {z36.one, z36.neg(z36.one)}).is_zero()
 
 
 def unpack(table: CharacterTable, packed: int) -> tuple[int, ...]:
@@ -132,7 +145,7 @@ def test_packing_width_c105():
     assert max(abs(a) for row in table.power_rows for a in row) == 2
     for r in ring.elements():
         total = table.packed_sum(r, ring.elements())
-        assert total == table.pack(table._sum_key(r, ring.elements()))
+        assert total == table.pack(sum_key(table, r, ring.elements()))
         assert total == sum(table.packed_row(r))
     for row in table.power_rows:
         # the extreme sum: |R| copies of one row, digits up to 2 * |R|
@@ -153,7 +166,7 @@ def test_dual_classes_match_coefficient_oracle():
         for K in ([ring.one], ring.units()):
             A = cyclotomic(ring, K)
             assert dual_sring(A) == SRing(ring, dual_classes_oracle(table, A.classes))
-        assert character_sum_coeffs(table, 1, ring.units()) == table.char_sum(1, ring.units()).coeffs
+        assert character_sum_coeffs(table, 1, ring.units()) == char_sum(table, 1, ring.units()).coeffs
 
 
 def test_hermitian_symmetry(z36):
@@ -163,7 +176,7 @@ def test_hermitian_symmetry(z36):
         r = rng.randrange(z36.size)
         S = {rng.randrange(z36.size) for _ in range(rng.randrange(1, 8))}
         neg_S = {z36.neg(x) for x in S}
-        assert table.char_sum(z36.neg(r), S) == table.char_sum(r, neg_S)
+        assert char_sum(table, z36.neg(r), S) == char_sum(table, r, neg_S)
 
 
 def test_dual_of_cyclotomic_is_itself(z9, z36):
@@ -235,3 +248,55 @@ def test_separation_validation(z9):
         separation_check(z9, {1, 8}, set(), {1})
     with pytest.raises(ValueError):
         separation_check(z9, {1, 8}, {1}, {2})
+
+
+# -- the unit-orbit kernel ------------------------------------------------------
+
+KERNEL_RINGS = ("GR(9)", "GR(4,2)", "GR(4)xGR(9)", "GR(4,2)xGR(9)",
+                "GR(3)xGR(5)xGR(7)", "GR(27)xGR(4,2)")
+
+
+def kernel_inputs(ring, rng: random.Random):
+    """Partitions for the kernel: a cyclotomic ring and a closure, their
+    unit-invariant coarsenings, and partitions that take the fallback."""
+    yield [[0], [1], list(range(2, ring.size))]  # never unit-invariant
+    A = cyclotomic(ring, subgroup_generated(ring, [rng.choice(ring.units())]))
+    yield A.classes
+    yield merge_strata(A, rng)
+    yield merge_multiples(A, rng.choice(ring.divisors()[1:-1]), rng.choice(ring.units()))
+    yield random_coarsening(A, rng)
+    yield swap_broken(A, rng)
+    C = schur_closure(ring, [[rng.randrange(1, ring.size)]])
+    yield C.classes
+    yield merge_strata(C, rng)
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_dual_classes_orbit_kernel_matches_oracle(spec):
+    ring = parse_ring_spec(spec)
+    table = character_table(ring)
+    rng = random.Random(spec)
+    seen = {True: 0, False: 0}
+    for classes in kernel_inputs(ring, rng):
+        seen[ring.class_permutations(classes) is not None] += 1
+        assert dual_classes(table, classes) == dual_classes_oracle(table, classes)
+    assert seen[True] and seen[False]  # both the orbit kernel and the fallback ran
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_class_permutations_follow_the_generators(spec):
+    ring = parse_ring_spec(spec)
+    A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
+    perms = ring.class_permutations(A.classes)
+    assert len(perms) == len(ring.unit_generators())
+    for g, perm in zip(ring.unit_generators(), perms):
+        assert [A.classes.index(frozenset(ring.mul(g, x) for x in X)) for X in A.classes] == perm
+    assert ring.class_permutations(swap_broken(A, random.Random(spec))) is None
+    assert ring.class_permutations([[x] for x in ring.elements()][1:]) is None  # 0 uncovered
+    assert ring.class_permutations([[x] for x in ring.elements()] + [[0]]) is None  # 0 twice
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_exponent_matches_trace_oracle(spec):
+    ring = parse_ring_spec(spec)
+    assert character_table(ring).exponent == exponent_oracle(ring)

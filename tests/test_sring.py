@@ -6,9 +6,17 @@ import math
 import random
 
 import pytest
-from conftest import enumerate_subgroups, rank2, swap_broken, verify_sring_oracle
+from conftest import (
+    enumerate_subgroups,
+    merge_multiples,
+    merge_strata,
+    rank2,
+    swap_broken,
+    verify_sring_oracle,
+)
 
-from cgschur.cgring import make_cg_ring
+from cgschur.cgring import make_cg_ring, parse_ring_spec
+from cgschur.construct import subgroup_generated
 from cgschur.cgring import quotient as ring_quotient
 from cgschur.sring import (
     SRing,
@@ -77,6 +85,29 @@ def test_verify_matches_full_scan_oracle():
                 assert doc == verify_sring_oracle(ring, classes)
                 failures += len(doc["failures"])
     assert failures > 100
+
+
+@pytest.mark.parametrize("spec", ["GR(9)", "GR(4,2)", "GR(4)xGR(9)", "GR(4,2)xGR(9)",
+                                  "GR(3)xGR(5)xGR(7)", "GR(27)xGR(4,2)"])
+def test_verify_invariant_partitions_match_oracle(spec):
+    # Unit-invariant partitions skip the convolution scan when their dual
+    # has the same rank; the others must still report every witness.
+    ring = parse_ring_spec(spec)
+    rng = random.Random(spec)
+    failing = 0
+    for i in range(3):
+        gens = [rng.choice(ring.units())] if i else []
+        while cyclotomic(ring, subgroup_generated(ring, gens)).rank > 40:
+            gens.append(rng.choice(ring.units()))
+        A = cyclotomic(ring, subgroup_generated(ring, gens))
+        m = rng.choice(ring.divisors()[1:-1])
+        for classes in (merge_strata(A, rng), merge_multiples(A, m, rng.choice(ring.units()))):
+            assert ring.class_permutations(classes) is not None
+            doc = verify_sring(ring, classes).to_doc()
+            assert doc == verify_sring_oracle(ring, classes)
+            assert {f["axiom"] for f in doc["failures"]} <= {"convolution"}
+            failing += not doc["ok"]
+    assert failing
 
 
 def test_verify_reports_zero_and_negation():

@@ -18,9 +18,6 @@ SRC = sorted((ROOT / "src" / "cgschur").glob("*.py"))
 USERS = sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 KEEP = {
-    "char_sum": "the character sum as an exact cyclotomic integer, the readable "
-                "form that the packed sums are checked against",
-    "is_zero": "the vanishing test on char_sum values",
     "coset_count": "states the constant intersection of A-sets with ideal cosets, "
                    "checked over the corpus by test_coset_counts_constant",
 }

@@ -159,9 +159,10 @@ class CGRing:
     def extend_subgroup(self, H: frozenset[int], g: int) -> frozenset[int]:
         """The unit group <H, g>, as the union of the cosets H*g^k.
 
-        k runs below the order of g modulo H.  Units commute, so
-        H*g^j * H*g^k = H*g^(j+k), and the union is closed under
-        products; it costs |<H, g>| products.
+        Precondition: H is a unit subgroup and g a unit; otherwise no g^k
+        need lie in H and the loop never returns.  k runs below the order
+        of g modulo H.  Units commute, so H*g^j * H*g^k = H*g^(j+k), and
+        the union is closed under products; it costs |<H, g>| products.
         """
         mul = self.mul
         grown = set(H)
@@ -172,20 +173,25 @@ class CGRing:
                 return frozenset(grown)
             grown.update(coset)
 
-    def unit_generators(self) -> tuple[int, ...]:
-        """A generating set of the units, chosen greedily in index order.
+    def generate(self, elements: Iterable[int]) -> tuple[tuple[int, ...], frozenset[int]]:
+        """The unit group the given units generate, and the generators kept.
 
-        A unit joins the set when it lies outside the group generated so
-        far, which then grows by its cosets.
+        In the given order, a unit joins the generators when it lies outside
+        the group built so far, which then grows by its cosets: extend_subgroup
+        is the one way a unit group grows, at under twice its order in products.
         """
+        gens, group = [], frozenset({self.one})
+        for g in elements:
+            if g not in group:
+                gens.append(g)
+                group = self.extend_subgroup(group, g)
+        return tuple(gens), group
+
+    def unit_generators(self) -> tuple[int, ...]:
+        """generate(units())[0], cached: the units that grow the unit group
+        by cosets, in index order."""
         if self._unit_generators is None:
-            gens = []
-            group = frozenset({self.one})
-            for u in self.units():
-                if u not in group:
-                    gens.append(u)
-                    group = self.extend_subgroup(group, u)
-            self._unit_generators = tuple(gens)
+            self._unit_generators = self.generate(self.units())[0]
         return self._unit_generators
 
     def orbit_representatives(self) -> list[int]:
@@ -378,9 +384,10 @@ class CGRing:
     # -- group actions ---------------------------------------------------
 
     def is_subgroup(self, K: frozenset[int]) -> bool:
-        if self.one not in K:
-            return False
-        return all(self.mul(a, b) in K for a in K for b in K)
+        """Whether K is a unit subgroup: it holds 1 and only units, and the
+        group that generate grows from it by cosets is K itself."""
+        return (self.one in K and all(self.is_unit(k) for k in K)
+                and self.generate(K)[1] == K)
 
     def orbit(self, K: Iterable[int], x: int) -> frozenset[int]:
         return frozenset(self.mul(k, x) for k in K)

@@ -31,23 +31,14 @@ class ConstructionError(RuntimeError):
 
 
 def subgroup_generated(ring: CGRing, gens: Iterable[int]) -> frozenset[int]:
-    """Closure of unit generators under multiplication."""
+    """The unit group the generators generate, grown by CGRing.generate."""
     gens = list(gens)
     for g in gens:
         if not ring.is_element(g):
             raise ValueError(f"generator {g!r} is not an element index of {ring.spec()}")
         if not ring.is_unit(g):
             raise ValueError(f"element {g} is not a unit")
-    group = {ring.one}
-    frontier = [ring.one]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = ring.mul(x, g)
-            if y not in group:
-                group.add(y)
-                frontier.append(y)
-    return frozenset(group)
+    return ring.generate(gens)[1]
 
 
 def all_subgroups(ring: CGRing, group: Iterable[int],

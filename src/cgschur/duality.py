@@ -149,35 +149,33 @@ def dual_classes(table: CharacterTable, classes: Sequence[Iterable[int]]) -> lis
     For a unit-invariant partition, the sum over X_k at g*r is the sum
     over g*X_k at r, so the key of g*r is the key of r with the classes
     permuted by g.  Then one packed row per unit orbit is summed, and
-    the keys spread along the unit generators; the packed sums are
-    interned as small ints so keys stay short.  Any other partition
-    takes one packed row per element.  Either way the groups come out
-    in element order.
+    the keys spread along the unit generators.  Any other partition
+    runs the same loop with every element a representative and no
+    generators.  The packed sums are interned as small ints so keys stay
+    short, and the groups come out in element order.
     """
     ring = table.ring
     classes = [list(X) for X in classes]
     perms = ring.class_permutations(classes)
+    invariant = perms is not None
+    reps = ring.orbit_representatives() if invariant else ring.elements()
+    steps = list(zip(ring.unit_generators(), perms)) if invariant else []
+    mul = ring.mul
     keys: list = [None] * ring.size
-    if perms is None:
-        for r in ring.elements():
-            values = table.packed_row(r).__getitem__
-            keys[r] = tuple(sum(map(values, X)) for X in classes)
-    else:
-        mul, gens = ring.mul, ring.unit_generators()
-        interned: dict[int, int] = {}
-        for r0 in ring.orbit_representatives():
-            values = table.packed_row(r0).__getitem__
-            keys[r0] = tuple(interned.setdefault(sum(map(values, X)), len(interned))
-                             for X in classes)
-            frontier = [r0]
-            while frontier:
-                r = frontier.pop()
-                key = keys[r].__getitem__
-                for g, perm in zip(gens, perms):
-                    s = mul(g, r)
-                    if keys[s] is None:
-                        keys[s] = tuple(map(key, perm))
-                        frontier.append(s)
+    interned: dict[int, int] = {}
+    for r0 in reps:
+        values = table.packed_row(r0).__getitem__
+        keys[r0] = tuple(interned.setdefault(sum(map(values, X)), len(interned))
+                         for X in classes)
+        frontier = [r0]
+        while frontier:
+            r = frontier.pop()
+            key = keys[r].__getitem__
+            for g, perm in steps:
+                s = mul(g, r)
+                if keys[s] is None:
+                    keys[s] = tuple(map(key, perm))
+                    frontier.append(s)
     assert None not in keys, "an element received no key"
     groups: dict[tuple, list[int]] = {}
     for r, key in enumerate(keys):

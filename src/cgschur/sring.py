@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Sequence
 
 from .cgring import CGRing, ideal_ring, parse_ring_spec, quotient
@@ -117,13 +117,14 @@ class SRing:
         keep = set(primes) if primes is not None else own
         if keep - own:
             raise ValueError(f"primes {sorted(keep - own)} are not primes of {self.ring.spec()}")
-        for ci, comp in enumerate(self.ring.components):
+        # The units fixing every class form a group, so generators suffice.
+        ring, class_of = self.ring, self.class_of
+        for ci, comp in enumerate(ring.components):
             if comp.p not in keep:
                 continue
-            for u in self.ring.embed_component_units(ci):
-                for X in self.classes:
-                    if frozenset(self.ring.mul(u, x) for x in X) != X:
-                        return False
+            for g in ring.generate(ring.embed_component_units(ci))[0]:
+                if any(class_of[ring.mul(g, x)] != class_of[x] for x in ring.elements()):
+                    return False
         return True
 
     def to_doc(self) -> dict:
@@ -223,7 +224,7 @@ def cyclotomic(ring: CGRing, K: Iterable[int]) -> SRing:
         if not ring.is_element(k):
             raise ValueError(f"unit {k!r} is not an element index of {ring.spec()}")
     K = frozenset(K)
-    if not all(ring.is_unit(k) for k in K) or not ring.is_subgroup(K):
+    if not ring.is_subgroup(K):
         raise ValueError("K must be a subgroup of the units")
     return SRing(ring, ring.orbit_partition(K))
 
@@ -231,12 +232,13 @@ def cyclotomic(ring: CGRing, K: Iterable[int]) -> SRing:
 def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
     """The smallest dense Schur ring whose A-sets include the seeds.
 
-    Dense means every ideal is an A-set, so this is the general closure
-    with every ideal added as a seed: over GR(9) the seed {1, ..., 8}
-    gives rank 3, although {0}, {1, ..., 8} is a Schur ring.  The start
-    partition groups x by its unit stratum mR^x and by which seeds
-    contain u*x for each unit u, so {0} is a class, and every dense
-    Schur ring that keeps the seeds as A-sets refines it.  Each round
+    Dense means every ideal is an A-set, and the ideals are simply extra
+    seeds: over GR(9) the seed {1, ..., 8} gives rank 3, although {0},
+    {1, ..., 8} is a Schur ring.  The start partition is the atoms of
+    the family of every unit translate u*S of a seed and every ideal mR:
+    x and y share a start class when each of these sets holds both or
+    neither.  The zero ideal makes {0} a class, and every Schur ring
+    keeping the family as A-sets refines the start.  Each round
     replaces P by its double character-sum dual P**.  P** refines P, and
     taking the dual preserves refinement, so a Schur ring S refining P
     also refines P** (S** = S); the dual is always closed under negation
@@ -253,12 +255,14 @@ def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
             if not ring.is_element(x):
                 raise ValueError(f"seed element {x!r} is not an element index of {ring.spec()}")
         seed_sets.append(frozenset(S))
-    units = ring.units()
-    start: dict = {}
-    for x in ring.elements():
-        stratum = ring.upper_ideal(frozenset({x})) if x else 0
-        key = (stratum, tuple(tuple(ring.mul(u, x) in S for S in seed_sets) for u in units))
-        start.setdefault(key, []).append(x)
+    translates = ([ring.mul(u, x) for x in S] for S in seed_sets for u in ring.units())
+    marks: list[list[int]] = [[] for _ in ring.elements()]
+    for i, T in enumerate(chain(map(ring.ideal, ring.divisors()), translates)):
+        for x in T:
+            marks[x].append(i)
+    start: dict[tuple[int, ...], list[int]] = {}
+    for x, mark in enumerate(marks):
+        start.setdefault(tuple(mark), []).append(x)
     table = character_table(ring)
     P = list(start.values())
     while True:

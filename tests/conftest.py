@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import pytest
 
-from cgschur.cgring import CGRing, make_cg_ring
+from cgschur.cgring import CGRing, make_cg_ring, parse_ring_spec
+from cgschur.construct import all_subgroups
 from cgschur.sring import PartitionError, SRing, cyclotomic, schur_closure
 
 
@@ -36,6 +38,60 @@ def enumerate_subgroups(ring: CGRing) -> list[frozenset[int]]:
                 found.add(grown)
                 frontier.append(grown)
     return sorted(found, key=lambda K: (len(K), sorted(K)))
+
+
+# Rings for the oracle checks of the unit-group and unit-orbit kernels.
+KERNEL_RINGS = ("GR(9)", "GR(4,2)", "GR(4)xGR(9)", "GR(4,2)xGR(9)",
+                "GR(3)xGR(5)xGR(7)", "GR(27)xGR(4,2)")
+
+
+@lru_cache(maxsize=None)
+def kernel_subgroups(spec: str) -> list[frozenset[int]]:
+    """all_subgroups of the units of a ring spec, computed once per test run."""
+    ring = parse_ring_spec(spec)
+    return all_subgroups(ring, ring.units())
+
+
+def subgroup_generated_oracle(ring: CGRing, gens: Sequence[int]) -> frozenset[int]:
+    """The closure of unit generators by a breadth-first product search."""
+    group = {ring.one}
+    frontier = [ring.one]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = ring.mul(x, g)
+            if y not in group:
+                group.add(y)
+                frontier.append(y)
+    return frozenset(group)
+
+
+def is_subgroup_oracle(ring: CGRing, K: frozenset[int]) -> bool:
+    """1 in K and K closed under products, by the scan over all |K|^2 pairs."""
+    return ring.one in K and all(ring.mul(a, b) in K for a in K for b in K)
+
+
+def is_rational_oracle(A: SRing, primes: Iterable[int]) -> bool:
+    """Every unit of each chosen component maps every class onto itself."""
+    ring = A.ring
+    for ci, comp in enumerate(ring.components):
+        if comp.p in primes:
+            for u in ring.embed_component_units(ci):
+                if any(frozenset(ring.mul(u, x) for x in X) != X for X in A.classes):
+                    return False
+    return True
+
+
+def closure_start_oracle(ring: CGRing, seeds: Sequence[Iterable[int]]) -> list[list[int]]:
+    """The dense closure's start partition, in element order: x keyed by its
+    unit stratum and by which seeds hold u*x, for every unit u."""
+    seeds = [frozenset(S) for S in seeds]
+    start: dict = {}
+    for x in ring.elements():
+        stratum = ring.upper_ideal(frozenset({x})) if x else 0
+        key = (stratum, tuple(tuple(ring.mul(u, x) in S for S in seeds) for u in ring.units()))
+        start.setdefault(key, []).append(x)
+    return list(start.values())
 
 
 def verify_sring_oracle(ring: CGRing, classes: Sequence[Iterable[int]]) -> dict:

@@ -8,7 +8,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import lower_ideal_oracle
+from conftest import (
+    KERNEL_RINGS,
+    is_subgroup_oracle,
+    kernel_subgroups,
+    lower_ideal_oracle,
+    subgroup_generated_oracle,
+)
 
 from cgschur.cgring import (
     CGRing,
@@ -18,7 +24,7 @@ from cgschur.cgring import (
     parse_ring_spec,
     quotient,
 )
-from cgschur.construct import subgroup_generated
+from cgschur.construct import all_subgroups, subgroup_generated
 from cgschur.galois import TABLE_LIMIT, make_galois_ring
 
 
@@ -388,11 +394,7 @@ def test_cg_tables_wait_for_size_squared_products():
         huge.mul_table()
 
 
-UNIT_ORBIT_RINGS = ["GR(9)", "GR(4,2)", "GR(4)xGR(9)", "GR(4,2)xGR(9)",
-                    "GR(3)xGR(5)xGR(7)", "GR(27)xGR(4,2)"]
-
-
-@pytest.mark.parametrize("spec", UNIT_ORBIT_RINGS)
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_unit_generators_generate_the_units(spec):
     ring = parse_ring_spec(spec)
     gens = ring.unit_generators()
@@ -403,7 +405,37 @@ def test_unit_generators_generate_the_units(spec):
         assert g not in subgroup_generated(ring, gens[:k])
 
 
-@pytest.mark.parametrize("spec", UNIT_ORBIT_RINGS)
+def test_is_subgroup_rejects_non_units():
+    # Checked first: all_subgroups used to accept {0, 1} and then never return.
+    assert not parse_ring_spec("GR(9)").is_subgroup(frozenset({0, 1}))
+    assert not parse_ring_spec("GR(3)xGR(5)").is_subgroup(frozenset(range(5)))
+    with pytest.raises(ValueError, match="not a unit subgroup"):
+        all_subgroups(parse_ring_spec("GR(9)"), {0, 1})
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_generate_matches_oracles(spec):
+    ring = parse_ring_spec(spec)
+    rng = random.Random(spec)
+    units = ring.units()
+    assert ring.generate(units)[1] == frozenset(units)
+    for _ in range(20):
+        gens = rng.sample(units, rng.randrange(4))
+        assert subgroup_generated(ring, gens) == subgroup_generated_oracle(ring, gens)
+    subgroups = kernel_subgroups(spec)
+    assert all(ring.is_subgroup(K) and is_subgroup_oracle(ring, K) for K in subgroups)
+    verdicts = set()
+    for _ in range(20):
+        K = rng.choice(subgroups)
+        for S in (frozenset(rng.sample(units, rng.randrange(1, len(units) + 1))),
+                  K | {rng.choice(units)},  # K, or K and one more unit
+                  K - {rng.choice(units)}):  # K, or K less one unit
+            verdicts.add(ring.is_subgroup(S))
+            assert ring.is_subgroup(S) == is_subgroup_oracle(ring, S)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_orbit_representatives_partition_the_ring(spec):
     ring = parse_ring_spec(spec)
     reps = ring.orbit_representatives()

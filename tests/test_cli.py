@@ -446,3 +446,58 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["size"] == 9
+
+
+# -- golden stdout ---------------------------------------------------------------
+
+# sha256 of stdout and the exit code of each call in test_golden_stdout,
+# recorded before the unit-group kernel was rebuilt on CGRing.generate.
+GOLDEN = {
+    "closure-nonzero": (0, "6bb58d17884322cb955a3aa2ecb98e0e7f3a1601bd26124561e6dd8efc1d968d"),
+    "closure-unit": (0, "2a8a9ae36ef1b402fda5d474ea2d2ebd14968330c207aa8195240d3e0c0fd209"),
+    "closure-two-seeds": (0, "5091090989dc8a10c80fd7342ffe4c6a147ddf0d15a80d86f81f1f7fb177cbec"),
+    "cyc-sign": (0, "4f73b7af27cb28a8fb06700e3dac54f7ff86d6a489beddff506b5995bbb13e79"),
+    "cyc-all-units": (0, "91cb7c3b6bd61e3d728a306b072356201367c787326068a4380e64bba4ef2731"),
+    "rational-yes": (0, "8bc64af19775b1ea0c6af6bd0f10375bd5a1e927c7fdf3fd869af3638049d01a"),
+    "rational-no": (0, "5a7f415dc3e3adce394a43da75e77f8955af8045953ba3b170d58dbb3ad0ad21"),
+    "rational-at-2": (0, "5a7f415dc3e3adce394a43da75e77f8955af8045953ba3b170d58dbb3ad0ad21"),
+    "classify-rational-no": (1, "9c55d04143e3fbf963a65846c5c5dfec1f3f3918e06d21628452033d7ea2bdae"),
+    "enumerate-cyc": (0, "b338acbb0b6696305e04dfb5e2a07cf03bfc44c0e59de7393e46749d3ed41592"),
+    "dual-check-swap": (0, "03afa1855f8bb4f31b906ebe4972fbbeaa767e9c2aef30b4e7412c5cfb79e63c"),
+    "dual-swap": (0, "ef232381f690544fb21fa888f1f5b9d5c3d554d68a0f110464f7e0559575c41a"),
+}
+
+SWAP_DOC = {  # orbits of the coefficient swap of GR(4,2): a Schur ring, not unit-invariant
+    "ring": "GR(4,2)",
+    "classes": [[0], [1, 4], [2, 8], [3, 12], [5], [6, 9], [7, 13], [10], [11, 14], [15]],
+}
+
+
+def test_golden_stdout(capsys, tmp_path):
+    seen = {}
+
+    def call(name: str, *argv: str) -> str:
+        path = tmp_path / f"{name}.json"
+        code, out, _ = run_cli(capsys, *argv)
+        seen[name] = (code, hashlib.sha256(out.encode()).hexdigest())
+        path.write_text(out)
+        return str(path)
+
+    r144 = "GR(4,2)xGR(9)"  # 131 is -1
+    units = call("closure-nonzero", "sring", "closure", r144,
+                 "--seed", ",".join(map(str, range(1, 144))))
+    call("closure-unit", "sring", "closure", r144, "--seed", "131")
+    call("closure-two-seeds", "sring", "closure", r144,
+         "--seed", "4,12,26,42,74,90,122,138", "--seed", "26,42,52,74,90,108,122,138")
+    sign = call("cyc-sign", "sring", "cyc", r144, "--group", "131")
+    call("cyc-all-units", "sring", "cyc", "GR(9)xGR(49)",
+         "--group", ",".join(map(str, parse_ring_spec("GR(9)xGR(49)").units())))
+    call("rational-yes", "sring", "rational", units)
+    call("rational-no", "sring", "rational", sign)
+    call("rational-at-2", "sring", "rational", sign, "--primes", "2")
+    call("classify-rational-no", "classify", "rational", sign)
+    call("enumerate-cyc", "enumerate", "cyc", "GR(4)xGR(9)")
+    swap = write_doc(tmp_path, "swap.json", SWAP_DOC)
+    call("dual-check-swap", "dual", "check", swap)
+    call("dual-swap", "dual", swap)
+    assert seen == GOLDEN

@@ -26,6 +26,7 @@ from cgschur.duality import (
 from cgschur.construct import subgroup_generated
 from cgschur.sring import SRing, cyclotomic, schur_closure, wreath_pairs
 from conftest import (
+    KERNEL_RINGS,
     char_sum,
     character_sum_coeffs,
     dual_classes_oracle,
@@ -251,10 +252,6 @@ def test_separation_validation(z9):
 
 
 # -- the unit-orbit kernel ------------------------------------------------------
-
-KERNEL_RINGS = ("GR(9)", "GR(4,2)", "GR(4)xGR(9)", "GR(4,2)xGR(9)",
-                "GR(3)xGR(5)xGR(7)", "GR(27)xGR(4,2)")
-
 
 def kernel_inputs(ring, rng: random.Random):
     """Partitions for the kernel: a cyclotomic ring and a closure, their

@@ -4,17 +4,24 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 from conftest import (
+    KERNEL_RINGS,
+    closure_start_oracle,
     enumerate_subgroups,
+    is_rational_oracle,
+    kernel_subgroups,
     merge_multiples,
     merge_strata,
+    random_invariant_seed,
     rank2,
     swap_broken,
     verify_sring_oracle,
 )
 
+from cgschur import duality
 from cgschur.cgring import make_cg_ring, parse_ring_spec
 from cgschur.construct import subgroup_generated
 from cgschur.cgring import quotient as ring_quotient
@@ -203,6 +210,48 @@ def test_schur_closure_of_one_unit_is_discrete():
     A = schur_closure(ring, [{ring.one}])
     assert A.rank == 144
     assert verify_sring(ring, A.classes).ok
+
+
+def closure_start(monkeypatch, ring, seeds) -> tuple[list, SRing]:
+    """The partition schur_closure hands to its first dual, and its result."""
+    real = duality.dual_classes
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(duality, "dual_classes", lambda table, P: calls.append(P) or real(table, P))
+        A = schur_closure(ring, seeds)
+    return calls[0], A
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_closure_start_matches_stratum_oracle(spec, monkeypatch):
+    # x and y share a start class iff every unit translate of a seed and
+    # every ideal holds both or neither; the stratum key gives the same
+    # partition, and adding the ideals as seeds changes nothing.
+    ring = parse_ring_spec(spec)
+    rng = random.Random(spec)
+    orbits = rng.sample(ring.orbit_partition(rng.choice(kernel_subgroups(spec))), 3)
+    ideals = [ring.ideal(m) for m in ring.divisors()]
+    for seeds in ([], [range(1, ring.size)], [orbits[0] | orbits[1], orbits[1] | orbits[2]]):
+        start, A = closure_start(monkeypatch, ring, seeds)
+        assert start == closure_start_oracle(ring, seeds)
+        assert closure_start(monkeypatch, ring, [*seeds, *ideals]) == (start, A)
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_is_rational_matches_all_units_oracle(spec):
+    ring = parse_ring_spec(spec)
+    rng = random.Random(spec)
+    subgroups = kernel_subgroups(spec)
+    rings = [cyclotomic(ring, K) for K in rng.sample(subgroups, min(8, len(subgroups)))]
+    rings += [schur_closure(ring, [random_invariant_seed(ring, rng.choice(subgroups), rng)])
+              for _ in range(2)]
+    verdicts = set()
+    for A in rings:
+        for size in range(len(ring.primes) + 1):
+            for Q in combinations(ring.primes, size):
+                verdicts.add(A.is_rational(Q))
+                assert A.is_rational(Q) == is_rational_oracle(A, Q)
+    assert verdicts == {True, False}
 
 
 def test_a_ideals_and_density(z9, z36):

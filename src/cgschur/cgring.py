@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .galois import DEFAULT_MAX_RING_SIZE, TABLE_LIMIT, GaloisRing, is_prime, make_galois_ring
 
@@ -427,19 +426,17 @@ class CGRing:
         return True
 
 
-@dataclass(frozen=True)
-class QuotientMap:
+class QuotientMap(NamedTuple):
     """Quotient ring R/mR with the natural projection and least-preimage lift."""
 
     source: CGRing
     ring: CGRing
     divisor: int
-    pi: Callable[[int], int] = field(repr=False)
-    section: Callable[[int], int] = field(repr=False)
+    pi: Callable[[int], int]
+    section: Callable[[int], int]
 
 
-@dataclass(frozen=True)
-class IdealRingMap:
+class IdealRingMap(NamedTuple):
     """The ideal mR as a ring with identity m*1.
 
     `ring` is the abstract model (a product of smaller Galois rings),
@@ -451,8 +448,8 @@ class IdealRingMap:
     source: CGRing
     ring: CGRing
     divisor: int
-    to_model: Callable[[int], int] = field(repr=False)
-    embed: Callable[[int], int] = field(repr=False)
+    to_model: Callable[[int], int]
+    embed: Callable[[int], int]
 
     def section_map(self) -> dict[int, int]:
         """Inverse of embed, as a dict over the members of mR."""

@@ -12,7 +12,7 @@ outside a theorem's scope gives NotApplicable or a report with `ok` false.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cgring import CGRing, ideal_ring
 from .duality import dual_sring
@@ -44,8 +44,7 @@ class FalsificationError(RuntimeError):
 Factor = tuple[frozenset[int], SRing, str]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     kind: str
     factors: tuple[Factor, ...]
     certificates: tuple[WreathCert | TensorSplit, ...]
@@ -238,8 +237,7 @@ def classify_rational(A: SRing) -> Decomposition:
 # -- structure of non-dense Schur rings ---------------------------------------
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Wreath or rank-2 structure forced by a missing maximal A-ideal.
 
     `applicable` is set when some maximal ideal is not an A-ideal; the
@@ -318,8 +316,7 @@ def check_nondense_structure(A: SRing) -> StructureReport:
 # -- purity of quotients ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientPurityReport:
+class QuotientPurityReport(NamedTuple):
     """Whether purity survives the quotient by an admissible A-ideal."""
 
     applicable: bool

@@ -10,7 +10,6 @@ file name "-" reads the document from stdin.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -73,6 +72,9 @@ def _read_doc(path: str) -> dict:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("the input document must be a JSON object")
+    for key in ("ring", "classes"):
+        if key not in doc:
+            raise ValueError(f"the input document has no {key!r} key")
     return doc
 
 
@@ -177,6 +179,7 @@ def _cmd_dual(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
         raise ValueError("usage: dual [check] FILE")
     A = _load_sring(words[0], max_size)
     doc = dual_sring(A).to_doc()
+    import hashlib  # loads OpenSSL, which only this digest needs
     doc["dual_of"] = hashlib.sha256(_canonical(A.to_doc()).encode()).hexdigest()
     return doc, True
 
@@ -345,7 +348,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         max_size = int(os.environ.get(ENV_MAX_RING_SIZE, DEFAULT_MAX_RING_SIZE))
     except ValueError:
-        print(f"error: {ENV_MAX_RING_SIZE} must be an integer", file=sys.stderr)
+        max_size = 0
+    if max_size < 1:
+        print(f"error: {ENV_MAX_RING_SIZE} must be a positive integer", file=sys.stderr)
         return EXIT_USAGE
     try:
         doc, ok = _HANDLERS[args.command](args, max_size)

@@ -13,8 +13,7 @@ exactly on each build, and the returned report records every check.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .cgring import CGRing, make_cg_ring
 from .galois import is_prime
@@ -46,7 +45,8 @@ def all_subgroups(ring: CGRing, group: Iterable[int],
     """Every subgroup of an abelian unit group, by closure over extensions.
 
     Each extension <H, g> is grown by cosets (CGRing.extend_subgroup),
-    at |<H, g>| products.
+    at |<H, g>| products.  Every g' in the coset H*g gives the same
+    <H, g'>, so H is extended once per coset outside it.
     """
     members = frozenset(group)
     if len(members) > limit:
@@ -58,9 +58,11 @@ def all_subgroups(ring: CGRing, group: Iterable[int],
     frontier = [trivial]
     while frontier:
         H = frontier.pop()
+        done = set(H)
         for g in members:
-            if g in H:
+            if g in done:
                 continue
+            done.update(ring.mul(x, g) for x in H)
             bigger = ring.extend_subgroup(H, g)
             if bigger not in found:
                 found.add(bigger)
@@ -68,8 +70,7 @@ def all_subgroups(ring: CGRing, group: Iterable[int],
     return sorted(found, key=lambda H: (len(H), sorted(H)))
 
 
-@dataclass
-class SubdirectSpec:
+class SubdirectSpec(NamedTuple):
     left: frozenset[int]
     right: frozenset[int]
     modulus: int
@@ -183,8 +184,7 @@ def _principal_decomposition(
 # -- the construction ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConstructionInstance:
+class ConstructionInstance(NamedTuple):
     p: int
     d: int
     q: int
@@ -216,15 +216,13 @@ class ConstructionInstance:
         return doc
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     witness: str
 
 
-@dataclass(frozen=True)
-class ConstructionReport:
+class ConstructionReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property

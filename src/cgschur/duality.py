@@ -9,8 +9,7 @@ dual Schur rings live on the same element indices as the source ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .cgring import CGRing
 from .sring import (
@@ -205,8 +204,7 @@ def perp_of_ideal(ring: CGRing, m: int, table: CharacterTable | None = None) -> 
 # -- duality laws as a checkable report ----------------------------------------
 
 
-@dataclass(frozen=True)
-class DualityReport:
+class DualityReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 
@@ -261,8 +259,7 @@ def check_duality(A: SRing) -> DualityReport:
 # -- separation ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(NamedTuple):
     orbit: frozenset[int]
     pure: bool
     separator: int | None

@@ -11,9 +11,8 @@ raising, so broken inputs can be inspected.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .cgring import CGRing, ideal_ring, parse_ring_spec, quotient
 from .galois import DEFAULT_MAX_RING_SIZE
@@ -142,8 +141,7 @@ def sring_from_doc(doc: dict, max_size: int = DEFAULT_MAX_RING_SIZE) -> SRing:
 # -- verification ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     ok: bool
     failures: tuple[dict, ...]
 
@@ -310,8 +308,7 @@ def tensor(A1: SRing, A2: SRing) -> SRing:
     return SRing(ring, classes)
 
 
-@dataclass(frozen=True)
-class TensorSplit:
+class TensorSplit(NamedTuple):
     ok: bool
     reason: str | None
     primes: frozenset[int]
@@ -357,8 +354,7 @@ def is_tensor_over(A: SRing, primes: Iterable[int]) -> TensorSplit:
 # -- wreath structure --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WreathCert:
+class WreathCert(NamedTuple):
     """A-ideals I = outer*R and J = inner*R with J inside IL(X) meet I
     for every class X outside I; nontrivial when I is proper and J nonzero."""
 

@@ -256,6 +256,19 @@ def test_dual_check_reports_non_schur_input(capsys, tmp_path):
     assert out == '{"failures":["rank not preserved"],"ok":false}\n'
 
 
+@pytest.mark.parametrize("doc, key", [({"ring": "GR(9)"}, "classes"),
+                                      ({"classes": [[0], [1, 8]]}, "ring")],
+                         ids=["no-classes", "no-ring"])
+@pytest.mark.parametrize("verb", [("sring", "verify"), ("sring", "pure"), ("dual",),
+                                  ("classify", "pure")],
+                         ids=["sring-verify", "sring-pure", "dual", "classify-pure"])
+def test_missing_document_key_is_named(capsys, tmp_path, verb, doc, key):
+    code, out, err = run_cli(capsys, *verb, write_doc(tmp_path, "doc.json", doc))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: the input document has no '{key}' key\n"
+
+
 @pytest.mark.parametrize("ring", [5, None, ["GR(9)"]], ids=["int", "null", "list"])
 @pytest.mark.parametrize("verb", [("sring", "pure"), ("sring", "verify"), ("dual",)],
                          ids=["sring-pure", "sring-verify", "dual"])
@@ -426,8 +439,10 @@ def test_env_size_gate(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "ring", "info", "GR(25)")
     assert code == 2
     assert "exceeds" in err
-    monkeypatch.setenv("CGSCHUR_MAX_RING_SIZE", "lots")
-    assert run_cli(capsys, "ring", "info", "GR(9)")[0] == 2
+    for value in ("lots", "0", "-5"):
+        monkeypatch.setenv("CGSCHUR_MAX_RING_SIZE", value)
+        assert run_cli(capsys, "ring", "info", "GR(9)") \
+            == (2, "", "error: CGSCHUR_MAX_RING_SIZE must be a positive integer\n")
 
 
 def test_usage_errors_and_help(capsys):
@@ -436,22 +451,51 @@ def test_usage_errors_and_help(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
 
-def test_module_entry_point():
-    # the child imports the same cgschur as this process, installed or not
+def run_child(*argv: str) -> subprocess.CompletedProcess:
+    """Run the interpreter on the same cgschur as this process, installed or not."""
     src = os.path.dirname(os.path.dirname(cgschur.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "cgschur", "ring", "info", "GR(9)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
-    )
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point():
+    proc = run_child("-m", "cgschur", "ring", "info", "GR(9)")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["size"] == 9
+
+
+# Modules a cold call must not load: dataclasses pulls in the next four,
+# and hashlib loads OpenSSL for the one dual_of digest.
+HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib"}
+
+
+def test_cold_import_footprint(sign_doc):
+    # Only modules added after the baseline count, so whatever site loads
+    # at start-up cannot fail the test.
+    proc = run_child("-c", f"""
+import json, sys
+before = set(sys.modules)
+from cgschur.cli import main
+main(["ring", "info", "GR(9)"])
+print(json.dumps(sorted(set(sys.modules) - before)))
+main(["dual", {sign_doc!r}])
+""")
+    assert proc.returncode == 0, proc.stderr
+    info, added, dual = proc.stdout.splitlines()
+    assert json.loads(info)["size"] == 9
+    assert not HEAVY_MODULES & set(json.loads(added))
+    source = json.loads(open(sign_doc).read())
+    blob = json.dumps(source, sort_keys=True, separators=(",", ":")).encode()
+    assert json.loads(dual)["dual_of"] == hashlib.sha256(blob).hexdigest()
 
 
 # -- golden stdout ---------------------------------------------------------------
 
 # sha256 of stdout and the exit code of each call in test_golden_stdout,
 # recorded before the unit-group kernel was rebuilt on CGRing.generate.
+# The calls from ring-info-1296 on, and the sha256 of the construct --out
+# file, were recorded before the report classes became NamedTuple records.
 GOLDEN = {
     "closure-nonzero": (0, "6bb58d17884322cb955a3aa2ecb98e0e7f3a1601bd26124561e6dd8efc1d968d"),
     "closure-unit": (0, "2a8a9ae36ef1b402fda5d474ea2d2ebd14968330c207aa8195240d3e0c0fd209"),
@@ -465,6 +509,18 @@ GOLDEN = {
     "enumerate-cyc": (0, "b338acbb0b6696305e04dfb5e2a07cf03bfc44c0e59de7393e46749d3ed41592"),
     "dual-check-swap": (0, "03afa1855f8bb4f31b906ebe4972fbbeaa767e9c2aef30b4e7412c5cfb79e63c"),
     "dual-swap": (0, "ef232381f690544fb21fa888f1f5b9d5c3d554d68a0f110464f7e0559575c41a"),
+    "ring-info-1296": (0, "35a6de86367c2874b9ce767805c8389c7124da3916f5f5a39036ab3d325ab8f3"),
+    "verify-swap": (1, "57f6d21bb0cc6cd6c2a928f0013a8765cbf10d0cd2fdd4a6cb8cf4d15621a23c"),
+    "verify-broken": (1, "9577e00c4e2c73ed0039ad258e4fbc1a08fd4dcbeedf71b8b0826f6b538322e0"),
+    "wreath-all-units": (0, "87849df5e8a60236af73767e5ea62692c74d081b015cd10c7f839bbce5f518b0"),
+    "tensor-rank2": (0, "cfce5017163d2449fd4764d902e4ff063e4689d4e9da5f2f44c5cec78c26348b"),
+    "classify-pure-tensor": (0, "516b5f884de3daa8627b00021cb88e63185beba88bb5c5854eee6414a55d6286"),
+    "classify-nondense-split": (0, "c926700d385ccbd73a1cad0b6880a1d3192dee67fafbbaf84ea0225f718777d1"),
+    "cyc-sign-225": (0, "a74fc5ac133f809be0f1e314e7dc89da019cc6d24f2f67c3dbb0a7e1a404d9c0"),
+    "classify-quotient-sign": (0, "813f15fc99a8885b4a1d563852f81e71c8773fa6c870599c5d3ab45cd8c99c0d"),
+    "classify-quotient-even": (0, "9248d9dd30a2d4a72611df1702b5d418f4a5dec0badd8294b68efd06a50660b0"),
+    "construct-2231": (0, "b85a4ee90bf18e6e5e1e17cbcf0d567bcf2064205a68f8313e967d951c252def"),
+    "construct-2231-out": (0, "2787de6918926d26c52cf5a42f1a5f298d8d7b55f61e11bd0216169dae226e80"),
 }
 
 SWAP_DOC = {  # orbits of the coefficient swap of GR(4,2): a Schur ring, not unit-invariant
@@ -490,7 +546,7 @@ def test_golden_stdout(capsys, tmp_path):
     call("closure-two-seeds", "sring", "closure", r144,
          "--seed", "4,12,26,42,74,90,122,138", "--seed", "26,42,52,74,90,108,122,138")
     sign = call("cyc-sign", "sring", "cyc", r144, "--group", "131")
-    call("cyc-all-units", "sring", "cyc", "GR(9)xGR(49)",
+    all_units = call("cyc-all-units", "sring", "cyc", "GR(9)xGR(49)",
          "--group", ",".join(map(str, parse_ring_spec("GR(9)xGR(49)").units())))
     call("rational-yes", "sring", "rational", units)
     call("rational-no", "sring", "rational", sign)
@@ -500,4 +556,24 @@ def test_golden_stdout(capsys, tmp_path):
     swap = write_doc(tmp_path, "swap.json", SWAP_DOC)
     call("dual-check-swap", "dual", "check", swap)
     call("dual-swap", "dual", swap)
+    call("ring-info-1296", "ring", "info", "GR(16)xGR(81)")
+    call("verify-swap", "sring", "verify", swap)
+    broken = write_doc(tmp_path, "broken.json",
+                       {"ring": "GR(9)", "classes": [[0], [1, 2], [3, 4, 5, 6, 7, 8]]})
+    call("verify-broken", "sring", "verify", broken)
+    call("wreath-all-units", "sring", "wreath", all_units)
+    rank2_9 = write_doc(tmp_path, "rank2-9.json",
+                        {"ring": "GR(9)", "classes": [[0], list(range(1, 9))]})
+    rank2_25 = write_doc(tmp_path, "rank2-25.json",
+                         {"ring": "GR(25)", "classes": [[0], list(range(1, 25))]})
+    both = call("tensor-rank2", "sring", "tensor", rank2_9, rank2_25)
+    call("classify-pure-tensor", "classify", "pure", both)
+    call("classify-nondense-split", "classify", "nondense", both)
+    sign225 = call("cyc-sign-225", "sring", "cyc", "GR(9)xGR(25)", "--group", "224")  # -1
+    call("classify-quotient-sign", "classify", "quotient", sign225, "--modulus", "15")
+    call("classify-quotient-even", "classify", "quotient", sign, "--modulus", "6")
+    out = tmp_path / "built.json"
+    call("construct-2231", "construct", "t210809a",
+         "--p", "2", "--d", "2", "--q", "3", "--e", "1", "--out", str(out))
+    seen["construct-2231-out"] = (0, hashlib.sha256(out.read_bytes()).hexdigest())
     assert seen == GOLDEN

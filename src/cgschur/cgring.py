@@ -14,7 +14,14 @@ import math
 import re
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .galois import DEFAULT_MAX_RING_SIZE, TABLE_LIMIT, GaloisRing, is_prime, make_galois_ring
+from .galois import (
+    DEFAULT_MAX_RING_SIZE,
+    GaloisRing,
+    direct_product,
+    is_prime,
+    make_galois_ring,
+    tabulate,
+)
 
 
 class EmptySetError(ValueError):
@@ -100,12 +107,7 @@ class CGRing:
         table = self._mul_table
         if table is not None:
             return table[a][b]
-        # The table rule of GaloisRing.mul: tabulate once size**2 direct
-        # products have been made, so a one-off product never pays for it.
-        self._direct_products += 1
-        if self._direct_products >= self.size * self.size and self.size <= TABLE_LIMIT:
-            return self.mul_table()[a][b]
-        return self._mul(a, b)
+        return direct_product(self, a, b)
 
     def _mul(self, a: int, b: int) -> int:
         out = 0
@@ -119,14 +121,7 @@ class CGRing:
 
     def mul_table(self) -> list[list[int]]:
         """Dense multiplication table, built once; only for small rings."""
-        if self._mul_table is None:
-            if self.size > TABLE_LIMIT:
-                raise ValueError(f"ring of size {self.size} is too large to tabulate")
-            mul = self._mul
-            self._mul_table = [
-                [mul(a, b) for b in self.elements()] for a in self.elements()
-            ]
-        return self._mul_table
+        return tabulate(self)
 
     def scale(self, a: int, k: int) -> int:
         return self.from_parts(
@@ -429,7 +424,6 @@ class CGRing:
 class QuotientMap(NamedTuple):
     """Quotient ring R/mR with the natural projection and least-preimage lift."""
 
-    source: CGRing
     ring: CGRing
     divisor: int
     pi: Callable[[int], int]
@@ -445,7 +439,6 @@ class IdealRingMap(NamedTuple):
     source ring.  embed(model identity) = m * 1.
     """
 
-    source: CGRing
     ring: CGRing
     divisor: int
     to_model: Callable[[int], int]
@@ -488,7 +481,7 @@ def quotient(ring: CGRing, m: int) -> QuotientMap:
     if m == 1:
         raise ValueError("quotient by the whole ring is degenerate")
     target, pi, section = _truncate(ring, vals)
-    return QuotientMap(ring, target, m, pi, section)
+    return QuotientMap(target, m, pi, section)
 
 
 def ideal_ring(ring: CGRing, m: int) -> IdealRingMap:
@@ -498,7 +491,7 @@ def ideal_ring(ring: CGRing, m: int) -> IdealRingMap:
         raise ValueError("the zero ideal does not carry a ring structure")
     exponents = [comp.n - v for comp, v in zip(ring.components, vals)]
     target, to_model, lift = _truncate(ring, exponents)
-    return IdealRingMap(ring, target, m, to_model, lambda b: ring.scale(lift(b), m))
+    return IdealRingMap(target, m, to_model, lambda b: ring.scale(lift(b), m))
 
 
 def make_cg_ring(components, max_size: int = DEFAULT_MAX_RING_SIZE) -> CGRing:

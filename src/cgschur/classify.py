@@ -325,7 +325,7 @@ class QuotientPurityReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return bool(self.quotient_pure) if self.applicable else True
+        return bool(self.quotient_pure)
 
     def to_doc(self) -> dict:
         return {
@@ -343,8 +343,8 @@ def check_quotient_purity(A: SRing, m: int) -> QuotientPurityReport:
     ideal and mR itself are A-ideals, and m has positive valuation at
     every prime (so no component collapses completely); m equal to the
     characteristic quotients by the zero ideal.  Hypothesis violations
-    give a non-applicable report; an impure quotient on an applicable
-    input gives a report with `ok` false.
+    give a non-applicable report; `ok` holds only on an applicable
+    input whose quotient is pure.
     """
     ring = A.ring
     vals = ring.valuations(m)

@@ -207,11 +207,7 @@ class ConstructionInstance(NamedTuple):
     def to_doc(self) -> dict:
         doc = {"p": self.p, "d": self.d, "q": self.q, "e": self.e,
                "ring": self.ring.spec()}
-        for name in ("left_torsion", "right_torsion", "left_principal",
-                     "right_principal", "left_cyclic", "left_complement",
-                     "right_cyclic", "right_complement", "units_link",
-                     "nonunits_link", "units_group", "nonunits_group",
-                     "full_group"):
+        for name in self._fields[5:]:
             doc[name] = sorted(getattr(self, name))
         return doc
 

@@ -81,6 +81,31 @@ def canonical_modulus(p: int, d: int) -> tuple[int, ...]:
     raise AssertionError(f"no irreducible polynomial of degree {d} over GF({p})")
 
 
+def direct_product(ring, a: int, b: int) -> int:
+    """a*b in a ring with no product table yet, under the one table rule.
+
+    `ring` is a GaloisRing or a CGRing: it multiplies directly with
+    `_mul` and counts those products in `_direct_products`.  A table costs
+    size**2 direct products, so it is built only once that many have been
+    made: a ring used for a few products never pays for one, and a busy
+    ring spends on its table no more than it already spent without it.
+    """
+    ring._direct_products += 1
+    if ring._direct_products >= ring.size * ring.size and ring.size <= TABLE_LIMIT:
+        return ring.mul_table()[a][b]
+    return ring._mul(a, b)
+
+
+def tabulate(ring) -> list[list[int]]:
+    """The product table of `ring` by `_mul`, built once into `_mul_table`."""
+    if ring._mul_table is None:
+        if ring.size > TABLE_LIMIT:
+            raise ValueError(f"ring of size {ring.size} is too large to tabulate")
+        mul, elements = ring._mul, range(ring.size)
+        ring._mul_table = [[mul(a, b) for b in elements] for a in elements]
+    return ring._mul_table
+
+
 class GaloisRing:
     """GR(p^n, d) with elements indexed by 0 .. p^(n*d) - 1.
 
@@ -166,14 +191,7 @@ class GaloisRing:
             return table[a][b]
         if self.d == 1:
             return a * b % self.char
-        # A table costs size**2 direct products, so it is built only once
-        # that many have been made: a ring used for a few products never
-        # pays for one, and a busy ring spends on its table no more than
-        # it already spent without it.
-        self._direct_products += 1
-        if self._direct_products >= self.size * self.size and self.size <= TABLE_LIMIT:
-            return self.mul_table()[a][b]
-        return self._mul(a, b)
+        return direct_product(self, a, b)
 
     def _mul(self, a: int, b: int) -> int:
         ca, cb = self.coeffs(a), self.coeffs(b)
@@ -193,13 +211,7 @@ class GaloisRing:
         return self.index(prod[:d])
 
     def mul_table(self) -> list[list[int]]:
-        if self._mul_table is None:
-            if self.size > TABLE_LIMIT:
-                raise ValueError(f"ring of size {self.size} is too large to tabulate")
-            self._mul_table = [
-                [self._mul(a, b) for b in range(self.size)] for a in range(self.size)
-            ]
-        return self._mul_table
+        return tabulate(self)
 
     def pow(self, a: int, k: int) -> int:
         out = 1
@@ -234,41 +246,15 @@ class GaloisRing:
 
     # -- Galois structure -------------------------------------------------
 
-    def teichmuller_lift(self, a: int) -> int:
-        """The fixed point of x -> x^(p^d) congruent to a mod p."""
-        t = a
-        while True:
-            t2 = self.pow(t, self.residue_size)
-            if t2 == t:
-                return t
-            t = t2
-
-    def teichmuller_digits(self, a: int) -> list[int]:
-        """Digits a_i of the expansion a = sum a_i * p^i with a_i Teichmuller."""
-        digits = []
-        x = a
-        for _ in range(self.n):
-            t = self.teichmuller_lift(x)
-            digits.append(t)
-            # (x - t) lies in pR, so every coefficient divides out exactly.
-            x = self.index(c // self.p for c in self.coeffs(self.sub(x, t)))
-        return digits
-
-    def frobenius(self, a: int) -> int:
-        out = 0
-        for i, t in enumerate(self.teichmuller_digits(a)):
-            out = self.add(out, self.scale(self.pow(t, self.p), self.p**i))
-        return out
-
     def trace(self, a: int) -> int:
-        """Trace down to Z_{p^n}, returned as an integer in [0, p^n)."""
-        acc, s = a, a
-        for _ in range(self.d - 1):
-            s = self.frobenius(s)
-            acc = self.add(acc, s)
-        cs = self.coeffs(acc)
-        assert all(c == 0 for c in cs[1:]), "trace landed outside the prime subring"
-        return cs[0]
+        """Trace down to Z_{p^n}, returned as an integer in [0, p^n).
+
+        The ring is free over Z_{p^n} on 1, x, ..., x^(d-1), and the sum of
+        the Galois conjugates of a is the trace of the map y -> a*y: the
+        sum over i of the coefficient of x^i in a*x^i.
+        """
+        char = self.char
+        return sum(self.coeffs(self.mul(a, char**i))[i] for i in range(self.d)) % char
 
     def teichmuller_group(self) -> list[int]:
         """The p^d - 1 nonzero fixed points of x -> x^(p^d), in index order."""

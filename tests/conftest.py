@@ -12,6 +12,7 @@ import pytest
 
 from cgschur.cgring import CGRing, make_cg_ring, parse_ring_spec
 from cgschur.construct import all_subgroups
+from cgschur.galois import GaloisRing
 from cgschur.sring import PartitionError, SRing, cyclotomic, schur_closure
 
 
@@ -166,11 +167,52 @@ def char_sum(table, r: int, S: Iterable[int]) -> CycInt:
     return CycInt(table.c, sum_key(table, r, S))
 
 
+def teichmuller_lift(R: GaloisRing, a: int) -> int:
+    """The fixed point of x -> x^(p^d) congruent to a mod p."""
+    t = a
+    while True:
+        t2 = R.pow(t, R.residue_size)
+        if t2 == t:
+            return t
+        t = t2
+
+
+def teichmuller_digits(R: GaloisRing, a: int) -> list[int]:
+    """Digits a_i of the expansion a = sum a_i * p^i with a_i Teichmuller."""
+    digits = []
+    x = a
+    for _ in range(R.n):
+        t = teichmuller_lift(R, x)
+        digits.append(t)
+        # (x - t) lies in pR, so every coefficient divides out exactly.
+        x = R.index(c // R.p for c in R.coeffs(R.sub(x, t)))
+    return digits
+
+
+def frobenius(R: GaloisRing, a: int) -> int:
+    """The Frobenius automorphism, t -> t^p on each Teichmuller digit."""
+    out = 0
+    for i, t in enumerate(teichmuller_digits(R, a)):
+        out = R.add(out, R.scale(R.pow(t, R.p), R.p**i))
+    return out
+
+
+def trace_oracle(R: GaloisRing, a: int) -> int:
+    """The trace to Z_{p^n} as the sum of the d Frobenius conjugates of a."""
+    acc, s = a, a
+    for _ in range(R.d - 1):
+        s = frobenius(R, s)
+        acc = R.add(acc, s)
+    cs = R.coeffs(acc)
+    assert all(c == 0 for c in cs[1:]), "trace landed outside the prime subring"
+    return cs[0]
+
+
 def exponent_oracle(ring: CGRing) -> list[int]:
     """The exponent of chi at every element, from that element's own traces."""
     c = ring.char
     return [
-        sum(c // comp.char * comp.trace(part)
+        sum(c // comp.char * trace_oracle(comp, part)
             for comp, part in zip(ring.components, ring.parts(x))) % c
         for x in ring.elements()
     ]

@@ -342,7 +342,7 @@ def test_quotient_purity_two_primes():
 def test_quotient_purity_gates():
     z8 = make_cg_ring([(2, 3, 1)])
     report = check_quotient_purity(cyclotomic(z8, frozenset({1, 7})), 4)
-    assert not report.applicable
+    assert not report.applicable and not report.ok
     assert any("even" in r for r in report.reasons)
 
     z9 = make_cg_ring([(3, 2, 1)])

@@ -374,8 +374,8 @@ def test_classify_quotient(capsys, sign_doc, tmp_path):
         "classes": [[0], [1, 2, 3]],
     })
     code, doc = run_json(capsys, "classify", "quotient", even, "--modulus", "2")
-    assert code == 0
-    assert not doc["applicable"] and doc["ok"]
+    assert code == 1
+    assert not doc["applicable"] and not doc["ok"]
 
 
 def test_classify_quotient_reports_impure_image(capsys, sign_doc, monkeypatch):
@@ -518,7 +518,7 @@ GOLDEN = {
     "classify-nondense-split": (0, "c926700d385ccbd73a1cad0b6880a1d3192dee67fafbbaf84ea0225f718777d1"),
     "cyc-sign-225": (0, "a74fc5ac133f809be0f1e314e7dc89da019cc6d24f2f67c3dbb0a7e1a404d9c0"),
     "classify-quotient-sign": (0, "813f15fc99a8885b4a1d563852f81e71c8773fa6c870599c5d3ab45cd8c99c0d"),
-    "classify-quotient-even": (0, "9248d9dd30a2d4a72611df1702b5d418f4a5dec0badd8294b68efd06a50660b0"),
+    "classify-quotient-even": (1, "90e46d10178d3ac8f86599f92289998e7242494ebd7a6f641fe5122edcffc249"),
     "construct-2231": (0, "b85a4ee90bf18e6e5e1e17cbcf0d567bcf2064205a68f8313e967d951c252def"),
     "construct-2231-out": (0, "2787de6918926d26c52cf5a42f1a5f298d8d7b55f61e11bd0216169dae226e80"),
 }

@@ -4,12 +4,14 @@ Each non-dunder ``def``/``class`` name in ``src/cgschur/*.py`` must occur
 as a whole word in the package beyond its own definitions, in the
 benchmark (``bench/*.py``), or in the paper criteria
 (``tests/test_acceptance.py``).  A name that only unit tests reach is
-dead surface unless ``KEEP`` records why it stays.
+dead surface unless ``KEEP`` records why it stays.  The benchmark's
+tracer must also still find the kernel methods it counts.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -58,3 +60,28 @@ def test_every_definition_is_reached():
 def test_keep_lists_only_unreached_names():
     stale = sorted(set(KEEP) - _unreached())
     assert not stale, f"KEEP lists names that are reached or no longer defined: {stale}"
+
+
+def test_bench_tracer_installs():
+    import cgschur  # noqa: F401  (loads every module the tracer spans)
+    from cgschur.cgring import CGRing, make_cg_ring
+    from cgschur.galois import GaloisRing
+    from cgschur.sring import verify_sring
+
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    patched = [(GaloisRing, "mul"), (GaloisRing, "add"), (CGRing, "mul"), (CGRing, "add"),
+               (CGRing, "neg"), (CGRing, "mul_table")]
+    before = {key: key[0].__dict__[key[1]] for key in patched}
+    tracer = spans.Tracer("t")
+    tracer.install()
+    try:
+        assert all(cls.__dict__[attr] is not before[cls, attr] for cls, attr in patched)
+        make_cg_ring([(2, 2, 2), (3, 2, 1)]).mul(5, 7)
+        counts = tracer.snapshot()
+        assert counts["cgring.mul_calls"] == counts["cgring.mul_fallthrough_calls"] == 1
+    finally:
+        tracer.uninstall()
+    assert all(cls.__dict__[attr] is before[cls, attr] for cls, attr in patched)
+    assert cgschur.sring.verify_sring is verify_sring

@@ -45,6 +45,7 @@ class CGRing:
         self.one = self.from_parts([1] * len(self.components))
         self._units: tuple[int, ...] | None = None
         self._ideals: dict[int, frozenset[int]] = {}
+        self._ideal_generators: dict[int, tuple[int, ...]] = {}
         self._mul_table: list[list[int]] | None = None
         self._direct_products = 0
         self._divisors: list[int] | None = None
@@ -119,9 +120,32 @@ class CGRing:
             shift *= comp.size
         return out
 
+    def mul_row(self, r: int) -> list[int]:
+        """The products r*x over all elements x, in element order.
+
+        A tabulated ring hands out its table row, which must not be
+        modified.  Otherwise each component gives its row r_i*R_i, and
+        the rows combine in mixed radix, component 0 least significant,
+        at |R| additions instead of |R| calls to mul.
+        """
+        table = self._mul_table
+        if table is not None:
+            return table[r]
+        row = [0]
+        shift = 1
+        for comp, ri in zip(self.components, self.parts(r)):
+            if comp.d == 1:
+                char = comp.char
+                comp_row = [ri * y % char for y in range(char)]
+            else:
+                comp_row = [comp.mul(ri, y) for y in comp.elements()]
+            row = [a + s for s in [b * shift for b in comp_row] for a in row]
+            shift *= comp.size
+        return row
+
     def mul_table(self) -> list[list[int]]:
-        """Dense multiplication table, built once; only for small rings."""
-        return tabulate(self)
+        """Dense multiplication table, built once from rows; only for small rings."""
+        return tabulate(self, self.mul_row)
 
     def scale(self, a: int, k: int) -> int:
         return self.from_parts(
@@ -201,7 +225,7 @@ class CGRing:
 
         None when the classes do not partition R or some g*X_k is not a
         class, that is when the partition is not unit-invariant.  Costs
-        one product per generator and element.
+        one mul_row per generator.
         """
         class_of = [-1] * self.size
         for k, X in enumerate(classes):
@@ -211,12 +235,12 @@ class CGRing:
                 class_of[x] = k
         if -1 in class_of:
             return None
-        mul = self.mul
         perms = []
         for g in self.unit_generators():
+            row = self.mul_row(g)
             perm = []
             for X in classes:
-                image = {class_of[mul(g, x)] for x in X}
+                image = {class_of[row[x]] for x in X}
                 if len(image) != 1:
                     return None
                 k = image.pop()
@@ -280,20 +304,22 @@ class CGRing:
     def maximal_divisors(self) -> list[int]:
         return sorted(self.primes)
 
-    def ideal_generators(self, m: int) -> list[int]:
+    def ideal_generators(self, m: int) -> tuple[int, ...]:
         """Additive generators of mR, one per coefficient slot per component."""
-        gens = []
-        k = len(self.components)
-        for ci, (comp, v) in enumerate(zip(self.components, self.valuations(m))):
-            if v == comp.n:
-                continue
-            for j in range(comp.d):
-                parts = [0] * k
-                parts[ci] = comp.index(
-                    tuple(comp.p**v if jj == j else 0 for jj in range(comp.d))
-                )
-                gens.append(self.from_parts(parts))
-        return gens
+        if m not in self._ideal_generators:
+            gens = []
+            k = len(self.components)
+            for ci, (comp, v) in enumerate(zip(self.components, self.valuations(m))):
+                if v == comp.n:
+                    continue
+                for j in range(comp.d):
+                    parts = [0] * k
+                    parts[ci] = comp.index(
+                        tuple(comp.p**v if jj == j else 0 for jj in range(comp.d))
+                    )
+                    gens.append(self.from_parts(parts))
+            self._ideal_generators[m] = tuple(gens)
+        return self._ideal_generators[m]
 
     def coset_closed(self, X: frozenset[int], m: int) -> bool:
         """Whether X is a union of cosets of the ideal mR."""

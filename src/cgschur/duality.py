@@ -123,9 +123,10 @@ class CharacterTable:
         return sum(a << (self.width * i) for i, a in enumerate(coeffs))
 
     def packed_row(self, r: int) -> list[int]:
-        """The packed value of chi(r*x), indexed by x."""
-        mul, values = self.ring.mul, self._packed_exponent
-        return [values[mul(r, x)] for x in self.ring.elements()]
+        """The packed value of chi(r*x), indexed by x: mul_row(r) read
+        through the packed exponents."""
+        values = self._packed_exponent
+        return [values[s] for s in self.ring.mul_row(r)]
 
     def packed_sum(self, r: int, S: Iterable[int]) -> int:
         """The packed character sum of chi(r*.) over S."""
@@ -148,7 +149,8 @@ def dual_classes(table: CharacterTable, classes: Sequence[Iterable[int]]) -> lis
     For a unit-invariant partition, the sum over X_k at g*r is the sum
     over g*X_k at r, so the key of g*r is the key of r with the classes
     permuted by g.  Then one packed row per unit orbit is summed, and
-    the keys spread along the unit generators.  Any other partition
+    the keys spread along the unit generators, whose rows g*R are built
+    once per call.  Any other partition
     runs the same loop with every element a representative and no
     generators.  The packed sums are interned as small ints so keys stay
     short, and the groups come out in element order.
@@ -158,8 +160,7 @@ def dual_classes(table: CharacterTable, classes: Sequence[Iterable[int]]) -> lis
     perms = ring.class_permutations(classes)
     invariant = perms is not None
     reps = ring.orbit_representatives() if invariant else ring.elements()
-    steps = list(zip(ring.unit_generators(), perms)) if invariant else []
-    mul = ring.mul
+    steps = list(zip(map(ring.mul_row, ring.unit_generators()), perms)) if invariant else []
     keys: list = [None] * ring.size
     interned: dict[int, int] = {}
     for r0 in reps:
@@ -170,8 +171,8 @@ def dual_classes(table: CharacterTable, classes: Sequence[Iterable[int]]) -> lis
         while frontier:
             r = frontier.pop()
             key = keys[r].__getitem__
-            for g, perm in steps:
-                s = mul(g, r)
+            for row_g, perm in steps:
+                s = row_g[r]
                 if keys[s] is None:
                     keys[s] = tuple(map(key, perm))
                     frontier.append(s)
@@ -192,12 +193,17 @@ def dual_sring(A: SRing, table: CharacterTable | None = None) -> SRing:
 
 
 def perp_of_ideal(ring: CGRing, m: int, table: CharacterTable | None = None) -> frozenset[int]:
-    """Characters annihilating mR, as element labels; equals (c/m)R."""
+    """Characters annihilating mR, as element labels; equals (c/m)R.
+
+    chi(r*.) is additive, so it annihilates mR when it annihilates the
+    additive generators g of mR: one mul_row per generator.
+    """
     table = table or character_table(ring)
-    members = ring.ideal(m)
+    exponent = table.exponent
+    rows = [ring.mul_row(g) for g in ring.ideal_generators(m)]
     return frozenset(
         r for r in ring.elements()
-        if all(table.exponent[ring.mul(r, x)] == 0 for x in members)
+        if all(exponent[row[r]] == 0 for row in rows)
     )
 
 

@@ -89,20 +89,24 @@ def direct_product(ring, a: int, b: int) -> int:
     size**2 direct products, so it is built only once that many have been
     made: a ring used for a few products never pays for one, and a busy
     ring spends on its table no more than it already spent without it.
+    Rings above TABLE_LIMIT are never tabulated and keep no count.
     """
-    ring._direct_products += 1
-    if ring._direct_products >= ring.size * ring.size and ring.size <= TABLE_LIMIT:
-        return ring.mul_table()[a][b]
+    if ring.size <= TABLE_LIMIT:
+        ring._direct_products += 1
+        if ring._direct_products >= ring.size * ring.size:
+            return ring.mul_table()[a][b]
     return ring._mul(a, b)
 
 
-def tabulate(ring) -> list[list[int]]:
-    """The product table of `ring` by `_mul`, built once into `_mul_table`."""
+def tabulate(ring, row) -> list[list[int]]:
+    """The product table of `ring`, built once into `_mul_table`.
+
+    `row(a)` is the list of a*b over the elements b, made without the table.
+    """
     if ring._mul_table is None:
         if ring.size > TABLE_LIMIT:
             raise ValueError(f"ring of size {ring.size} is too large to tabulate")
-        mul, elements = ring._mul, range(ring.size)
-        ring._mul_table = [[mul(a, b) for b in elements] for a in elements]
+        ring._mul_table = [row(a) for a in range(ring.size)]
     return ring._mul_table
 
 
@@ -211,7 +215,8 @@ class GaloisRing:
         return self.index(prod[:d])
 
     def mul_table(self) -> list[list[int]]:
-        return tabulate(self)
+        mul, elements = self._mul, self.elements()
+        return tabulate(self, lambda a: [mul(a, b) for b in elements])
 
     def pow(self, a: int, k: int) -> int:
         out = 1

@@ -122,7 +122,7 @@ class SRing:
             if comp.p not in keep:
                 continue
             for g in ring.generate(ring.embed_component_units(ci))[0]:
-                if any(class_of[ring.mul(g, x)] != class_of[x] for x in ring.elements()):
+                if any(class_of[gx] != k for gx, k in zip(ring.mul_row(g), class_of)):
                     return False
         return True
 
@@ -178,8 +178,9 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
 
     invariant = ring.class_permutations(A.classes) is not None
     for u in () if invariant else ring.units():
+        row = ring.mul_row(u)
         for k, X in enumerate(A.classes):
-            image = frozenset(ring.mul(u, x) for x in X)
+            image = frozenset(row[x] for x in X)
             if not A.is_class(image):
                 failures.append({"axiom": "unit-invariance", "unit": u, "class": k})
                 break
@@ -235,7 +236,8 @@ def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
     {1, ..., 8} is a Schur ring.  The start partition is the atoms of
     the family of every unit translate u*S of a seed and every ideal mR:
     x and y share a start class when each of these sets holds both or
-    neither.  The zero ideal makes {0} a class, and every Schur ring
+    neither.  The translates cost one mul_row per seed element, read at
+    the |U| units.  The zero ideal makes {0} a class, and every Schur ring
     keeping the family as A-sets refines the start.  Each round
     replaces P by its double character-sum dual P**.  P** refines P, and
     taking the dual preserves refinement, so a Schur ring S refining P
@@ -253,7 +255,9 @@ def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
             if not ring.is_element(x):
                 raise ValueError(f"seed element {x!r} is not an element index of {ring.spec()}")
         seed_sets.append(frozenset(S))
-    translates = ([ring.mul(u, x) for x in S] for S in seed_sets for u in ring.units())
+    units = ring.units()
+    translates = (T for S in seed_sets
+                  for T in zip(*([row[u] for u in units] for row in map(ring.mul_row, S))))
     marks: list[list[int]] = [[] for _ in ring.elements()]
     for i, T in enumerate(chain(map(ring.ideal, ring.divisors()), translates)):
         for x in T:

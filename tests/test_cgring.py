@@ -394,6 +394,51 @@ def test_cg_tables_wait_for_size_squared_products():
         huge.mul_table()
 
 
+def test_untabulable_rings_keep_no_product_count():
+    huge = parse_ring_spec("GR(9,2)xGR(25)")
+    assert huge.size > TABLE_LIMIT
+    for a, b in [(3, 5), (2024, 7), (1000, 1000)]:
+        assert huge.mul(a, b) == huge._mul(a, b)
+    assert huge._direct_products == 0
+    assert huge._mul_table is None
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS + ("GR(8)xGR(125)",))
+def test_mul_row_matches_mul(spec):
+    ring = parse_ring_spec(spec)
+    rng = random.Random(spec)
+    rows = ring.elements() if ring.size <= TABLE_LIMIT else rng.sample(ring.elements(), 40)
+    oracle = {r: [ring._mul(r, x) for x in ring.elements()] for r in rows}
+    for r in rows:
+        assert ring.mul_row(r) == oracle[r]
+    assert ring._mul_table is None  # rows alone never build the table
+    if ring.size <= TABLE_LIMIT:
+        ring.mul_table()
+        assert ring._mul_table is not None
+        for r in rows:
+            assert ring.mul_row(r) == oracle[r]
+
+
+def test_row_built_table_matches_mul():
+    ring = parse_ring_spec("GR(27)xGR(4,2)")  # the d > 1 component is the high digit
+    ring._direct_products = ring.size**2 - 1
+    assert ring.mul(5, 7) == ring._mul(5, 7)  # the size**2-th product builds the table
+    table = ring._mul_table
+    assert table is not None
+    for a in ring.elements():
+        assert table[a] == [ring._mul(a, b) for b in ring.elements()]
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_ideal_generators_are_cached(spec):
+    ring = parse_ring_spec(spec)
+    for m in ring.divisors():
+        gens = ring.ideal_generators(m)
+        assert isinstance(gens, tuple)
+        assert ring.ideal_generators(m) is gens
+        assert gens == parse_ring_spec(spec).ideal_generators(m)
+
+
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_unit_generators_generate_the_units(spec):
     ring = parse_ring_spec(spec)

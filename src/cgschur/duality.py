@@ -1,14 +1,19 @@
 """Exact character sums and dual Schur rings.
 
-Character values live in Z[x]/(Phi_c(x)) with Phi_c the c-th cyclotomic
-polynomial, so equality of character sums is decided exactly.  The
-generating character is assembled from the component traces, and every
-character of the additive group is chi(r*.) for a unique r, which lets
-dual Schur rings live on the same element indices as the source ring.
+The generating character is assembled from the component traces, and
+every character of the additive group is chi(r*.) for a unique r, which
+lets dual Schur rings live on the same element indices as the source
+ring.  The characteristics c_i of the components are coprime, so
+Z[zeta_c] is the tensor product of the Z[zeta_(c_i)], and character
+values are written in the tensor basis built from the prime-power bases
+zeta^j, j < phi(c_i) (Bosma, "Canonical bases for cyclotomic fields",
+1990).  Every value then has digits -1, 0 and 1, and equality of
+character sums is decided exactly on integer digit vectors.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .cgring import CGRing
@@ -23,40 +28,8 @@ from .sring import (
 )
 
 
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Quotient of integer polynomials known to divide exactly (monic den)."""
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        coef = num[i + len(den) - 1]
-        out[i] = coef
-        for j, d in enumerate(den):
-            num[i + j] -= coef * d
-    if any(num):
-        raise ArithmeticError("division left a remainder")
-    return out
-
-
-def cyclotomic_polynomial(c: int) -> tuple[int, ...]:
-    """Coefficients of Phi_c, low degree first."""
-    if c < 1:
-        raise ValueError("conductor must be positive")
-    memo: dict[int, list[int]] = {}
-
-    def build(n: int) -> list[int]:
-        if n not in memo:
-            num = [-1] + [0] * (n - 1) + [1]
-            for d in range(1, n):
-                if n % d == 0:
-                    num = _poly_div_exact(num, build(d))
-            memo[n] = num
-        return memo[n]
-
-    return tuple(build(c))
-
-
 class CharacterTable:
-    """Exponent table e with chi(r*x) = zeta_c^e(rx), plus reduced zeta powers.
+    """Exponent table e with chi(r*x) = zeta_c^e(rx), plus packed zeta powers.
 
     chi is the product of the component characters zeta_c^(w_i*tr_i)
     with weights w_i = c/c_i, so the exponent of x is the weighted sum
@@ -65,41 +38,40 @@ class CharacterTable:
     faithfulness of r -> chi(r*.) is therefore checked per component on
     build, in O(sum |R_i|^2).
 
-    Each reduced power row is also packed into one int (Kronecker
-    substitution), coefficient i in the signed digit i of `width` bits.
-    A sum over at most |R| elements keeps every digit below
-    2**(width - 1) in absolute value, so packed sums are equal exactly
-    when their coefficient vectors are.
+    zeta_c^e is the tensor product of zeta_(c_i)^(t_i), t_i = e/w_i mod
+    c_i, each written in the basis zeta^j, j < phi(c_i), of its own
+    prime-power field: for c_i = p^a and j < p^(a-1),
+    zeta^(j+(p-1)p^(a-1)) = -sum over s < p-1 of zeta^(j+s*p^(a-1)).
+    Every digit of a value is therefore -1, 0 or 1.  `packed[e]` holds
+    the digits in one int (Kronecker substitution), digit k in the
+    signed digit k of `width` bits, with component i at a digit stride
+    of the product of phi(c_k) over k < i, component 0 least
+    significant as in the exponent.  A sum over at most |R| elements
+    keeps every digit at most |R| < 2**(width - 1) in absolute value,
+    so packed sums are equal exactly when their digit vectors are.
     """
 
     def __init__(self, ring: CGRing):
         self.ring = ring
         c = ring.char
         self.c = c
-        modulus = cyclotomic_polynomial(c)
-        self.phi = len(modulus) - 1
+        self.width = width = ring.size.bit_length() + 1
 
-        # x^(k+1) is x^k shifted up one place, less lead * Phi_c where lead
-        # is the coefficient pushed to degree phi; only the nonzero terms
-        # of Phi_c are subtracted.  Packing is linear, so the packed rows
-        # follow the same recurrence on whole ints.
-        terms = [(i, a) for i, a in enumerate(modulus[:-1]) if a]
-        rows: list[tuple[int, ...]] = []
-        row = [1] + [0] * (self.phi - 1)
-        for _ in range(c):
-            rows.append(tuple(row))
-            lead = row[-1]
-            row = [0] + row[:-1]
-            if lead:
-                for i, a in terms:
-                    row[i] -= lead * a
-        self.power_rows = rows
-        bound = ring.size * max(max(map(abs, row)) for row in rows)
-        self.width = bound.bit_length() + 1
-        packed_modulus = self.pack(modulus)
-        self.packed = [1]
-        for row in rows[:-1]:
-            self.packed.append((self.packed[-1] << self.width) - row[-1] * packed_modulus)
+        # values[m] is the packed product of the component values
+        # zeta_(c_i)^(t_i) at m = t_0 + c_0*t_1 + c_0*c_1*t_2 + ...: each
+        # component value is a signed sum of shifted copies of the values
+        # so far.  zeta_c^e has t_i = e/w_i mod c_i.
+        values, self.phi, radix, crt = [1], 1, 1, []
+        for comp in ring.components:
+            ci, q = comp.char, comp.char // comp.p
+            shifts = [width * self.phi * j for j in range(ci - q)]
+            values = [v << shifts[t] for t in range(ci - q) for v in values] + [
+                -sum(v << shifts[j + s * q] for s in range(comp.p - 1))
+                for j in range(q) for v in values]
+            self.phi *= ci - q
+            crt.append((ci, pow(c // ci, -1, ci), radix))
+            radix *= ci
+        self.packed = [values[sum(e * inv % ci * r for ci, inv, r in crt)] for e in range(c)]
 
         # Mixed radix, component 0 least significant: each component
         # contributes w_i*tr_i to every element sharing its part.
@@ -118,9 +90,21 @@ class CharacterTable:
         self.exponent = [e % c for e in exponent]
         self._packed_exponent = [self.packed[e] for e in self.exponent]
 
-    def pack(self, coeffs: Iterable[int]) -> int:
-        """The packed int of a coefficient vector."""
-        return sum(a << (self.width * i) for i, a in enumerate(coeffs))
+    @cached_property
+    def power_rows(self) -> list[tuple[int, ...]]:
+        """The digit vector of zeta_c^e at each e, unpacked on first use."""
+        full, half = 1 << self.width, 1 << (self.width - 1)
+        rows = []
+        for v in self.packed:
+            row = []
+            for _ in range(self.phi):
+                digit = v % full
+                if digit >= half:
+                    digit -= full
+                row.append(digit)
+                v = (v - digit) >> self.width
+            rows.append(tuple(row))
+        return rows
 
     def packed_row(self, r: int) -> list[int]:
         """The packed value of chi(r*x), indexed by x: mul_row(r) read

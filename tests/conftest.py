@@ -132,6 +132,11 @@ def verify_sring_oracle(ring: CGRing, classes: Sequence[Iterable[int]]) -> dict:
     return {"ok": not failures, "failures": failures}
 
 
+def pack(table, coeffs: Iterable[int]) -> int:
+    """The packed int of a digit vector, digit i in the signed digit i of table.width bits."""
+    return sum(a << (table.width * i) for i, a in enumerate(coeffs))
+
+
 def character_sum_coeffs(table, r: int, S: Iterable[int]) -> tuple[int, ...]:
     """The character sum of chi(r*.) over S as a coefficient tuple, summed row by row."""
     total = [0] * table.phi
@@ -143,7 +148,7 @@ def character_sum_coeffs(table, r: int, S: Iterable[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CycInt:
-    """An element of Z[x]/(Phi_c), stored as phi(c) integer coefficients."""
+    """An element of Z[zeta_c], stored as its phi(c) digits in the table's basis."""
 
     c: int
     coeffs: tuple[int, ...]
@@ -152,14 +157,23 @@ class CycInt:
         return not any(self.coeffs)
 
 
-def sum_key(table, r: int, S: Iterable[int]) -> tuple[int, ...]:
-    """The character sum of chi(r*.) over S, power rows weighted by exponent counts."""
-    counts = Counter(table.exponent[table.ring.mul(r, x)] for x in S)
+def exponent_counts(table, r: int, S: Iterable[int]) -> Counter:
+    """How often each exponent k occurs in chi(r*x) = zeta_c^k over x in S."""
+    return Counter(table.exponent[table.ring.mul(r, x)] for x in S)
+
+
+def digit_sum(table, counts: dict[int, int]) -> tuple[int, ...]:
+    """The sum of n * zeta_c^k over counts {k: n}, power rows weighted by n."""
     total = [0] * table.phi
     for k, n in counts.items():
         for i, a in enumerate(table.power_rows[k]):
             total[i] += n * a
     return tuple(total)
+
+
+def sum_key(table, r: int, S: Iterable[int]) -> tuple[int, ...]:
+    """The character sum of chi(r*.) over S, power rows weighted by exponent counts."""
+    return digit_sum(table, exponent_counts(table, r, S))
 
 
 def char_sum(table, r: int, S: Iterable[int]) -> CycInt:
@@ -216,6 +230,94 @@ def exponent_oracle(ring: CGRing) -> list[int]:
             for comp, part in zip(ring.components, ring.parts(x))) % c
         for x in ring.elements()
     ]
+
+
+# -- the power basis of Z[x]/(Phi_c): the oracle for the character table --------
+
+_CYCLOTOMIC: dict[int, tuple[int, ...]] = {}
+
+
+def _poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
+    """Quotient of integer polynomials known to divide exactly (monic den)."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        coef = num[i + len(den) - 1]
+        out[i] = coef
+        for j, d in enumerate(den):
+            num[i + j] -= coef * d
+    if any(num):
+        raise ArithmeticError("division left a remainder")
+    return out
+
+
+def cyclotomic_polynomial(c: int) -> tuple[int, ...]:
+    """Coefficients of Phi_c, low degree first: x^c - 1 divided by every
+    Phi_d with d a proper divisor of c, memoised across calls."""
+    if c < 1:
+        raise ValueError("conductor must be positive")
+    if c not in _CYCLOTOMIC:
+        num = [-1] + [0] * (c - 1) + [1]
+        for d in range(1, c):
+            if c % d == 0:
+                num = _poly_div_exact(num, cyclotomic_polynomial(d))
+        _CYCLOTOMIC[c] = tuple(num)
+    return _CYCLOTOMIC[c]
+
+
+def phi_c_remainder(c: int, counts: dict[int, int]) -> tuple[int, ...]:
+    """sum of n * x^k over counts {k: n}, reduced modulo Phi_c by long division."""
+    modulus = cyclotomic_polynomial(c)
+    deg = len(modulus) - 1
+    terms = [(j, a) for j, a in enumerate(modulus[:-1]) if a]
+    rem = [0] * max(c, deg)
+    for k, n in counts.items():
+        rem[k % c] += n
+    for i in range(len(rem) - 1, deg - 1, -1):
+        lead = rem[i]
+        if lead:
+            for j, a in terms:
+                rem[i - deg + j] -= lead * a
+    return tuple(rem[:deg])
+
+
+class PowerBasisTable:
+    """The character table in the power basis 1, x, ..., x^(phi-1) of
+    Z[x]/(Phi_c): x^k reduced by Phi_c for every k < c, packed into one
+    int each at a width wide enough for the largest coefficient times |R|.
+
+    Only `ring` and `packed_row` are provided, so `dual_classes` runs on
+    it unchanged and its output is the power-basis result.
+    """
+
+    def __init__(self, table):
+        self.ring, c = table.ring, table.c
+        modulus = cyclotomic_polynomial(c)
+        phi = len(modulus) - 1
+        # x^(k+1) is x^k shifted up one place, less lead * Phi_c where lead
+        # is the coefficient pushed to degree phi
+        terms = [(i, a) for i, a in enumerate(modulus[:-1]) if a]
+        leads, largest = [], 0
+        row = [1] + [0] * (phi - 1)
+        for _ in range(c - 1):
+            largest = max(largest, max(map(abs, row)))
+            lead = row[-1]
+            leads.append(lead)
+            row = [0] + row[:-1]
+            if lead:
+                for i, a in terms:
+                    row[i] -= lead * a
+        largest = max(largest, max(map(abs, row)))
+        self.width = (self.ring.size * largest).bit_length() + 1
+        packed_modulus = pack(self, modulus)
+        packed = [1]
+        for lead in leads:
+            packed.append((packed[-1] << self.width) - lead * packed_modulus)
+        self._packed_exponent = [packed[e] for e in table.exponent]
+
+    def packed_row(self, r: int) -> list[int]:
+        values = self._packed_exponent
+        return [values[s] for s in self.ring.mul_row(r)]
 
 
 def dual_classes_oracle(table, classes: Sequence[Iterable[int]]) -> list[list[int]]:

@@ -1,9 +1,10 @@
 """Character table and dual Schur ring tests.
 
 Oracles here are independent of the module: cyclotomic polynomials are
-checked against the product formula for x^n - 1, power table rows
-against a naive polynomial remainder, and small dual partitions against
-hand computations over Z_9.
+checked against the product formula for x^n - 1, the table's equality
+and zero decisions against remainders modulo Phi_c, dual partitions
+against the power basis of Z[x]/(Phi_c), and small dual partitions
+against hand computations over Z_9.
 """
 
 from __future__ import annotations
@@ -17,23 +18,28 @@ from cgschur.duality import (
     CharacterTable,
     character_table,
     check_duality,
-    cyclotomic_polynomial,
     dual_classes,
     dual_sring,
     perp_of_ideal,
     separation_check,
 )
 from cgschur.construct import subgroup_generated
-from cgschur.sring import SRing, cyclotomic, schur_closure, wreath_pairs
+from cgschur.sring import SRing, StructureError, cyclotomic, schur_closure, wreath_pairs
 from conftest import (
     KERNEL_RINGS,
+    PowerBasisTable,
     char_sum,
     character_sum_coeffs,
+    cyclotomic_polynomial,
+    digit_sum,
     dual_classes_oracle,
     enumerate_subgroups,
+    exponent_counts,
     exponent_oracle,
     merge_multiples,
     merge_strata,
+    pack,
+    phi_c_remainder,
     random_coarsening,
     sum_key,
     swap_broken,
@@ -46,18 +52,6 @@ def oracle_poly_mul(a: list[int], b: list[int]) -> list[int]:
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
-
-
-def oracle_power_mod(k: int, modulus: tuple[int, ...]) -> tuple[int, ...]:
-    """x^k reduced by a monic modulus, by long division."""
-    deg = len(modulus) - 1
-    rem = [0] * k + [1]
-    for i in range(len(rem) - 1, deg - 1, -1):
-        lead = rem[i]
-        if lead:
-            for j, m in enumerate(modulus):
-                rem[i - deg + j] -= lead * m
-    return tuple((rem + [0] * deg)[:deg])
 
 
 def test_cyclotomic_polynomial_frozen_values():
@@ -84,12 +78,64 @@ def test_cyclotomic_polynomials_multiply_to_xn_minus_1():
 
 
 def test_power_rows_match_naive_remainder():
-    for spec in ("GR(9)", "GR(4)xGR(9)", "GR(4,2)", "GR(3)xGR(5)xGR(7)"):
+    # Digit vectors of integer combinations of zeta powers are zero, or
+    # equal, exactly when the remainders modulo Phi_c are.  Coset sums
+    # over the subgroups (c/p)Z_c vanish, so both outcomes occur.
+    rng = random.Random(86)
+    seen = set()
+    for spec in ("GR(9)", "GR(4)xGR(9)", "GR(4,2)", "GR(3)xGR(5)xGR(7)", "GR(8)xGR(9)xGR(5)"):
         table = character_table(parse_ring_spec(spec))
-        modulus = cyclotomic_polynomial(table.c)
-        for k in range(table.c):
-            assert table.power_rows[k] == oracle_power_mod(k, modulus)
-            assert table.packed[k] == table.pack(table.power_rows[k])
+        c = table.c
+        assert len(cyclotomic_polynomial(c)) - 1 == table.phi
+        for k in range(c):
+            assert set(table.power_rows[k]) <= {-1, 0, 1}
+            assert table.packed[k] == pack(table, table.power_rows[k])
+        primes = [comp.p for comp in table.ring.components]
+        for _ in range(30):
+            a = {k: rng.randrange(-2, 3) for k in rng.sample(range(c), rng.randrange(1, 4))}
+            p = rng.choice(primes)
+            start = rng.randrange(c)
+            coset = {(start + i * (c // p)) % c: 1 for i in range(p)}
+            b = dict(a)
+            for k in (coset if rng.randrange(2) else {rng.randrange(c): 1}):
+                b[k] = b.get(k, 0) + 1
+            for counts in (a, coset):
+                zero = not any(phi_c_remainder(c, counts))
+                assert (not any(digit_sum(table, counts))) == zero
+                seen.add(zero)
+            equal = phi_c_remainder(c, a) == phi_c_remainder(c, b)
+            assert (digit_sum(table, a) == digit_sum(table, b)) == equal
+            seen.add(equal)
+    assert seen == {True, False}
+
+
+def prime_power_digits(c: int, p: int, t: int) -> list[int]:
+    """zeta_c^t for c = p^a in the basis zeta^j, j < phi(c), by the rule
+    zeta^(j+phi) = -sum over s < p-1 of zeta^(j+s*c/p)."""
+    q = c // p
+    phi = c - q
+    row = [0] * phi
+    if t < phi:
+        row[t] = 1
+    else:
+        for s in range(p - 1):
+            row[t - phi + s * q] = -1
+    return row
+
+
+@pytest.mark.parametrize("spec", ("GR(4)xGR(9)", "GR(4,2)xGR(9)", "GR(3)xGR(5)xGR(7)",
+                                  "GR(8)xGR(9)xGR(5)"))
+def test_character_values_are_tensor_products(spec):
+    # chi(x) is the product of the component values zeta_(c_i)^tr_i(x_i),
+    # component 0 varying fastest, as in the element index
+    ring = parse_ring_spec(spec)
+    table = character_table(ring)
+    for x in ring.elements():
+        row = [1]
+        for comp, part in zip(ring.components, ring.parts(x)):
+            digits = prime_power_digits(comp.char, comp.p, comp.trace(part))
+            row = [a * b for a in digits for b in row]
+        assert table.power_rows[table.exponent[x]] == tuple(row)
 
 
 def test_exponent_map_additive_and_surjective(z9, z36):
@@ -138,20 +184,22 @@ def unpack(table: CharacterTable, packed: int) -> tuple[int, ...]:
 
 
 def test_packing_width_c105():
-    # Phi_105 has coefficient -2, so the power rows reach +-2 and the
-    # digit width must leave room for |R| * 2 in absolute value.
-    ring = parse_ring_spec("GR(3)xGR(5)xGR(7)")
-    table = character_table(ring)
-    assert table.c == 105 and table.phi == 48
-    assert max(abs(a) for row in table.power_rows for a in row) == 2
-    for r in ring.elements():
-        total = table.packed_sum(r, ring.elements())
-        assert total == table.pack(sum_key(table, r, ring.elements()))
-        assert total == sum(table.packed_row(r))
-    for row in table.power_rows:
-        # the extreme sum: |R| copies of one row, digits up to 2 * |R|
-        assert unpack(table, ring.size * table.pack(row)) == tuple(ring.size * a for a in row)
-        assert unpack(table, -ring.size * table.pack(row)) == tuple(-ring.size * a for a in row)
+    # Every digit is -1, 0 or 1, so the width need only leave room for
+    # |R| in absolute value: size.bit_length() + 1 bits.
+    for spec, c, phi in (("GR(3)xGR(5)xGR(7)", 105, 48), ("GR(8)xGR(9)xGR(5)", 360, 96)):
+        ring = parse_ring_spec(spec)
+        table = character_table(ring)
+        assert table.c == c and table.phi == phi
+        assert table.width == ring.size.bit_length() + 1
+        assert max(abs(a) for row in table.power_rows for a in row) == 1
+        for r in ring.elements():
+            total = table.packed_sum(r, ring.elements())
+            assert total == pack(table, sum_key(table, r, ring.elements()))
+            assert total == sum(table.packed_row(r))
+        for row in table.power_rows:
+            # the extreme sum: |R| copies of one row, digits up to |R|
+            assert unpack(table, ring.size * pack(table, row)) == tuple(ring.size * a for a in row)
+            assert unpack(table, -ring.size * pack(table, row)) == tuple(-ring.size * a for a in row)
 
 
 def test_dual_classes_match_coefficient_oracle():
@@ -297,3 +345,81 @@ def test_class_permutations_follow_the_generators(spec):
 def test_exponent_matches_trace_oracle(spec):
     ring = parse_ring_spec(spec)
     assert character_table(ring).exponent == exponent_oracle(ring)
+
+
+# -- the tensor basis against the power basis of Z[x]/(Phi_c) -------------------
+
+# c = 9, 36, 36, 105, 360, 36, 1225 and 3025
+TENSOR_RINGS = ("GR(9)", "GR(4)xGR(9)", "GR(4,2)xGR(9)", "GR(3)xGR(5)xGR(7)",
+                "GR(8)xGR(9)xGR(5)", "GR(9,2)xGR(4)", "GR(25)xGR(49)", "GR(121)xGR(25)")
+
+
+def tensor_inputs(ring, rng: random.Random):
+    """2 cyclotomic partitions, 3 random coarsenings of the first, and 3
+    closures of two-element seeds: one anywhere, two inside a proper ideal."""
+    A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
+    yield A.classes
+    yield cyclotomic(ring, subgroup_generated(ring, [rng.choice(ring.units())])).classes
+    yield merge_strata(A, rng)
+    yield merge_multiples(A, rng.choice(ring.divisors()[1:-1]), rng.choice(ring.units()))
+    # a coarsening that is not unit-invariant takes one row per element:
+    # |R|^2 big-int additions, which the largest ring does not afford
+    yield random_coarsening(A, rng) if ring.size <= 1225 else merge_strata(A, rng)
+    yield schur_closure(ring, [rng.sample(range(1, ring.size), 2)]).classes
+    proper = [m for m in ring.divisors()[1:-1] if ring.ideal_size(m) > 2]
+    for _ in range(2):
+        ideal = sorted(ring.ideal(rng.choice(proper)))
+        yield schur_closure(ring, [rng.sample(ideal[1:], 2)]).classes
+
+
+@pytest.mark.parametrize("spec", TENSOR_RINGS)
+def test_dual_classes_match_power_basis(spec):
+    ring = parse_ring_spec(spec)
+    table = character_table(ring)
+    oracle = PowerBasisTable(table)
+    rng = random.Random(spec)
+    ideals = [sorted(ring.ideal(m)) for m in ring.divisors()]
+    zero, equal = set(), set()
+    for classes in tensor_inputs(ring, rng):
+        classes = [sorted(X) for X in classes]
+        dual = dual_classes(table, classes)
+        assert dual == dual_classes(oracle, classes)
+        # sampled sums over a class or an ideal: zero and equality decisions
+        # against the remainder modulo Phi_c; r2 shares the dual class of r
+        # half of the time
+        for _ in range(4):
+            X = rng.choice(rng.choice((classes, ideals)))
+            D = rng.choice(dual)
+            r = rng.choice(D)
+            r2 = rng.choice(D if rng.randrange(2) else rng.choice(dual))
+            rem = phi_c_remainder(table.c, exponent_counts(table, r, X))
+            rem2 = phi_c_remainder(table.c, exponent_counts(table, r2, X))
+            total = table.packed_sum(r, X)
+            zero.add(total == 0)
+            equal.add(total == table.packed_sum(r2, X))
+            assert (total == 0) == (not any(rem))
+            assert (total == table.packed_sum(r2, X)) == (rem == rem2)
+    assert zero == equal == {True, False}
+
+
+@pytest.mark.parametrize("spec, ci, trace", [
+    # 3*a is trivial at 3 and 6 of Z_9, so chi(s*.) is trivial at s = (0, 3)
+    ("GR(4)xGR(9)", 1, lambda comp, a: 3 * a % 9),
+    # 2*tr is trivial on 2R of GR(4,2)
+    ("GR(4,2)xGR(9)", 0, lambda comp, a: 2 * type(comp).trace(comp, a) % 4),
+    # the zero map on the field Z_5
+    ("GR(3)xGR(5)xGR(7)", 1, lambda comp, a: 0),
+], ids=["GR(4)xGR(9)", "GR(4,2)xGR(9)", "GR(3)xGR(5)xGR(7)"])
+def test_unfaithful_character_is_rejected(monkeypatch, spec, ci, trace):
+    ring = parse_ring_spec(spec)  # fresh components, so the patch stays here
+    comp = ring.components[ci]
+    monkeypatch.setattr(comp, "trace", lambda a: trace(comp, a))
+
+    def exponent(x: int) -> int:
+        return sum(ring.char // part_ring.char * part_ring.trace(part)
+                   for part_ring, part in zip(ring.components, ring.parts(x))) % ring.char
+
+    least = next(s for s in ring.elements()
+                 if s and all(exponent(ring.mul(s, x)) == 0 for x in ring.elements()))
+    with pytest.raises(StructureError, match=rf"generating character not faithful at {least}$"):
+        CharacterTable(ring)

@@ -14,18 +14,27 @@ import math
 import re
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .galois import (
-    DEFAULT_MAX_RING_SIZE,
-    GaloisRing,
-    direct_product,
-    is_prime,
-    make_galois_ring,
-    tabulate,
-)
+from .galois import DEFAULT_MAX_RING_SIZE, TABLE_LIMIT, GaloisRing, is_prime, make_galois_ring
 
 
 class EmptySetError(ValueError):
     """Raised for set operations that are undefined on the empty set."""
+
+
+def _translates(S: list[int], row: list[int]) -> list[int]:
+    """The union of the translates g^k*S, k >= 0, where row = mul_row(g).
+
+    Precondition: S is an orbit of a unit group H and g a unit.  Units
+    commute, so every g^k*S is an H-orbit too, and two of them are equal
+    or disjoint: the first translate that meets S is S, and the loop
+    stops there, at |S| lookups per translate.
+    """
+    base, union, coset = set(S), list(S), S
+    while True:
+        coset = [row[x] for x in coset]
+        if coset[0] in base:
+            return union
+        union += coset
 
 
 class CGRing:
@@ -46,8 +55,6 @@ class CGRing:
         self._units: tuple[int, ...] | None = None
         self._ideals: dict[int, frozenset[int]] = {}
         self._ideal_generators: dict[int, tuple[int, ...]] = {}
-        self._mul_table: list[list[int]] | None = None
-        self._direct_products = 0
         self._divisors: list[int] | None = None
         self._unit_generators: tuple[int, ...] | None = None
 
@@ -105,12 +112,6 @@ class CGRing:
         )
 
     def mul(self, a: int, b: int) -> int:
-        table = self._mul_table
-        if table is not None:
-            return table[a][b]
-        return direct_product(self, a, b)
-
-    def _mul(self, a: int, b: int) -> int:
         out = 0
         shift = 1
         for comp in self.components:
@@ -121,16 +122,13 @@ class CGRing:
         return out
 
     def mul_row(self, r: int) -> list[int]:
-        """The products r*x over all elements x, in element order.
+        """The products r*x over all elements x, in element order, as a
+        fresh list the caller owns.
 
-        A tabulated ring hands out its table row, which must not be
-        modified.  Otherwise each component gives its row r_i*R_i, and
-        the rows combine in mixed radix, component 0 least significant,
-        at |R| additions instead of |R| calls to mul.
+        Each component gives its row r_i*R_i, and the rows combine in
+        mixed radix, component 0 least significant, at |R| additions
+        instead of |R| calls to mul.
         """
-        table = self._mul_table
-        if table is not None:
-            return table[r]
         row = [0]
         shift = 1
         for comp, ri in zip(self.components, self.parts(r)):
@@ -144,30 +142,19 @@ class CGRing:
         return row
 
     def mul_table(self) -> list[list[int]]:
-        """Dense multiplication table, built once from rows; only for small rings."""
-        return tabulate(self, self.mul_row)
+        """Dense multiplication table, one mul_row per element and not kept;
+        only for rings up to TABLE_LIMIT."""
+        if self.size > TABLE_LIMIT:
+            raise ValueError(f"ring of size {self.size} is too large to tabulate")
+        return [self.mul_row(a) for a in self.elements()]
 
     def scale(self, a: int, k: int) -> int:
         return self.from_parts(
             comp.scale(i, k) for comp, i in zip(self.components, self.parts(a))
         )
 
-    def pow(self, a: int, k: int) -> int:
-        out = self.one
-        while k:
-            if k & 1:
-                out = self.mul(out, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return out
-
     def is_unit(self, a: int) -> bool:
         return all(comp.is_unit(i) for comp, i in zip(self.components, self.parts(a)))
-
-    def inv(self, a: int) -> int:
-        return self.from_parts(
-            comp.inv(i) for comp, i in zip(self.components, self.parts(a))
-        )
 
     def units(self) -> tuple[int, ...]:
         if self._units is None:
@@ -178,25 +165,18 @@ class CGRing:
         """The unit group <H, g>, as the union of the cosets H*g^k.
 
         Precondition: H is a unit subgroup and g a unit; otherwise no g^k
-        need lie in H and the loop never returns.  k runs below the order
-        of g modulo H.  Units commute, so H*g^j * H*g^k = H*g^(j+k), and
-        the union is closed under products; it costs |<H, g>| products.
+        need lie in H and _translates never returns.  Units commute, so
+        H*g^j * H*g^k = H*g^(j+k), and the union is closed under products.
+        The cosets are read from one mul_row(g), at |<H, g>| lookups.
         """
-        mul = self.mul
-        grown = set(H)
-        coset = list(H)
-        while True:
-            coset = [mul(x, g) for x in coset]
-            if coset[0] in H:  # g^k lies in H, so H*g^k = H
-                return frozenset(grown)
-            grown.update(coset)
+        return frozenset(_translates(list(H), self.mul_row(g)))
 
     def generate(self, elements: Iterable[int]) -> tuple[tuple[int, ...], frozenset[int]]:
         """The unit group the given units generate, and the generators kept.
 
         In the given order, a unit joins the generators when it lies outside
         the group built so far, which then grows by its cosets: extend_subgroup
-        is the one way a unit group grows, at under twice its order in products.
+        is the one way a unit group grows, at one mul_row per generator.
         """
         gens, group = [], frozenset({self.one})
         for g in elements:
@@ -415,7 +395,15 @@ class CGRing:
     def orbit_partition(
         self, K: Iterable[int], carrier: Iterable[int] | None = None
     ) -> list[frozenset[int]]:
-        """Orbits of a unit subgroup acting by multiplication, ordered by minimum."""
+        """Orbits of a unit subgroup K acting by multiplication, ordered by minimum.
+
+        K must be a unit subgroup, as for extend_subgroup.  Each orbit
+        grows from its least member one generator of generate(K) at a
+        time: the orbit under the earlier generators grows by its
+        translates along the next generator's row.  That is one mul_row
+        per generator, then about one lookup per orbit member and generator.
+        """
+        rows = [self.mul_row(g) for g in self.generate(K)[0]]
         pool = sorted(carrier) if carrier is not None else self.elements()
         pool_set = set(pool)
         seen: set[int] = set()
@@ -423,7 +411,10 @@ class CGRing:
         for x in pool:
             if x in seen:
                 continue
-            orb = self.orbit(K, x)
+            members = [x]
+            for row in rows:
+                members = _translates(members, row)
+            orb = frozenset(members)
             if not orb <= pool_set:
                 raise ValueError("carrier is not invariant under the group")
             seen |= orb

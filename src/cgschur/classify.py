@@ -199,9 +199,10 @@ def classify_rational(A: SRing) -> Decomposition:
     ring = A.ring
     for ci in range(len(ring.components)):
         for u in ring.embed_component_units(ci):
+            row = ring.mul_row(u)
             for k in A.unit_class_indices():
                 X = A.classes[k]
-                if frozenset(ring.mul(u, x) for x in X) != X:
+                if frozenset(row[x] for x in X) != X:
                     return Decomposition(
                         KIND_NOT_APPLICABLE, (), (),
                         f"the unit {u} moves the class {sorted(X)};"

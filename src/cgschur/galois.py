@@ -18,10 +18,6 @@ DEFAULT_MAX_RING_SIZE = 1 << 20
 TABLE_LIMIT = 700
 
 
-class NotAUnit(ArithmeticError):
-    """Raised when inverting an element outside the unit group."""
-
-
 def is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -79,35 +75,6 @@ def canonical_modulus(p: int, d: int) -> tuple[int, ...]:
         if _is_irreducible(f, p):
             return f
     raise AssertionError(f"no irreducible polynomial of degree {d} over GF({p})")
-
-
-def direct_product(ring, a: int, b: int) -> int:
-    """a*b in a ring with no product table yet, under the one table rule.
-
-    `ring` is a GaloisRing or a CGRing: it multiplies directly with
-    `_mul` and counts those products in `_direct_products`.  A table costs
-    size**2 direct products, so it is built only once that many have been
-    made: a ring used for a few products never pays for one, and a busy
-    ring spends on its table no more than it already spent without it.
-    Rings above TABLE_LIMIT are never tabulated and keep no count.
-    """
-    if ring.size <= TABLE_LIMIT:
-        ring._direct_products += 1
-        if ring._direct_products >= ring.size * ring.size:
-            return ring.mul_table()[a][b]
-    return ring._mul(a, b)
-
-
-def tabulate(ring, row) -> list[list[int]]:
-    """The product table of `ring`, built once into `_mul_table`.
-
-    `row(a)` is the list of a*b over the elements b, made without the table.
-    """
-    if ring._mul_table is None:
-        if ring.size > TABLE_LIMIT:
-            raise ValueError(f"ring of size {ring.size} is too large to tabulate")
-        ring._mul_table = [row(a) for a in range(ring.size)]
-    return ring._mul_table
 
 
 class GaloisRing:
@@ -174,6 +141,8 @@ class GaloisRing:
 
     def add(self, a: int, b: int) -> int:
         char = self.char
+        if self.d == 1:
+            return (a + b) % char
         out = 0
         shift = 1
         for _ in range(self.d):
@@ -190,12 +159,24 @@ class GaloisRing:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
+        """a*b, read from the product table once the ring has one.
+
+        A table costs size**2 direct products, so it is built only once
+        that many have been made: a ring used for a few products never
+        pays for one, and a busy ring spends on its table no more than it
+        already spent without it.  Rings above TABLE_LIMIT are never
+        tabulated and keep no count.
+        """
         table = self._mul_table
         if table is not None:
             return table[a][b]
         if self.d == 1:
             return a * b % self.char
-        return direct_product(self, a, b)
+        if self.size <= TABLE_LIMIT:
+            self._direct_products += 1
+            if self._direct_products >= self.size * self.size:
+                return self.mul_table()[a][b]
+        return self._mul(a, b)
 
     def _mul(self, a: int, b: int) -> int:
         ca, cb = self.coeffs(a), self.coeffs(b)
@@ -215,8 +196,13 @@ class GaloisRing:
         return self.index(prod[:d])
 
     def mul_table(self) -> list[list[int]]:
-        mul, elements = self._mul, self.elements()
-        return tabulate(self, lambda a: [mul(a, b) for b in elements])
+        """The product table, built once; only for rings up to TABLE_LIMIT."""
+        if self._mul_table is None:
+            if self.size > TABLE_LIMIT:
+                raise ValueError(f"ring of size {self.size} is too large to tabulate")
+            mul, elements = self._mul, self.elements()
+            self._mul_table = [[mul(a, b) for b in elements] for a in elements]
+        return self._mul_table
 
     def pow(self, a: int, k: int) -> int:
         out = 1
@@ -233,11 +219,6 @@ class GaloisRing:
 
     def is_unit(self, a: int) -> bool:
         return any(c % self.p for c in self.coeffs(a))
-
-    def inv(self, a: int) -> int:
-        if not self.is_unit(a):
-            raise NotAUnit(f"{self.coeffs(a)} is not invertible in {self.spec()}")
-        return self.pow(a, self.unit_count - 1)
 
     def valuation(self, a: int) -> int:
         """Largest i <= n with a in p^i * R."""

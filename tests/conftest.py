@@ -17,7 +17,9 @@ from cgschur.sring import PartitionError, SRing, cyclotomic, schur_closure
 
 
 def enumerate_subgroups(ring: CGRing) -> list[frozenset[int]]:
-    """Brute-force closure enumeration of all unit subgroups."""
+    """Brute-force closure enumeration of all unit subgroups, read from one
+    product table."""
+    table = ring.mul_table()
     units = ring.units()
     found = {frozenset({ring.one})}
     frontier = [frozenset({ring.one})]
@@ -33,7 +35,7 @@ def enumerate_subgroups(ring: CGRing) -> list[frozenset[int]]:
                 if x in closure:
                     continue
                 closure.add(x)
-                queue.extend(ring.mul(x, y) for y in list(closure))
+                queue.extend(table[x][y] for y in list(closure))
             grown = frozenset(closure)
             if grown not in found:
                 found.add(grown)

@@ -12,7 +12,6 @@ from conftest import frobenius, teichmuller_lift, trace_oracle
 from cgschur.galois import (
     TABLE_LIMIT,
     GaloisRing,
-    NotAUnit,
     canonical_modulus,
     is_prime,
     make_galois_ring,
@@ -90,13 +89,6 @@ def test_d1_matches_integers_mod_char(p, n):
         for b in range(char):
             assert R.add(a, b) == (a + b) % char
             assert R.mul(a, b) == (a * b) % char
-    for a in range(char):
-        if a % p:
-            inv = R.inv(a)
-            assert (a * inv) % char == 1
-        else:
-            with pytest.raises(NotAUnit):
-                R.inv(a)
 
 
 @pytest.mark.parametrize("p,n,d", [(2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 1, 3), (3, 2, 2)])
@@ -136,7 +128,6 @@ def test_gr42_multiplication_and_inverse():
     assert x == 4
     assert R.coeffs(R.mul(x, x)) == (3, 3)
     assert R.mul(x, R.index((3, 3))) == R.one
-    assert R.inv(x) == R.index((3, 3))
     assert R.unit_count == 12
     assert len(R.unit_indices()) == 12
 

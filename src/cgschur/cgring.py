@@ -55,6 +55,7 @@ class CGRing:
         self._units: tuple[int, ...] | None = None
         self._ideals: dict[int, frozenset[int]] = {}
         self._ideal_generators: dict[int, tuple[int, ...]] = {}
+        self._translation_rows: dict[int, list[int]] = {}
         self._divisors: list[int] | None = None
         self._unit_generators: tuple[int, ...] | None = None
 
@@ -121,25 +122,28 @@ class CGRing:
             shift *= comp.size
         return out
 
+    def _combine(self, comp_rows: Iterable[list[int]]) -> list[int]:
+        """The row whose entry at x is the element with parts
+        comp_rows[i][x_i], one row per component, combined in mixed radix,
+        component 0 least significant, at |R| additions."""
+        row = [0]
+        shift = 1
+        for comp, comp_row in zip(self.components, comp_rows):
+            row = [a + s for s in [b * shift for b in comp_row] for a in row]
+            shift *= comp.size
+        return row
+
     def mul_row(self, r: int) -> list[int]:
         """The products r*x over all elements x, in element order, as a
         fresh list the caller owns.
 
-        Each component gives its row r_i*R_i, and the rows combine in
-        mixed radix, component 0 least significant, at |R| additions
-        instead of |R| calls to mul.
+        Each component gives its row r_i*R_i (d = 1: r_i*y % char), and
+        _combine joins them, at |R| additions instead of |R| calls to mul.
         """
-        row = [0]
-        shift = 1
-        for comp, ri in zip(self.components, self.parts(r)):
-            if comp.d == 1:
-                char = comp.char
-                comp_row = [ri * y % char for y in range(char)]
-            else:
-                comp_row = [comp.mul(ri, y) for y in comp.elements()]
-            row = [a + s for s in [b * shift for b in comp_row] for a in row]
-            shift *= comp.size
-        return row
+        return self._combine(
+            [ri * y % comp.char for y in range(comp.char)] if comp.d == 1
+            else [comp.mul(ri, y) for y in comp.elements()]
+            for comp, ri in zip(self.components, self.parts(r)))
 
     def mul_table(self) -> list[list[int]]:
         """Dense multiplication table, one mul_row per element and not kept;
@@ -161,15 +165,26 @@ class CGRing:
             self._units = tuple(a for a in self.elements() if self.is_unit(a))
         return self._units
 
-    def extend_subgroup(self, H: frozenset[int], g: int) -> frozenset[int]:
-        """The unit group <H, g>, as the union of the cosets H*g^k.
+    def extend_subgroup(self, H: frozenset[int], row: list[int]) -> frozenset[int]:
+        """The unit group <H, g>, where row = mul_row(g), as the union of
+        the cosets H*g^k.
 
         Precondition: H is a unit subgroup and g a unit; otherwise no g^k
         need lie in H and _translates never returns.  Units commute, so
         H*g^j * H*g^k = H*g^(j+k), and the union is closed under products.
-        The cosets are read from one mul_row(g), at |<H, g>| lookups.
+        The cosets are read from the row, at |<H, g>| lookups.
         """
-        return frozenset(_translates(list(H), self.mul_row(g)))
+        return frozenset(_translates(list(H), row))
+
+    def _grow(self, elements: Iterable[int]) -> tuple[list[int], list[list[int]], frozenset[int]]:
+        """generate, also returning the mul_row of each generator kept."""
+        gens, rows, group = [], [], frozenset({self.one})
+        for g in elements:
+            if g not in group:
+                gens.append(g)
+                rows.append(self.mul_row(g))
+                group = self.extend_subgroup(group, rows[-1])
+        return gens, rows, group
 
     def generate(self, elements: Iterable[int]) -> tuple[tuple[int, ...], frozenset[int]]:
         """The unit group the given units generate, and the generators kept.
@@ -178,11 +193,7 @@ class CGRing:
         the group built so far, which then grows by its cosets: extend_subgroup
         is the one way a unit group grows, at one mul_row per generator.
         """
-        gens, group = [], frozenset({self.one})
-        for g in elements:
-            if g not in group:
-                gens.append(g)
-                group = self.extend_subgroup(group, g)
+        gens, _, group = self._grow(elements)
         return tuple(gens), group
 
     def unit_generators(self) -> tuple[int, ...]:
@@ -301,20 +312,37 @@ class CGRing:
             self._ideal_generators[m] = tuple(gens)
         return self._ideal_generators[m]
 
+    def _translation_row(self, g: int) -> list[int]:
+        """The row x -> x + g of an ideal generator g, kept and never handed out.
+
+        Built like mul_row, from the component rows g_i + R_i (d = 1:
+        (g_i + y) % char).  Each generator is p_i^v times a basis element
+        of one component, v < n_i, so at most sum of n_i*d_i rows of |R|
+        are ever kept (6 rows of 144 on GR(4,2)xGR(9)); no addition table.
+        """
+        row = self._translation_rows.get(g)
+        if row is None:
+            row = self._translation_rows[g] = self._combine(
+                [(gi + y) % comp.char for y in range(comp.char)] if comp.d == 1
+                else [comp.add(gi, y) for y in comp.elements()]
+                for comp, gi in zip(self.components, self.parts(g)))
+        return row
+
     def coset_closed(self, X: frozenset[int], m: int) -> bool:
-        """Whether X is a union of cosets of the ideal mR."""
-        add = self.add
+        """Whether X is a union of cosets of the ideal mR: X + g = X for
+        each additive generator g of mR, read from the translation row
+        of g at |X| lookups per generator."""
         for g in self.ideal_generators(m):
-            for x in X:
-                if add(x, g) not in X:
-                    return False
+            if not X.issuperset(map(self._translation_row(g).__getitem__, X)):
+                return False
         return True
 
     def lower_ideal(self, X: frozenset[int]) -> int:
         """Divisor of the largest ideal I with X + I = X.
 
         Such ideals are closed under sums, so the largest is the sum of
-        the largest one inside each component.
+        the largest one inside each component, found by coset_closed on
+        the ideals p_i^v R_i in turn, v = 0 first.
         """
         if not X:
             raise EmptySetError("the lower ideal of the empty set is undefined")
@@ -383,11 +411,19 @@ class CGRing:
 
     # -- group actions ---------------------------------------------------
 
+    def _subgroup_rows(self, K: frozenset[int]) -> list[list[int]] | None:
+        """The generator rows of generate(K) when K is a unit subgroup: it
+        holds 1 and only units, and the group generate grows from it by
+        cosets is K itself.  None otherwise."""
+        if self.one in K and all(map(self.is_unit, K)):
+            _, rows, group = self._grow(K)
+            if group == K:
+                return rows
+        return None
+
     def is_subgroup(self, K: frozenset[int]) -> bool:
-        """Whether K is a unit subgroup: it holds 1 and only units, and the
-        group that generate grows from it by cosets is K itself."""
-        return (self.one in K and all(self.is_unit(k) for k in K)
-                and self.generate(K)[1] == K)
+        """Whether K is a unit subgroup, at one generate."""
+        return self._subgroup_rows(K) is not None
 
     def orbit(self, K: Iterable[int], x: int) -> frozenset[int]:
         return frozenset(self.mul(k, x) for k in K)
@@ -397,13 +433,16 @@ class CGRing:
     ) -> list[frozenset[int]]:
         """Orbits of a unit subgroup K acting by multiplication, ordered by minimum.
 
-        K must be a unit subgroup, as for extend_subgroup.  Each orbit
-        grows from its least member one generator of generate(K) at a
-        time: the orbit under the earlier generators grows by its
-        translates along the next generator's row.  That is one mul_row
-        per generator, then about one lookup per orbit member and generator.
+        One generate checks that K is a unit subgroup (ValueError
+        otherwise) and keeps the rows of its generators.  Each orbit
+        grows from its least member one generator at a time: the orbit
+        under the earlier generators grows by its translates along the
+        next generator's row, at about one lookup per orbit member and
+        generator.
         """
-        rows = [self.mul_row(g) for g in self.generate(K)[0]]
+        rows = self._subgroup_rows(frozenset(K))
+        if rows is None:
+            raise ValueError("K must be a subgroup of the units")
         pool = sorted(carrier) if carrier is not None else self.elements()
         pool_set = set(pool)
         seen: set[int] = set()

@@ -238,109 +238,113 @@ def _cmd_enumerate(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]
     return {"ring": ring.spec(), "count": len(rows), "srings": rows}, True
 
 
-_HANDLERS = {
-    "ring": _cmd_ring,
-    "sring": _cmd_sring,
-    "dual": _cmd_dual,
-    "construct": _cmd_construct,
-    "classify": _cmd_classify,
-    "enumerate": _cmd_enumerate,
-}
-
-
 # -- parser --------------------------------------------------------------------
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "pretty"), default="json",
+def _format_flag(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser.add_argument("--format", choices=("json", "pretty"), default="json",
                         help="output style (default: json, one line)")
-    return common
+    return parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
-    parser = argparse.ArgumentParser(
-        prog="cgschur",
-        description="Exact Schur ring computations over products of Galois rings.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="VERB")
-
-    ring = sub.add_parser("ring", help="ring reports")
+def _ring_args(ring: argparse.ArgumentParser) -> None:
     ring_sub = ring.add_subparsers(dest="action", required=True, metavar="ACTION")
-    info = ring_sub.add_parser("info", parents=[common],
-                               help="orders, unit structure, ideal lattice")
+    info = _format_flag(ring_sub.add_parser("info", help="orders, unit structure, ideal lattice"))
     info.add_argument("spec", help="ring spec such as GR(4,2)xGR(9)")
 
-    sring = sub.add_parser("sring", help="build and check Schur rings")
+
+def _sring_args(sring: argparse.ArgumentParser) -> None:
     ss = sring.add_subparsers(dest="action", required=True, metavar="ACTION")
-    cyc = ss.add_parser("cyc", parents=[common],
-                        help="orbit partition of the unit subgroup the generators close to")
+
+    def action(name: str, text: str) -> argparse.ArgumentParser:
+        return _format_flag(ss.add_parser(name, help=text))
+
+    cyc = action("cyc", "orbit partition of the unit subgroup the generators close to")
     cyc.add_argument("spec")
     cyc.add_argument("--group", required=True, help="comma separated unit generators")
-    closure = ss.add_parser("closure", parents=[common],
-                            help="least dense Schur ring whose A-sets include the seeds")
+    closure = action("closure", "least dense Schur ring whose A-sets include the seeds")
     closure.add_argument("spec")
     closure.add_argument("--seed", action="append", default=[],
                          help="comma separated elements; repeatable")
-    verify = ss.add_parser("verify", parents=[common], help="axiom check with witnesses")
-    verify.add_argument("file")
-    quot = ss.add_parser("quotient", parents=[common], help="image in R/mR")
-    quot.add_argument("file")
-    quot.add_argument("--modulus", type=int, required=True)
-    restr = ss.add_parser("restrict", parents=[common],
-                          help="induced Schur ring on the ideal mR")
-    restr.add_argument("file")
-    restr.add_argument("--modulus", type=int, required=True)
-    tens = ss.add_parser("tensor", parents=[common], help="tensor product over the product ring")
+    action("verify", "axiom check with witnesses").add_argument("file")
+    for name, text in (("quotient", "image in R/mR"),
+                       ("restrict", "induced Schur ring on the ideal mR")):
+        by_ideal = action(name, text)
+        by_ideal.add_argument("file")
+        by_ideal.add_argument("--modulus", type=int, required=True)
+    tens = action("tensor", "tensor product over the product ring")
     tens.add_argument("left")
     tens.add_argument("right")
-    wre = ss.add_parser("wreath", parents=[common], help="all wreath certificates")
-    wre.add_argument("file")
-    pure = ss.add_parser("pure", parents=[common], help="purity and density report")
-    pure.add_argument("file")
-    rat = ss.add_parser("rational", parents=[common], help="rationality report")
+    action("wreath", "all wreath certificates").add_argument("file")
+    action("pure", "purity and density report").add_argument("file")
+    rat = action("rational", "rationality report")
     rat.add_argument("file")
     rat.add_argument("--primes", help="check only these primes, comma separated")
 
-    dual = sub.add_parser("dual", parents=[common],
-                          help="dual Schur ring; 'dual check FILE' verifies the duality laws")
-    dual.add_argument("target", nargs="+", metavar="[check] FILE")
 
-    con = sub.add_parser("construct", parents=[common], help="named constructions")
-    con.add_argument("name", choices=("t210809a",), help="construction token")
-    con.add_argument("--p", type=int, required=True)
-    con.add_argument("--d", type=int, required=True)
-    con.add_argument("--q", type=int, required=True)
-    con.add_argument("--e", type=int, required=True)
+def _dual_args(dual: argparse.ArgumentParser) -> None:
+    _format_flag(dual).add_argument("target", nargs="+", metavar="[check] FILE")
+
+
+def _construct_args(con: argparse.ArgumentParser) -> None:
+    _format_flag(con).add_argument("name", choices=("t210809a",), help="construction token")
+    for name in ("--p", "--d", "--q", "--e"):
+        con.add_argument(name, type=int, required=True)
     con.add_argument("--out", help="also write the bare Schur ring document to this file")
 
-    cls = sub.add_parser("classify", help="decomposition and structure reports")
+
+def _classify_args(cls: argparse.ArgumentParser) -> None:
     cs = cls.add_subparsers(dest="action", required=True, metavar="ACTION")
     for name, text in (
         ("pure", "tensor decomposition of a pure Schur ring"),
         ("rational", "wreath layering or rank-2 split of a rational Schur ring"),
         ("nondense", "structure forced by a missing maximal A-ideal"),
     ):
-        pc = cs.add_parser(name, parents=[common], help=text)
-        pc.add_argument("file")
-    cq = cs.add_parser("quotient", parents=[common], help="purity of the image in R/mR")
+        _format_flag(cs.add_parser(name, help=text)).add_argument("file")
+    cq = _format_flag(cs.add_parser("quotient", help="purity of the image in R/mR"))
     cq.add_argument("file")
     cq.add_argument("--modulus", type=int, required=True)
 
-    enum = sub.add_parser("enumerate", help="exhaustive unit subgroup scans")
-    es = enum.add_subparsers(dest="action", required=True, metavar="ACTION")
-    esub = es.add_parser("subgroups", parents=[common], help="all unit subgroups")
-    esub.add_argument("spec")
-    ecyc = es.add_parser("cyc", parents=[common],
-                         help="every cyclotomic Schur ring with a summary row")
-    ecyc.add_argument("spec")
 
+def _enumerate_args(enum: argparse.ArgumentParser) -> None:
+    es = enum.add_subparsers(dest="action", required=True, metavar="ACTION")
+    _format_flag(es.add_parser("subgroups", help="all unit subgroups")).add_argument("spec")
+    _format_flag(es.add_parser(
+        "cyc", help="every cyclotomic Schur ring with a summary row")).add_argument("spec")
+
+
+# verb -> (help, the builder of its arguments and actions, its handler)
+_VERBS = {
+    "ring": ("ring reports", _ring_args, _cmd_ring),
+    "sring": ("build and check Schur rings", _sring_args, _cmd_sring),
+    "dual": ("dual Schur ring; 'dual check FILE' verifies the duality laws", _dual_args,
+             _cmd_dual),
+    "construct": ("named constructions", _construct_args, _cmd_construct),
+    "classify": ("decomposition and structure reports", _classify_args, _cmd_classify),
+    "enumerate": ("exhaustive unit subgroup scans", _enumerate_args, _cmd_enumerate),
+}
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for argv.  Every verb is listed, so the top-level help
+    and usage errors are complete, but only the verb argv names (its
+    first word that is not an option) gets its arguments and actions."""
+    parser = argparse.ArgumentParser(
+        prog="cgschur",
+        description="Exact Schur ring computations over products of Galois rings.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True, metavar="VERB")
+    chosen = next((word for word in argv if not word.startswith("-")), None)
+    for name, (text, add_arguments, _) in _VERBS.items():
+        verb = sub.add_parser(name, help=text)
+        if name == chosen:
+            add_arguments(verb)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as err:
@@ -353,7 +357,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {ENV_MAX_RING_SIZE} must be a positive integer", file=sys.stderr)
         return EXIT_USAGE
     try:
-        doc, ok = _HANDLERS[args.command](args, max_size)
+        doc, ok = _VERBS[args.command][2](args, max_size)
         _emit(doc, args.format)
     except (ConstructionError, StructureError, FalsificationError) as err:
         print(f"error: {err}", file=sys.stderr)

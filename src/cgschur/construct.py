@@ -44,9 +44,10 @@ def all_subgroups(ring: CGRing, group: Iterable[int],
                   limit: int = 256) -> list[frozenset[int]]:
     """Every subgroup of an abelian unit group, by closure over extensions.
 
-    Each extension <H, g> is grown by cosets (CGRing.extend_subgroup),
-    at |<H, g>| products.  Every g' in the coset H*g gives the same
-    <H, g'>, so H is extended once per coset outside it.
+    Every g' in the coset H*g gives the same <H, g'>, so H is extended
+    once per coset outside it.  One mul_row(g) per extension holds both
+    that coset and the cosets <H, g> grows by (CGRing.extend_subgroup),
+    at |<H, g>| lookups.
     """
     members = frozenset(group)
     if len(members) > limit:
@@ -62,8 +63,9 @@ def all_subgroups(ring: CGRing, group: Iterable[int],
         for g in members:
             if g in done:
                 continue
-            done.update(ring.mul(x, g) for x in H)
-            bigger = ring.extend_subgroup(H, g)
+            row = ring.mul_row(g)
+            done.update(row[x] for x in H)
+            bigger = ring.extend_subgroup(H, row)
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)
@@ -233,20 +235,13 @@ class ConstructionReport(NamedTuple):
         }
 
 
-def _stratum(ring: CGRing, v_left: int, v_right: int) -> list[int]:
-    left, right = ring.components
-    out = []
-    for x in ring.elements():
-        a, b = ring.parts(x)
-        if left.valuation(a) == v_left and right.valuation(b) == v_right:
-            out.append(x)
-    return out
-
-
-def _same_orbits(ring: CGRing, groups: list[frozenset[int]],
-                 carrier: list[int]) -> bool:
-    partitions = [set(ring.orbit_partition(G, carrier)) for G in groups]
-    return all(part == partitions[0] for part in partitions[1:])
+def _orbits_agree(partitions: list[list[frozenset[int]]],
+                  stratum: list[tuple[int, int]], cells: set[tuple[int, int]]) -> bool:
+    """Whether the orbit partitions agree on the elements whose stratum
+    (valuation pair) lies in cells.  Unit orbits stay inside a stratum, so
+    each partition is cut to cells by the stratum of its orbits' minima."""
+    cut = [{O for O in part if stratum[min(O)] in cells} for part in partitions]
+    return all(c == cut[0] for c in cut[1:])
 
 
 def build_nonpure_dense_sring(
@@ -304,10 +299,14 @@ def build_nonpure_dense_sring(
         ring, set(left_torsion) | set(left_principal)
         | set(right_torsion) | set(right_principal))
 
-    units = list(ring.units())
-    nonunits = [x for x in ring.elements() if not ring.is_unit(x)]
-    classes = (ring.orbit_partition(units_group, units)
-               + ring.orbit_partition(nonunits_group, nonunits))
+    # one orbit partition of R per group; each check reads the strata it needs
+    left, right = ring.components
+    stratum = [(left.valuation(a), right.valuation(b))
+               for a, b in map(ring.parts, ring.elements())]
+    full_orbits, units_orbits, nonunits_orbits = (
+        ring.orbit_partition(G) for G in (full_group, units_group, nonunits_group))
+    classes = ([O for O in units_orbits if stratum[min(O)] == (0, 0)]
+               + [O for O in nonunits_orbits if stratum[min(O)] != (0, 0)])
     built = SRing(ring, classes)
 
     checks: list[CheckResult] = []
@@ -320,19 +319,20 @@ def build_nonpure_dense_sring(
           "; ".join(json.dumps(f, sort_keys=True) for f in report.failures)
           or "all axioms hold")
     check("dense", built.is_dense(), "every ideal is a union of classes")
-    check("not_pure", not built.is_pure(), f"lower ideal divisor {built.lower_ideal()}")
-    check("lower_ideal", built.lower_ideal() == p * q * q,
-          f"got {built.lower_ideal()}, expected {p * q * q}")
+    lower = built.lower_ideal()
+    check("not_pure", not built.is_pure(), f"lower ideal divisor {lower}")
+    check("lower_ideal", lower == p * q * q, f"got {lower}, expected {p * q * q}")
     check("no_nontrivial_wreath", not has_nontrivial_wreath(built),
           "no ideal pair admits a wreath decomposition")
     check("units_group_order", len(units_group) == p ** (d + 1) * q ** e,
           f"got {len(units_group)}, expected {p ** (d + 1) * q ** e}")
     check("nonunits_group_order", len(nonunits_group) == p ** d * q ** (e + 1),
           f"got {len(nonunits_group)}, expected {p ** d * q ** (e + 1)}")
-    check("units_group_lower_ideal", ring.lower_ideal(units_group) == p * q * q,
-          f"got {ring.lower_ideal(units_group)}, expected {p * q * q}")
-    check("nonunits_group_lower_ideal", ring.lower_ideal(nonunits_group) == p * p * q,
-          f"got {ring.lower_ideal(nonunits_group)}, expected {p * p * q}")
+    units_lower, nonunits_lower = ring.lower_ideal(units_group), ring.lower_ideal(nonunits_group)
+    check("units_group_lower_ideal", units_lower == p * q * q,
+          f"got {units_lower}, expected {p * q * q}")
+    check("nonunits_group_lower_ideal", nonunits_lower == p * p * q,
+          f"got {nonunits_lower}, expected {p * p * q}")
     product = frozenset(ring.mul(a, b) for a in units_group for b in nonunits_group)
     check("group_product", product == full_group,
           f"product of orders {len(units_group)} and {len(nonunits_group)} "
@@ -342,18 +342,15 @@ def build_nonpure_dense_sring(
     meet = units_group & nonunits_group
     check("intersection_order", len(meet) == expected_meet,
           f"got {len(meet)}, expected {expected_meet}")
-    deep = all(
-        _same_orbits(ring, [full_group, units_group, nonunits_group],
-                     _stratum(ring, i, j))
-        for i in (0, 1, 2) for j in (0, 1, 2) if i + j >= 2
-    )
+    deep = _orbits_agree([full_orbits, units_orbits, nonunits_orbits], stratum,
+                         {(i, j) for i in (0, 1, 2) for j in (0, 1, 2) if i + j >= 2})
     check("deep_strata_orbits", deep,
           "the three groups induce one orbit partition below the top strata")
     check("q_stratum_orbits",
-          _same_orbits(ring, [full_group, units_group], _stratum(ring, 0, 1)),
+          _orbits_agree([full_orbits, units_orbits], stratum, {(0, 1)}),
           "full group and units group agree on the stratum of q times units")
     check("p_stratum_orbits",
-          _same_orbits(ring, [full_group, nonunits_group], _stratum(ring, 1, 0)),
+          _orbits_agree([full_orbits, nonunits_orbits], stratum, {(1, 0)}),
           "full group and nonunits group agree on the stratum of p times units")
 
     instance = ConstructionInstance(

@@ -49,6 +49,7 @@ class SRing:
             missing = self.class_of.index(-1)
             raise PartitionError(f"element {missing} not covered")
         self._class_set = frozenset(self.classes)
+        self._unit_lower_ideals: set[int] | None = None
 
     @property
     def rank(self) -> int:
@@ -100,12 +101,16 @@ class SRing:
         """The common lower ideal of the classes that meet the units.
 
         All such classes share one lower ideal; disagreement means the
-        partition is not a Schur ring.
+        partition is not a Schur ring, and every call raises.  The lower
+        ideals are found once per SRing.
         """
-        found = {self.ring.lower_ideal(self.classes[k]) for k in self.unit_class_indices()}
+        if self._unit_lower_ideals is None:
+            self._unit_lower_ideals = {self.ring.lower_ideal(self.classes[k])
+                                       for k in self.unit_class_indices()}
+        found = self._unit_lower_ideals
         if len(found) != 1:
             raise StructureError(f"unit classes disagree on the lower ideal: {sorted(found)}")
-        return found.pop()
+        return next(iter(found))
 
     def is_pure(self) -> bool:
         return self.lower_ideal() == self.ring.char
@@ -217,15 +222,15 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
 
 
 def cyclotomic(ring: CGRing, K: Iterable[int]) -> SRing:
-    """The Schur ring whose classes are the orbits of a unit subgroup."""
+    """The Schur ring whose classes are the orbits of a unit subgroup.
+
+    orbit_partition checks, at its one generate, that K is a unit subgroup.
+    """
     K = list(K)  # checked before the set merges True into 1
     for k in K:
         if not ring.is_element(k):
             raise ValueError(f"unit {k!r} is not an element index of {ring.spec()}")
-    K = frozenset(K)
-    if not ring.is_subgroup(K):
-        raise ValueError("K must be a subgroup of the units")
-    return SRing(ring, ring.orbit_partition(K))
+    return SRing(ring, ring.orbit_partition(frozenset(K)))
 
 
 def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:

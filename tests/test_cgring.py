@@ -466,3 +466,37 @@ def test_scale_is_repeated_addition(big):
         for _ in range(k):
             total = big.add(total, a)
         assert big.scale(a, k) == total
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_coset_closed_matches_add_oracle(spec):
+    # coset_closed reads translation rows; the oracle adds every ideal
+    # member with CGRing.add.  Every divisor, on random sets, unions of
+    # ideal cosets and the unit classes of every cyclotomic ring.
+    ring = parse_ring_spec(spec)
+    rng = random.Random(spec)
+    elements = list(ring.elements())
+    sets = {frozenset(rng.sample(elements, rng.randint(1, ring.size))) for _ in range(10)}
+    for m in ring.divisors():
+        cosets = sorted({frozenset(ring.add(x, i) for i in ring.ideal(m)) for x in elements},
+                        key=min)
+        sets |= {frozenset().union(*rng.sample(cosets, rng.randint(1, len(cosets))))
+                 for _ in range(3)}
+    units = set(ring.units())
+    for K in kernel_subgroups(spec):
+        sets |= {X for X in ring.orbit_partition(K) if X & units}
+    for X in sorted(sets, key=sorted):
+        closed = [m for m in ring.divisors()
+                  if all(ring.add(x, i) in X for x in X for i in ring.ideal(m))]
+        assert [m for m in ring.divisors() if ring.coset_closed(X, m)] == closed
+        assert ring.lower_ideal(X) == max(closed, key=lambda m: len(ring.ideal(m)))
+    # every divisor's generators were read: one kept row per generator
+    assert len(ring._translation_rows) == sum(c.n * c.d for c in ring.components)
+
+
+def test_orbit_partition_rejects_non_subgroups():
+    # A non-unit such as 3 in GR(9) once sent the coset walk round forever.
+    ring = parse_ring_spec("GR(9)")
+    for K in ({1, 3}, {8}, {1, 2}, {0, 1}):
+        with pytest.raises(ValueError, match="subgroup of the units"):
+            ring.orbit_partition(frozenset(K))

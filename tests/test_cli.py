@@ -577,3 +577,55 @@ def test_golden_stdout(capsys, tmp_path):
          "--p", "2", "--d", "2", "--q", "3", "--e", "1", "--out", str(out))
     seen["construct-2231-out"] = (0, hashlib.sha256(out.read_bytes()).hexdigest())
     assert seen == GOLDEN
+
+
+# -- help and usage errors ------------------------------------------------------
+
+# sha256 of the help text (stdout) or usage error (stderr) and the exit code
+# of each argv, recorded with every verb's parser built up front, before
+# build_parser built only the verb argv names.  argparse lays help out
+# differently across Python versions; these are from Python 3.11, COLUMNS=80.
+HELP_GOLDEN = {
+    "--help": (0, "8b2f712f343b2dabe64ae385deb671c44c0ec4ef3c47390ae79266ef9a21a8fe"),
+    "ring --help": (0, "b772dcc955b8278aa332386a503597aca18f4fafb081f69f60e25d961619984e"),
+    "sring --help": (0, "7b908cec3f624f3cd6a1b256dac1b1fa551df4f233942cbe7a0b34efe637095f"),
+    "dual --help": (0, "9c653670aec0c79998a4e73effa7acf4a673fa996654e7c915ebd08a4d788707"),
+    "construct --help": (0, "0c0e6fda7b566104430a232b4c8520480bc0e18bf1e5f5edc332bb726e7da339"),
+    "classify --help": (0, "191efa56eef3c52b0b99db0328cbf91387f95c6d9a0184b431ddfcbd4ad5186d"),
+    "enumerate --help": (0, "491056d58a0f899f6ba8e66d78192fef41f408a5d7e14d1c8dc901a01188fbcf"),
+    "ring info --help": (0, "7958bfe6c44d3931e6c7fac3adb24a7809cdf128300594644b7d1e1017225d61"),
+    "sring cyc --help": (0, "9d4f20a5b003b9682c9feb8639e2f3571a6204c9a235ff9cb58535b50b6c4829"),
+    "sring closure --help": (0, "ff2ebd6ad05654428983278b5e50fc443da3066b5cebb6cb1d15539aacf2809a"),
+    "sring verify --help": (0, "1b5afb3a51b4eee3bace9b57e84a4c4c7a727be418953c0714d986cdf328496d"),
+    "sring quotient --help": (0, "df5f7e88b091c8e7dbd0acd648eaaf084222b6338d40fc8229e2b8a73f2c87f9"),
+    "sring restrict --help": (0, "f78723ffb8ea90f3582d0885f8cbf1b398b652a039bebe67cded313b224640d9"),
+    "sring tensor --help": (0, "ae4e755401c9994ef2cc4b26ee41a2a5c2de7ee4d7a2aa9e57fc4cae06fe1613"),
+    "sring wreath --help": (0, "9538cf4a632367bdc54a5091ee70666caf0a53218216f2d3cda594beef54f846"),
+    "sring pure --help": (0, "c131af9228fb51dcb07718a9a32bf56b5297066e487f844ddc1641a7ed87e36d"),
+    "sring rational --help": (0, "fb0479065d450e34d74589833763762376af721812677148bfb7f4f555f3ba48"),
+    "classify pure --help": (0, "240b3c156f5b711b4a1da1459d8e79704fcf899dc02d2d48af00ca551d5ad0ed"),
+    "classify rational --help": (0, "4a4665eb0ae794df774c3d8f8573866e6dbd6fdda7860a550f8075614e77d6e8"),
+    "classify nondense --help": (0, "0670244d83de43426dfeaa95ec8df9ed85b70c30b2259f8774ffc431e8d11ed7"),
+    "classify quotient --help": (0, "60518aae5ec45636da7d0297af151542ad4b346eae6b6d32e8d3f3693cce0dc2"),
+    "enumerate subgroups --help": (0, "56d6f218ca64e4d7dabaa3a209629072d042a61563111fab27b6f89a679f83a5"),
+    "enumerate cyc --help": (0, "221ca50e6c4d16db931fa15a3d0b80c54adc2829d298bfbb4ca7d5be530ef461"),
+    "": (2, "8b4fbddbc148f94acc4caa7e3aa21e3ee49102acb7ea7f6cc17bdc7e85c10462"),
+    "nosuch": (2, "83295cb85f5c4580ea01b0da100b05c0c0bf1b60871260658284fc3ed53caaa8"),
+    "sring": (2, "e713344eb720ca2b69c87abba5a06017c89ce1143f9b74ed161e0d55b857c376"),
+    "sring nosuch": (2, "44fcf5c6fecc9aa1d42525a0874e75c833b1e226342c01dc79b2626d7ad1acd1"),
+    "classify nosuch": (2, "b9d0996270ec483e3b918d0678f914f498e24659f2e46da91e1c15622d4bbf9f"),
+    "ring info": (2, "6da87366792f10954c0307fd5fe19bba4712e5983d3c24351236500e75d9e3d6"),
+    "--format json ring": (2, "ddacf7c14b73df756d2dda39dc39ce797b4d6d6421137ccc251919dfc51c1daa"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="digests of Python 3.11 argparse")
+def test_help_and_usage_errors_unchanged(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    seen = {}
+    for key in HELP_GOLDEN:
+        code, out, err = run_cli(capsys, *key.split())
+        text = out if key.endswith("--help") else err
+        seen[key] = (code, hashlib.sha256(text.encode()).hexdigest())
+    assert seen == HELP_GOLDEN
+    assert {code for key, (code, _) in seen.items() if not key.endswith("--help")} == {2}

@@ -15,6 +15,7 @@ from cgschur.cgring import parse_ring_spec
 from cgschur.construct import (
     ConstructionError,
     SubdirectSpec,
+    _orbits_agree,
     all_subgroups,
     build_nonpure_dense_sring,
     subdirect,
@@ -196,3 +197,24 @@ def test_principal_decomposition_is_direct():
     doc = instance.to_doc()
     assert doc["p"] == 2 and doc["ring"] == "GR(4,2)xGR(9)"
     assert doc["units_group"] == sorted(instance.units_group)
+
+
+def test_orbits_agree_matches_per_stratum_orbits():
+    # The stratum checks cut one orbit partition of R per group; the oracle
+    # takes the orbits of each stratum separately, as the checks once did.
+    instance, _, _ = build_nonpure_dense_sring(2, 2, 3, 1)
+    ring = instance.ring
+    left, right = ring.components
+    stratum = [(left.valuation(a), right.valuation(b))
+               for a, b in map(ring.parts, ring.elements())]
+    groups = (instance.full_group, instance.units_group, instance.nonunits_group)
+    partitions = [ring.orbit_partition(G) for G in groups]
+    verdicts = set()
+    for cell in sorted(set(stratum)):
+        carrier = [x for x in ring.elements() if stratum[x] == cell]
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            oracle = set(ring.orbit_partition(groups[i], carrier)) == set(
+                ring.orbit_partition(groups[j], carrier))
+            assert _orbits_agree([partitions[i], partitions[j]], stratum, {cell}) == oracle
+            verdicts.add(oracle)
+    assert verdicts == {True, False}

@@ -518,3 +518,43 @@ def test_projections_are_classes_when_split(corpus):
             if A.is_aset(A.ring.ideal(m)) and A.is_aset(A.ring.ideal(mc)):
                 for X in A.classes:
                     assert A.is_aset(A.ring.project_set(X, Q)), label
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_lower_ideal_rows_stay_bounded_and_private(spec):
+    # The translation rows are kept per ideal generator, at most
+    # sum n_i*d_i of them, and no row handed to a caller is one of them.
+    ring = parse_ring_spec(spec)
+    rings = [cyclotomic(ring, K) for K in kernel_subgroups(spec)]
+    before = [[ring.lower_ideal(X) for X in A.classes] for A in rings]
+    assert len(ring._translation_rows) <= sum(c.n * c.d for c in ring.components)
+    handed = [ring.mul_row(g) for m in ring.divisors() for g in ring.ideal_generators(m)]
+    handed += ring.mul_table() if ring.size <= 200 else []
+    for row in handed:
+        row[:] = [0] * len(row)
+    assert [[ring.lower_ideal(X) for X in A.classes] for A in rings] == before
+
+
+def test_sring_lower_ideal_is_found_once(z9, monkeypatch):
+    A = cyclotomic(z9, [1, 4, 7])
+    calls = []
+    real = z9.lower_ideal
+    monkeypatch.setattr(z9, "lower_ideal", lambda X: calls.append(X) or real(X))
+    assert [A.lower_ideal(), A.is_pure(), A.lower_ideal()] == [3, False, 3]
+    assert len(calls) == len(A.unit_class_indices()) == 2
+    # unit classes {1, 4, 7} (lower ideal 3) and {2} (9) disagree, on every call
+    broken = SRing(z9, [{0}, {1, 4, 7}, {2}, {3}, {5}, {6}, {8}])
+    for _ in range(2):
+        with pytest.raises(StructureError, match="disagree"):
+            broken.lower_ideal()
+
+
+def test_cyclotomic_keeps_its_rejections(z9):
+    # In order: element index, bool, then the subgroup check (1, units, closure).
+    for K, message in (([1, 9], "not an element index"),
+                       ([3, True], "not an element index"),
+                       ([8], "subgroup of the units"),
+                       ([1, 3], "subgroup of the units"),
+                       ([1, 2], "subgroup of the units")):
+        with pytest.raises(ValueError, match=message):
+            cyclotomic(z9, K)

@@ -1,11 +1,13 @@
 """Every definition in the package is reached by something.
 
 Each non-dunder ``def``/``class`` name in ``src/cgschur/*.py`` must occur
-as a whole word in the package beyond its own definitions, in the
-benchmark (``bench/*.py``), or in the paper criteria
-(``tests/test_acceptance.py``).  A name that only unit tests reach is
-dead surface unless ``KEEP`` records why it stays.  The benchmark's
-tracer must also still find the kernel methods it counts.
+as a whole word in the package outside every definition of that name, in
+the benchmark (``bench/*.py``), or in the paper criteria
+(``tests/test_acceptance.py``).  A mention inside a definition of the
+same name does not count, so same-named methods that only call each
+other are caught.  A name that only unit tests reach is dead surface
+unless ``KEEP`` records why it stays.  The benchmark's tracer must also
+still find the kernel methods it counts.
 """
 
 from __future__ import annotations
@@ -25,41 +27,66 @@ KEEP = {
 }
 
 
-def _definitions() -> dict[str, int]:
-    """Name -> number of definitions across the package."""
-    counts: dict[str, int] = {}
-    for path in SRC:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                name = node.name
-                if not (name.startswith("__") and name.endswith("__")):
-                    counts[name] = counts.get(name, 0) + 1
-    return counts
+def _definitions(text: str) -> dict[str, list[range]]:
+    """Name -> the line ranges of its definitions in one source text."""
+    spans: dict[str, list[range]] = {}
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+            if not (name.startswith("__") and name.endswith("__")):
+                spans.setdefault(name, []).append(range(node.lineno, node.end_lineno + 1))
+    return spans
 
 
-def _unreached() -> set[str]:
+def _unreached(src_texts: list[str], user_texts: list[str]) -> set[str]:
     """Defined names that nothing outside their own definitions mentions."""
-    src_texts = [p.read_text(encoding="utf-8") for p in SRC]
-    user_texts = [p.read_text(encoding="utf-8") for p in USERS]
+    spans = [_definitions(text) for text in src_texts]
+    defined = set().union(*spans)
 
-    def occurrences(name: str, texts: list[str]) -> int:
+    def mentioned(name: str) -> bool:
         word = re.compile(rf"\b{re.escape(name)}\b")
-        return sum(len(word.findall(text)) for text in texts)
+        for text, own in zip(src_texts, spans):
+            for lineno, line in enumerate(text.splitlines(), 1):
+                if word.search(line) and not any(lineno in r for r in own.get(name, ())):
+                    return True
+        return any(word.search(text) for text in user_texts)
 
-    return {
-        name for name, defs in _definitions().items()
-        if occurrences(name, src_texts) <= defs and not occurrences(name, user_texts)
-    }
+    return {name for name in defined if not mentioned(name)}
+
+
+def _package_unreached() -> set[str]:
+    return _unreached([p.read_text(encoding="utf-8") for p in SRC],
+                      [p.read_text(encoding="utf-8") for p in USERS])
 
 
 def test_every_definition_is_reached():
-    unreached = sorted(_unreached() - set(KEEP))
+    unreached = sorted(_package_unreached() - set(KEEP))
     assert not unreached, f"defined but never reached: {unreached}"
 
 
 def test_keep_lists_only_unreached_names():
-    stale = sorted(set(KEEP) - _unreached())
+    stale = sorted(set(KEEP) - _package_unreached())
     assert not stale, f"KEEP lists names that are reached or no longer defined: {stale}"
+
+
+MUTUAL = """
+class A:
+    def f(self):
+        return B().f()
+
+
+class B:
+    def f(self):
+        return 1
+"""
+
+
+def test_same_named_methods_calling_each_other_are_unreached():
+    # A whole-word count set three mentions of f against its two
+    # definitions, so A.f and B.f passed although only they call f.
+    assert _unreached([MUTUAL], []) == {"A", "f"}
+    assert _unreached([MUTUAL + "\nA().f()\n"], []) == set()
+    assert _unreached([MUTUAL], ["A().f()"]) == set()
 
 
 def test_bench_tracer_installs():

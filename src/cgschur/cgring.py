@@ -53,6 +53,7 @@ class CGRing:
         self.unit_count = math.prod(c.unit_count for c in self.components)
         self.one = self.from_parts([1] * len(self.components))
         self._units: tuple[int, ...] | None = None
+        self._unit_set: frozenset[int] = frozenset()
         self._ideals: dict[int, frozenset[int]] = {}
         self._ideal_generators: dict[int, tuple[int, ...]] = {}
         self._translation_rows: dict[int, list[int]] = {}
@@ -125,7 +126,8 @@ class CGRing:
     def _combine(self, comp_rows: Iterable[list[int]]) -> list[int]:
         """The row whose entry at x is the element with parts
         comp_rows[i][x_i], one row per component, combined in mixed radix,
-        component 0 least significant, at |R| additions."""
+        component 0 least significant, at one addition per entry.  Row i
+        may be shorter than component i; x_i then runs over its length."""
         row = [0]
         shift = 1
         for comp, comp_row in zip(self.components, comp_rows):
@@ -162,8 +164,15 @@ class CGRing:
 
     def units(self) -> tuple[int, ...]:
         if self._units is None:
-            self._units = tuple(a for a in self.elements() if self.is_unit(a))
+            # x is a unit when every part is: combine the component unit lists
+            self._units = tuple(self._combine(comp.unit_indices() for comp in self.components))
+            self._unit_set = frozenset(self._units)
         return self._units
+
+    def unit_set(self) -> frozenset[int]:
+        """The units as a frozenset, kept next to the units() tuple."""
+        self.units()
+        return self._unit_set
 
     def extend_subgroup(self, H: frozenset[int], row: list[int]) -> frozenset[int]:
         """The unit group <H, g>, where row = mul_row(g), as the union of
@@ -215,8 +224,12 @@ class CGRing:
         """For each unit generator g, the permutation k -> index of g*X_k.
 
         None when the classes do not partition R or some g*X_k is not a
-        class, that is when the partition is not unit-invariant.  Costs
-        one mul_row per generator.
+        class, that is when the partition is not unit-invariant.  Per
+        generator, the class of g*x is read off mul_row(g) for every x at
+        once, and perm from one member of each class; the classes are
+        permuted when that image row equals perm read through the class
+        of x and the class sizes match.  An empty class reads member 0,
+        whose class is not empty, so the size check rejects it.
         """
         class_of = [-1] * self.size
         for k, X in enumerate(classes):
@@ -226,18 +239,15 @@ class CGRing:
                 class_of[x] = k
         if -1 in class_of:
             return None
+        members = [next(iter(X), 0) for X in classes]
+        sizes = list(map(len, classes))
         perms = []
         for g in self.unit_generators():
-            row = self.mul_row(g)
-            perm = []
-            for X in classes:
-                image = {class_of[row[x]] for x in X}
-                if len(image) != 1:
-                    return None
-                k = image.pop()
-                if len(classes[k]) != len(X):
-                    return None
-                perm.append(k)
+            image = list(map(class_of.__getitem__, self.mul_row(g)))
+            perm = list(map(image.__getitem__, members))
+            if image != list(map(perm.__getitem__, class_of)) \
+                    or list(map(sizes.__getitem__, perm)) != sizes:
+                return None
             perms.append(perm)
         return perms
 
@@ -369,16 +379,13 @@ class CGRing:
 
     # -- projections and subrings -------------------------------------------
 
-    def project(self, a: int, primes: Iterable[int]) -> int:
+    def projection_row(self, primes: Iterable[int]) -> list[int]:
+        """The projection of every element x onto the components over the
+        given primes (the other parts set to 0), in element order, as a
+        fresh list: _combine of the component rows i (kept) or 0."""
         keep = set(primes)
-        return self.from_parts(
-            i if comp.p in keep else 0
-            for comp, i in zip(self.components, self.parts(a))
-        )
-
-    def project_set(self, X: Iterable[int], primes: Iterable[int]) -> frozenset[int]:
-        keep = set(primes)
-        return frozenset(self.project(a, keep) for a in X)
+        return self._combine(comp.elements() if comp.p in keep else [0] * comp.size
+                             for comp in self.components)
 
     def scale_set(self, X: Iterable[int], k: int) -> frozenset[int]:
         return frozenset(self.scale(a, k) for a in X)
@@ -415,7 +422,7 @@ class CGRing:
         """The generator rows of generate(K) when K is a unit subgroup: it
         holds 1 and only units, and the group generate grows from it by
         cosets is K itself.  None otherwise."""
-        if self.one in K and all(map(self.is_unit, K)):
+        if self.one in K and K <= self.unit_set():
             _, rows, group = self._grow(K)
             if group == K:
                 return rows
@@ -501,8 +508,20 @@ class IdealRingMap(NamedTuple):
     embed: Callable[[int], int]
 
     def section_map(self) -> dict[int, int]:
-        """Inverse of embed, as a dict over the members of mR."""
-        return {self.embed(j): j for j in self.ring.elements()}
+        """Inverse of embed, as a dict over the members of mR.
+
+        embed is additive and sends model component t into one source
+        component, so embed(j) is the sum of embed(j_t * shift_t) over
+        the parts j_t of j: the row of embed values is combined like
+        CGRing._combine from one row per model component, at sum |R_t|
+        calls to embed instead of |mR|.
+        """
+        row = [0]
+        shift = 1
+        for comp in self.ring.components:
+            row = [a + s for s in [self.embed(i * shift) for i in comp.elements()] for a in row]
+            shift *= comp.size
+        return dict(zip(row, self.ring.elements()))
 
 
 def _truncate(ring: CGRing, exponents: Iterable[int]) -> tuple[CGRing, Callable, Callable]:

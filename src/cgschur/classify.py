@@ -127,9 +127,10 @@ def reassemble(ring: CGRing, factors: tuple[Factor, ...]) -> SRing:
     missing = set(ring.primes) - seen
     if missing:
         raise ValueError(f"the factors miss primes {sorted(missing)}")
+    columns = [map(F.class_of.__getitem__, map(iota.__getitem__, ring.projection_row(Q)))
+               for Q, F, iota in maps]
     parts: dict[tuple[int, ...], list[int]] = {}
-    for x in ring.elements():
-        key = tuple(F.class_of[iota[ring.project(x, Q)]] for Q, F, iota in maps)
+    for x, key in enumerate(zip(*columns)):
         parts.setdefault(key, []).append(x)
     return SRing(ring, list(parts.values()))
 

@@ -14,6 +14,7 @@ character sums is decided exactly on integer digit vectors.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .cgring import CGRing
@@ -133,18 +134,30 @@ def dual_classes(table: CharacterTable, classes: Sequence[Iterable[int]]) -> lis
     For a unit-invariant partition, the sum over X_k at g*r is the sum
     over g*X_k at r, so the key of g*r is the key of r with the classes
     permuted by g.  Then one packed row per unit orbit is summed, and
-    the keys spread along the unit generators, whose rows g*R are built
-    once per call.  Any other partition
+    the keys spread along the unit generators.  Any other partition
     runs the same loop with every element a representative and no
     generators.  The packed sums are interned as small ints so keys stay
     short, and the groups come out in element order.
     """
-    ring = table.ring
     classes = [list(X) for X in classes]
-    perms = ring.class_permutations(classes)
-    invariant = perms is not None
-    reps = ring.orbit_representatives() if invariant else ring.elements()
-    steps = list(zip(map(ring.mul_row, ring.unit_generators()), perms)) if invariant else []
+    return _dual_partition(table, classes, table.ring.class_permutations(classes))
+
+
+def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],
+                    perms: list[list[int]] | None) -> list[list[int]]:
+    """dual_classes, given perms = class_permutations(classes).
+
+    Each generator's row g*R is built once per call, next to the
+    itemgetter that permutes a key along it, so a spread key is one
+    C-level call.  itemgetter of one index returns the bare item, so a
+    one-class partition, which every unit fixes, keeps its key as it is.
+    """
+    ring = table.ring
+    reps, steps = ring.elements(), []
+    if perms is not None:
+        reps = ring.orbit_representatives()
+        steps = [(row, itemgetter(*perm) if len(perm) > 1 else tuple)
+                 for row, perm in zip(map(ring.mul_row, ring.unit_generators()), perms)]
     keys: list = [None] * ring.size
     interned: dict[int, int] = {}
     for r0 in reps:
@@ -154,11 +167,11 @@ def dual_classes(table: CharacterTable, classes: Sequence[Iterable[int]]) -> lis
         frontier = [r0]
         while frontier:
             r = frontier.pop()
-            key = keys[r].__getitem__
-            for row_g, perm in steps:
+            key = keys[r]
+            for row_g, move in steps:
                 s = row_g[r]
                 if keys[s] is None:
-                    keys[s] = tuple(map(key, perm))
+                    keys[s] = move(key)
                     frontier.append(s)
     assert None not in keys, "an element received no key"
     groups: dict[tuple, list[int]] = {}

@@ -94,8 +94,8 @@ class SRing:
         return len(self.a_ideal_divisors()) == len(self.ring.divisors())
 
     def unit_class_indices(self) -> list[int]:
-        units = set(self.ring.units())
-        return [k for k, X in enumerate(self.classes) if X & units]
+        units = self.ring.unit_set()
+        return [k for k, X in enumerate(self.classes) if not X.isdisjoint(units)]
 
     def lower_ideal(self) -> int:
         """The common lower ideal of the classes that meet the units.
@@ -165,7 +165,7 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
     without the scan over class pairs.  Otherwise that scan runs and
     reports every failing pair and class.
     """
-    from .duality import character_table, dual_classes  # .duality imports this module
+    from .duality import _dual_partition, character_table  # .duality imports this module
 
     try:
         A = SRing(ring, classes)
@@ -176,13 +176,14 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
     if not A.is_class(frozenset({0})):
         failures.append({"axiom": "zero-class", "witness": sorted(A.class_containing(0))})
 
+    minus = ring.mul_row(ring.neg(ring.one)).__getitem__
     for k, X in enumerate(A.classes):
-        image = frozenset(ring.neg(x) for x in X)
+        image = frozenset(map(minus, X))
         if not A.is_class(image):
             failures.append({"axiom": "negation", "class": k, "witness": sorted(image)})
 
-    invariant = ring.class_permutations(A.classes) is not None
-    for u in () if invariant else ring.units():
+    perms = ring.class_permutations(A.classes)
+    for u in () if perms is not None else ring.units():
         row = ring.mul_row(u)
         for k, X in enumerate(A.classes):
             image = frozenset(row[x] for x in X)
@@ -193,7 +194,7 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
             continue
         break
 
-    if not failures and len(dual_classes(character_table(ring), A.classes)) == A.rank:
+    if not failures and len(_dual_partition(character_table(ring), A.classes, perms)) == A.rank:
         return VerifyReport(True, ())
     for i, X in enumerate(A.classes):
         for j in range(i, A.rank):
@@ -288,8 +289,8 @@ def restrict(A: SRing, m: int) -> SRing:
     if not A.is_aset(members):
         raise ValueError(f"the ideal {m}R is not an A-ideal")
     sub = ideal_ring(A.ring, m)
-    iota = sub.section_map()
-    classes = [frozenset(iota[x] for x in X) for X in A.classes if X <= members]
+    iota = sub.section_map().__getitem__
+    classes = [frozenset(map(iota, X)) for X in A.classes if X <= members]
     return SRing(sub.ring, classes)
 
 
@@ -351,11 +352,10 @@ def is_tensor_over(A: SRing, primes: Iterable[int]) -> TensorSplit:
     for m in (m_left, m_right):
         if not A.is_aset(ring.ideal(m)):
             return TensorSplit(False, f"the ideal {m}R is not an A-ideal", Q, None, None)
+    to_Q, to_Qc = ring.projection_row(Q).__getitem__, ring.projection_row(Qc).__getitem__
     for X in A.classes:
-        XQ = ring.project_set(X, Q)
-        XQc = ring.project_set(X, Qc)
         # x -> (x_Q, x_Qc) is injective, so equal sizes make X = XQ + XQc
-        if len(XQ) * len(XQc) != len(X):
+        if len(set(map(to_Q, X))) * len(set(map(to_Qc, X))) != len(X):
             return TensorSplit(False, f"class {sorted(X)} is not a product set", Q, None, None)
     return TensorSplit(True, None, Q, restrict(A, m_left), restrict(A, m_right))
 

@@ -85,6 +85,40 @@ def is_rational_oracle(A: SRing, primes: Iterable[int]) -> bool:
     return True
 
 
+def class_permutations_oracle(ring: CGRing, classes: Sequence[Iterable[int]]) -> list[list[int]] | None:
+    """CGRing.class_permutations by one set of image classes per class and
+    generator: None unless each g*X_k lies in one class of the same size."""
+    class_of = [-1] * ring.size
+    for k, X in enumerate(classes):
+        for x in X:
+            if class_of[x] != -1:
+                return None
+            class_of[x] = k
+    if -1 in class_of:
+        return None
+    perms = []
+    for g in ring.unit_generators():
+        row = ring.mul_row(g)
+        perm = []
+        for X in classes:
+            image = {class_of[row[x]] for x in X}
+            if len(image) != 1:
+                return None
+            k = image.pop()
+            if len(classes[k]) != len(X):
+                return None
+            perm.append(k)
+        perms.append(perm)
+    return perms
+
+
+def project_oracle(ring: CGRing, a: int, primes: Iterable[int]) -> int:
+    """a with the parts outside the given primes set to 0, from its parts."""
+    keep = set(primes)
+    return ring.from_parts(i if comp.p in keep else 0
+                           for comp, i in zip(ring.components, ring.parts(a)))
+
+
 def closure_start_oracle(ring: CGRing, seeds: Sequence[Iterable[int]]) -> list[list[int]]:
     """The dense closure's start partition, in element order: x keyed by its
     unit stratum and by which seeds hold u*x, for every unit u."""

@@ -14,6 +14,7 @@ from conftest import (
     is_subgroup_oracle,
     kernel_subgroups,
     lower_ideal_oracle,
+    project_oracle,
     subgroup_generated_oracle,
 )
 
@@ -327,12 +328,40 @@ def test_embed_matches_unit_definitions(spec):
 
 def test_projections(z36):
     phi = z36_iso(z36)
+    row = z36.projection_row({2})
     for z in range(36):
-        kept = z36.project(phi[z], {2})
+        kept = row[phi[z]]
         assert z36.parts(kept) == (z % 4, 0)
     assert z36.component_divisor({2}) == 9
     assert z36.component_divisor({3}) == 4
     assert z36.component_divisor({2, 3}) == 1
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_projection_rows_match_oracle(spec):
+    ring = parse_ring_spec(spec)
+    for size in range(len(ring.primes) + 1):
+        for Q in combinations(ring.primes, size):
+            assert ring.projection_row(Q) == [project_oracle(ring, x, Q) for x in ring.elements()]
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_section_map_inverts_embed(spec):
+    # Built from one row per model component; the same pairs, in the same
+    # order, as embed over every model element.
+    ring = parse_ring_spec(spec)
+    for m in ring.divisors()[:-1]:
+        sub = ideal_ring(ring, m)
+        expected = {sub.embed(j): j for j in sub.ring.elements()}
+        assert list(sub.section_map().items()) == list(expected.items())
+        assert set(expected) == ring.ideal(m)
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_units_by_component_lists(spec):
+    ring = parse_ring_spec(spec)
+    assert ring.units() == tuple(a for a in ring.elements() if ring.is_unit(a))
+    assert ring.unit_set() == frozenset(ring.units())
 
 
 def test_parse_ring_spec_round_trip():

@@ -30,6 +30,7 @@ from conftest import (
     PowerBasisTable,
     char_sum,
     character_sum_coeffs,
+    class_permutations_oracle,
     cyclotomic_polynomial,
     digit_sum,
     dual_classes_oracle,
@@ -339,6 +340,48 @@ def test_class_permutations_follow_the_generators(spec):
     assert ring.class_permutations(swap_broken(A, random.Random(spec))) is None
     assert ring.class_permutations([[x] for x in ring.elements()][1:]) is None  # 0 uncovered
     assert ring.class_permutations([[x] for x in ring.elements()] + [[0]]) is None  # 0 twice
+
+
+def same_size_swap(A: SRing) -> list[list[int]]:
+    """A's classes with {a, -a} and {b, -b}, the first two classes of size 2,
+    regrouped as {a, b} and {-a, -b}: sizes kept, no longer unit-invariant
+    on the rings of KERNEL_RINGS."""
+    classes = [sorted(X) for X in A.classes]
+    i, j = [k for k, X in enumerate(classes) if len(X) == 2][:2]
+    (a, na), (b, nb) = classes[i], classes[j]
+    classes[i], classes[j] = [a, b], [na, nb]
+    return classes
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_class_permutations_match_set_oracle(spec):
+    # The image-row check against one image set per class and generator,
+    # on lists and frozensets, with an empty class and a moved class that
+    # keeps its size among the inputs.
+    ring = parse_ring_spec(spec)
+    rng = random.Random(spec)
+    A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
+    moved = same_size_swap(A)
+    assert class_permutations_oracle(ring, moved) is None
+    inputs = list(kernel_inputs(ring, rng)) + [moved, list(A.classes) + [[]]]
+    seen = {True: 0, False: 0}
+    for classes in inputs:
+        expected = class_permutations_oracle(ring, classes)
+        seen[expected is not None] += 1
+        assert ring.class_permutations([list(X) for X in classes]) == expected
+        assert ring.class_permutations([frozenset(X) for X in classes]) == expected
+    assert seen[True] and seen[False]
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_one_class_partition_keeps_tuple_keys(spec):
+    # Every unit fixes the one class, so its key spreads unchanged; a bare
+    # sum in place of the 1-tuple would split the dual.
+    ring = parse_ring_spec(spec)
+    table = character_table(ring)
+    whole = [list(ring.elements())]
+    assert dual_classes(table, whole) == dual_classes_oracle(table, whole) == [[0], whole[0][1:]]
+    assert check_duality(SRing(ring, whole)) == (False, ("rank not preserved",))
 
 
 @pytest.mark.parametrize("spec", KERNEL_RINGS)

@@ -22,7 +22,7 @@ from conftest import (
 )
 
 from cgschur import duality
-from cgschur.cgring import make_cg_ring, parse_ring_spec
+from cgschur.cgring import CGRing, make_cg_ring, parse_ring_spec
 from cgschur.construct import subgroup_generated
 from cgschur.cgring import quotient as ring_quotient
 from cgschur.sring import (
@@ -115,6 +115,21 @@ def test_verify_invariant_partitions_match_oracle(spec):
             assert {f["axiom"] for f in doc["failures"]} <= {"convolution"}
             failing += not doc["ok"]
     assert failing
+
+
+def test_verify_computes_class_permutations_once(z36, monkeypatch):
+    # The unit-invariance check and the dual's key spreading share one
+    # class_permutations per call, whether the partition passes or fails.
+    calls = []
+    inner = CGRing.class_permutations
+    monkeypatch.setattr(CGRing, "class_permutations",
+                        lambda ring, classes: calls.append(1) or inner(ring, classes))
+    A = cyclotomic(z36, subgroup_generated(z36, [z36.neg(z36.one)]))
+    rng = random.Random(36)
+    for classes in (A.classes, merge_strata(A, rng), swap_broken(A, rng)):
+        calls.clear()
+        verify_sring(z36, classes)
+        assert len(calls) == 1
 
 
 def test_verify_reports_zero_and_negation():
@@ -435,11 +450,12 @@ def test_rational_frobenius_laws(corpus):
         ring = A.ring
         for ci, comp in enumerate(ring.components):
             p = comp.p
+            to_p = ring.projection_row({p})
             for X in _p_rational_classes(A, ci):
                 if X == frozenset({0}):
                     continue
                 fs = frobenius_set(A, X, p)
-                assert all(ring.project(z, {p}) == 0 for z in fs), (label, p)
+                assert all(to_p[z] == 0 for z in fs), (label, p)
                 il = ring.lower_ideal(X)
                 p_part_nonzero = ring.valuations(il)[ci] < comp.n
                 assert p_part_nonzero == (not fs), (label, p, sorted(X))
@@ -516,8 +532,9 @@ def test_projections_are_classes_when_split(corpus):
             m = A.ring.component_divisor(Q)
             mc = A.ring.component_divisor(set(A.ring.primes) - Q)
             if A.is_aset(A.ring.ideal(m)) and A.is_aset(A.ring.ideal(mc)):
+                row = A.ring.projection_row(Q)
                 for X in A.classes:
-                    assert A.is_aset(A.ring.project_set(X, Q)), label
+                    assert A.is_aset(map(row.__getitem__, X)), label
 
 
 @pytest.mark.parametrize("spec", KERNEL_RINGS)

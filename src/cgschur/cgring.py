@@ -220,33 +220,24 @@ class CGRing:
         """
         return [self.scale(self.one, m) for m in self.divisors()]
 
-    def class_permutations(self, classes: Sequence[Sequence[int]]) -> list[list[int]] | None:
-        """For each unit generator g, the permutation k -> index of g*X_k.
+    def class_permutations(self, labels: Sequence[int]) -> list[list[int]] | None:
+        """For each unit generator g, the permutation k -> label of g*X_k.
 
-        None when the classes do not partition R or some g*X_k is not a
-        class, that is when the partition is not unit-invariant.  Per
-        generator, the class of g*x is read off mul_row(g) for every x at
-        once, and perm from one member of each class; the classes are
-        permuted when that image row equals perm read through the class
-        of x and the class sizes match.  An empty class reads member 0,
-        whose class is not empty, so the size check rejects it.
+        labels is a canonical label vector: X_k holds the x with
+        labels[x] = k, classes numbered by first appearance.  None when
+        some g*X_k is not a class, that is when the partition is not
+        unit-invariant.  Per generator, the labels of g*x are read off
+        mul_row(g) for every x at once, and perm from one member of each
+        class; g maps each X_k into X_perm[k] when that image row equals
+        perm read through labels, and then, g being a bijection of R,
+        every class is hit and g*X_k is all of X_perm[k].
         """
-        class_of = [-1] * self.size
-        for k, X in enumerate(classes):
-            for x in X:
-                if class_of[x] != -1:
-                    return None
-                class_of[x] = k
-        if -1 in class_of:
-            return None
-        members = [next(iter(X), 0) for X in classes]
-        sizes = list(map(len, classes))
+        members = dict(zip(labels, self.elements())).values()  # label order
         perms = []
         for g in self.unit_generators():
-            image = list(map(class_of.__getitem__, self.mul_row(g)))
+            image = list(map(labels.__getitem__, self.mul_row(g)))
             perm = list(map(image.__getitem__, members))
-            if image != list(map(perm.__getitem__, class_of)) \
-                    or list(map(sizes.__getitem__, perm)) != sizes:
+            if image != list(map(perm.__getitem__, labels)):
                 return None
             perms.append(perm)
         return perms

@@ -22,6 +22,7 @@ from .sring import (
     WreathCert,
     cyclotomic,
     is_tensor_over,
+    labels,
     proper_prime_splits,
     quotient_sring,
     wreath_pairs,
@@ -129,10 +130,7 @@ def reassemble(ring: CGRing, factors: tuple[Factor, ...]) -> SRing:
         raise ValueError(f"the factors miss primes {sorted(missing)}")
     columns = [map(F.class_of.__getitem__, map(iota.__getitem__, ring.projection_row(Q)))
                for Q, F, iota in maps]
-    parts: dict[tuple[int, ...], list[int]] = {}
-    for x, key in enumerate(zip(*columns)):
-        parts.setdefault(key, []).append(x)
-    return SRing(ring, list(parts.values()))
+    return SRing.from_labels(ring, labels(zip(*columns)))
 
 
 # -- pure decomposition -------------------------------------------------------

@@ -22,6 +22,7 @@ from .sring import (
     SRing,
     StructureError,
     is_tensor_over,
+    labels,
     proper_prime_splits,
     quotient_sring,
     restrict,
@@ -128,24 +129,18 @@ def character_table(ring: CGRing) -> CharacterTable:
     return _TABLES[ring]
 
 
-def dual_classes(table: CharacterTable, classes: Sequence[Iterable[int]]) -> list[list[int]]:
-    """Group r by the vector of packed character sums over the given classes.
+def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],
+                    perms: list[list[int]] | None) -> list[int]:
+    """The label vector of r by the vector of packed character sums over
+    the classes, given perms = class_permutations of their label vector.
 
     For a unit-invariant partition, the sum over X_k at g*r is the sum
     over g*X_k at r, so the key of g*r is the key of r with the classes
     permuted by g.  Then one packed row per unit orbit is summed, and
     the keys spread along the unit generators.  Any other partition
-    runs the same loop with every element a representative and no
-    generators.  The packed sums are interned as small ints so keys stay
-    short, and the groups come out in element order.
-    """
-    classes = [list(X) for X in classes]
-    return _dual_partition(table, classes, table.ring.class_permutations(classes))
-
-
-def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],
-                    perms: list[list[int]] | None) -> list[list[int]]:
-    """dual_classes, given perms = class_permutations(classes).
+    (perms None) runs the same loop with every element a representative
+    and no generators.  The packed sums are interned as small ints so
+    keys stay short.
 
     Each generator's row g*R is built once per call, next to the
     itemgetter that permutes a key along it, so a spread key is one
@@ -174,16 +169,19 @@ def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],
                     keys[s] = move(key)
                     frontier.append(s)
     assert None not in keys, "an element received no key"
-    groups: dict[tuple, list[int]] = {}
-    for r, key in enumerate(keys):
-        groups.setdefault(key, []).append(r)
-    return list(groups.values())
+    return labels(keys)
+
+
+def _dual(table: CharacterTable, A: SRing) -> SRing:
+    """The character-sum dual partition of any partition A, of A's rank
+    when A is a Schur ring."""
+    perms = A.ring.class_permutations(A.class_of)
+    return SRing.from_labels(A.ring, _dual_partition(table, A.classes, perms))
 
 
 def dual_sring(A: SRing, table: CharacterTable | None = None) -> SRing:
-    """The dual Schur ring: dual_classes of A, with the rank checked."""
-    table = table or character_table(A.ring)
-    B = SRing(A.ring, dual_classes(table, A.classes))
+    """The dual Schur ring, with the rank checked."""
+    B = _dual(table or character_table(A.ring), A)
     if B.rank != A.rank:
         raise StructureError(f"dual rank {B.rank} differs from rank {A.rank}")
     return B
@@ -220,7 +218,7 @@ def check_duality(A: SRing) -> DualityReport:
     ring = A.ring
     c = ring.char
     table = character_table(ring)
-    B = SRing(ring, dual_classes(table, A.classes))
+    B = _dual(table, A)
     if B.rank != A.rank:
         return DualityReport(False, ("rank not preserved",))
     failures: list[str] = []

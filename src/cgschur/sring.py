@@ -11,8 +11,9 @@ raising, so broken inputs can be inspected.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, combinations
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from functools import cached_property
+from itertools import chain, combinations, product
+from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cgring import CGRing, ideal_ring, parse_ring_spec, quotient
 from .galois import DEFAULT_MAX_RING_SIZE
@@ -26,30 +27,52 @@ class StructureError(RuntimeError):
     """An internal Schur ring law failed; the input partition is broken."""
 
 
+def labels(keys: Iterable[Hashable]) -> list[int]:
+    """Number the keys by first appearance: the label vector of the partition
+    that puts two positions in one class exactly when their keys are equal."""
+    ids: dict[Hashable, int] = {}
+    return [ids.setdefault(k, len(ids)) for k in keys]
+
+
 class SRing:
-    """A partition of a CGRing into classes, ordered by least element."""
+    """A partition of a CGRing into classes, ordered by least element.
+
+    class_of[x] is the number of the class of x, so classes are numbered
+    by first appearance in element order: the canonical label vector,
+    which two SRings over one ring share exactly when they are equal.
+    """
 
     def __init__(self, ring: CGRing, classes: Iterable[Iterable[int]]):
-        self.ring = ring
-        sets = [frozenset(X) for X in classes]
-        for X in sets:
+        """The checked constructor: each member is checked as given, before
+        any set merges True into 1 or a repeated member into one."""
+        raw = [list(X) for X in classes]
+        for X in raw:
             if not X:
                 raise PartitionError("empty class")
             for x in X:
                 if not ring.is_element(x):
                     raise PartitionError(f"element {x!r} outside the ring")
-        self.classes = tuple(sorted(sets, key=min))
-        self.class_of = [-1] * ring.size
-        for k, X in enumerate(self.classes):
+        raw.sort(key=min)
+        class_of = [-1] * ring.size
+        for k, X in enumerate(raw):
             for x in X:
-                if self.class_of[x] != -1:
+                if class_of[x] != -1:
                     raise PartitionError(f"element {x} covered twice")
-                self.class_of[x] = k
-        if any(k == -1 for k in self.class_of):
-            missing = self.class_of.index(-1)
-            raise PartitionError(f"element {missing} not covered")
-        self._class_set = frozenset(self.classes)
-        self._unit_lower_ideals: set[int] | None = None
+                class_of[x] = k
+        if -1 in class_of:
+            raise PartitionError(f"element {class_of.index(-1)} not covered")
+        self.ring, self.classes, self.class_of = ring, tuple(map(frozenset, raw)), class_of
+
+    @classmethod
+    def from_labels(cls, ring: CGRing, class_of: list[int]) -> SRing:
+        """The partition of a canonical label vector, unchecked: the caller
+        owns that class_of numbers |R| elements by first appearance."""
+        members: list[list[int]] = [[] for _ in range(max(class_of) + 1)]
+        for x, k in enumerate(class_of):
+            members[k].append(x)
+        A = cls.__new__(cls)
+        A.ring, A.classes, A.class_of = ring, tuple(map(frozenset, members)), class_of
+        return A
 
     @property
     def rank(self) -> int:
@@ -61,28 +84,24 @@ class SRing:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SRing):
             return NotImplemented
-        return self.ring == other.ring and self._class_set == other._class_set
+        return self.ring == other.ring and self.class_of == other.class_of
 
     def __hash__(self) -> int:
-        return hash((self.ring, self._class_set))
+        return hash((self.ring, tuple(self.class_of)))
 
     def class_containing(self, x: int) -> frozenset[int]:
         return self.classes[self.class_of[x]]
 
     def is_class(self, X: frozenset[int]) -> bool:
-        return X in self._class_set
+        """Whether the set X of elements is a class."""
+        return bool(X) and self.class_containing(next(iter(X))) == X
 
     def is_aset(self, X: Iterable[int]) -> bool:
-        """Whether X is a union of classes (the empty union counts)."""
+        """Whether X is a union of classes (the empty union counts): the
+        classes X meets hold exactly |X| elements."""
         X = frozenset(X)
-        covered: set[int] = set()
-        for x in X:
-            if x not in covered:
-                cls = self.class_containing(x)
-                if not cls <= X:
-                    return False
-                covered |= cls
-        return True
+        met = set(map(self.class_of.__getitem__, X))
+        return sum(len(self.classes[k]) for k in met) == len(X)
 
     # -- intrinsic structure ------------------------------------------------
 
@@ -97,6 +116,10 @@ class SRing:
         units = self.ring.unit_set()
         return [k for k, X in enumerate(self.classes) if not X.isdisjoint(units)]
 
+    @cached_property
+    def _unit_lower_ideals(self) -> set[int]:
+        return {self.ring.lower_ideal(self.classes[k]) for k in self.unit_class_indices()}
+
     def lower_ideal(self) -> int:
         """The common lower ideal of the classes that meet the units.
 
@@ -104,9 +127,6 @@ class SRing:
         partition is not a Schur ring, and every call raises.  The lower
         ideals are found once per SRing.
         """
-        if self._unit_lower_ideals is None:
-            self._unit_lower_ideals = {self.ring.lower_ideal(self.classes[k])
-                                       for k in self.unit_class_indices()}
         found = self._unit_lower_ideals
         if len(found) != 1:
             raise StructureError(f"unit classes disagree on the lower ideal: {sorted(found)}")
@@ -127,7 +147,7 @@ class SRing:
             if comp.p not in keep:
                 continue
             for g in ring.generate(ring.embed_component_units(ci))[0]:
-                if any(class_of[gx] != k for gx, k in zip(ring.mul_row(g), class_of)):
+                if list(map(class_of.__getitem__, ring.mul_row(g))) != class_of:
                     return False
         return True
 
@@ -182,7 +202,7 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
         if not A.is_class(image):
             failures.append({"axiom": "negation", "class": k, "witness": sorted(image)})
 
-    perms = ring.class_permutations(A.classes)
+    perms = ring.class_permutations(A.class_of)
     for u in () if perms is not None else ring.units():
         row = ring.mul_row(u)
         for k, X in enumerate(A.classes):
@@ -194,7 +214,7 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
             continue
         break
 
-    if not failures and len(_dual_partition(character_table(ring), A.classes, perms)) == A.rank:
+    if not failures and max(_dual_partition(character_table(ring), A.classes, perms)) + 1 == A.rank:
         return VerifyReport(True, ())
     for i, X in enumerate(A.classes):
         for j in range(i, A.rank):
@@ -252,7 +272,7 @@ def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
     rank, which by the duality criterion makes P a Schur ring, and then
     the smallest one refining the start partition.
     """
-    from .duality import character_table, dual_classes  # .duality imports this module
+    from .duality import _dual, character_table  # .duality imports this module
 
     seed_sets = []
     for S in seeds:
@@ -268,16 +288,13 @@ def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
     for i, T in enumerate(chain(map(ring.ideal, ring.divisors()), translates)):
         for x in T:
             marks[x].append(i)
-    start: dict[tuple[int, ...], list[int]] = {}
-    for x, mark in enumerate(marks):
-        start.setdefault(tuple(mark), []).append(x)
     table = character_table(ring)
-    P = list(start.values())
+    P = SRing.from_labels(ring, labels(map(tuple, marks)))
     while True:
-        D = dual_classes(table, P)
-        if len(D) == len(P):
-            return SRing(ring, P)
-        P = dual_classes(table, D)
+        D = _dual(table, P)
+        if D.rank == P.rank:
+            return P
+        P = _dual(table, D)
 
 
 # -- derived rings -----------------------------------------------------------
@@ -289,9 +306,8 @@ def restrict(A: SRing, m: int) -> SRing:
     if not A.is_aset(members):
         raise ValueError(f"the ideal {m}R is not an A-ideal")
     sub = ideal_ring(A.ring, m)
-    iota = sub.section_map().__getitem__
-    classes = [frozenset(map(iota, X)) for X in A.classes if X <= members]
-    return SRing(sub.ring, classes)
+    # the section map's keys are embed(j), in model element order j
+    return SRing.from_labels(sub.ring, labels(map(A.class_of.__getitem__, sub.section_map())))
 
 
 def quotient_sring(A: SRing, m: int) -> SRing:
@@ -309,13 +325,8 @@ def quotient_sring(A: SRing, m: int) -> SRing:
 def tensor(A1: SRing, A2: SRing) -> SRing:
     """Tensor product over the product of the two underlying rings."""
     ring = CGRing(A1.ring.components + A2.ring.components)
-    s1 = A1.ring.size
-    classes = [
-        frozenset(x + y * s1 for x in X for y in Y)
-        for X in A1.classes
-        for Y in A2.classes
-    ]
-    return SRing(ring, classes)
+    # element x + y*|R1| is keyed by (class of y, class of x), in index order
+    return SRing.from_labels(ring, labels(product(A2.class_of, A1.class_of)))
 
 
 class TensorSplit(NamedTuple):

@@ -12,6 +12,7 @@ import pytest
 
 from cgschur.cgring import CGRing, make_cg_ring, parse_ring_spec
 from cgschur.construct import all_subgroups
+from cgschur.duality import _dual_partition
 from cgschur.galois import GaloisRing
 from cgschur.sring import PartitionError, SRing, cyclotomic, schur_closure
 
@@ -354,6 +355,14 @@ class PowerBasisTable:
     def packed_row(self, r: int) -> list[int]:
         values = self._packed_exponent
         return [values[s] for s in self.ring.mul_row(r)]
+
+
+def dual_classes(table, classes: Sequence[Iterable[int]]) -> list[list[int]]:
+    """The character-sum dual of a partition, as sorted classes in element
+    order: the library's dual kernel, entered through the checked constructor."""
+    A = SRing(table.ring, classes)
+    D = _dual_partition(table, A.classes, table.ring.class_permutations(A.class_of))
+    return [sorted(X) for X in SRing.from_labels(table.ring, D).classes]
 
 
 def dual_classes_oracle(table, classes: Sequence[Iterable[int]]) -> list[list[int]]:

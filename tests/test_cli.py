@@ -146,6 +146,28 @@ def test_boolean_element_is_rejected(capsys, tmp_path):
     assert doc["failures"] == [{"axiom": "partition", "witness": "element True outside the ring"}]
 
 
+NINE = list(range(1, 9))
+
+
+# Members that a set would merge into a valid member, in every position of
+# their class, and a string class, whose witness once followed the hash order.
+@pytest.mark.parametrize("classes, witness", [
+    ([[0], [*NINE, True]], "element True outside the ring"),
+    ([[0], [*NINE, 8.0]], "element 8.0 outside the ring"),
+    ([[0, False], NINE], "element False outside the ring"),
+    ([[0], [1, *NINE]], "element 1 covered twice"),
+    ([[0], "12345678"], "element '1' outside the ring"),
+], ids=["true-last", "float", "false", "repeated", "string"])
+def test_malformed_members_are_rejected(capsys, tmp_path, classes, witness):
+    path = write_doc(tmp_path, "bad.json", {"ring": "GR(9)", "classes": classes})
+    code, doc = run_json(capsys, "sring", "verify", path)
+    assert code == 1
+    assert doc == {"ok": False, "failures": [{"axiom": "partition", "witness": witness}]}
+    for verb in (("dual",), ("sring", "pure")):
+        code, out, err = run_cli(capsys, *verb, path)
+        assert (code, out, err) == (2, "", f"error: {witness}\n")
+
+
 def test_verify_rejects_malformed_json(capsys, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("not json{")
@@ -451,18 +473,35 @@ def test_usage_errors_and_help(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
 
-def run_child(*argv: str) -> subprocess.CompletedProcess:
-    """Run the interpreter on the same cgschur as this process, installed or not."""
+def run_child(*argv: str, **env: str) -> subprocess.CompletedProcess:
+    """Run the interpreter on the same cgschur as this process, installed or
+    not, with env added to the environment."""
     src = os.path.dirname(os.path.dirname(cgschur.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, **env, "PYTHONPATH": path})
 
 
 def test_module_entry_point():
     proc = run_child("-m", "cgschur", "ring", "info", "GR(9)")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["size"] == 9
+
+
+def test_stdout_does_not_follow_the_hash_seed(tmp_path, sign_doc, units_doc):
+    # String hashing changes with PYTHONHASHSEED; no verb's output may.  A
+    # set of the string members "1".."8" is iterated alike under seeds 1 and
+    # 2, so seed 3 joins them.
+    broken = write_doc(tmp_path, "broken.json",
+                       {"ring": "GR(9)", "classes": [[0], [1, 2], [3, 4, 5, 6, 7, 8]]})
+    strings = write_doc(tmp_path, "strings.json", {"ring": "GR(9)", "classes": [[0], "12345678"]})
+    calls = [("sring", "verify", units_doc), ("sring", "verify", broken),
+             ("sring", "verify", strings), ("dual", sign_doc),
+             ("sring", "closure", "GR(4)xGR(9)", "--seed", "5,31"), ("classify", "pure", units_doc)]
+    for argv in calls:
+        runs = [run_child("-m", "cgschur", *argv, PYTHONHASHSEED=seed) for seed in "123"]
+        assert [(p.returncode, p.stdout) for p in runs] == [(runs[0].returncode, runs[0].stdout)] * 3
+        assert runs[0].stdout and runs[0].returncode in (0, 1), (argv, runs[0].stderr)
 
 
 # Modules a cold call must not load: dataclasses pulls in the next four,

@@ -18,13 +18,20 @@ from cgschur.duality import (
     CharacterTable,
     character_table,
     check_duality,
-    dual_classes,
     dual_sring,
     perp_of_ideal,
     separation_check,
 )
 from cgschur.construct import subgroup_generated
-from cgschur.sring import SRing, StructureError, cyclotomic, schur_closure, wreath_pairs
+from cgschur.sring import (
+    PartitionError,
+    SRing,
+    StructureError,
+    cyclotomic,
+    labels,
+    schur_closure,
+    wreath_pairs,
+)
 from conftest import (
     KERNEL_RINGS,
     PowerBasisTable,
@@ -33,6 +40,7 @@ from conftest import (
     class_permutations_oracle,
     cyclotomic_polynomial,
     digit_sum,
+    dual_classes,
     dual_classes_oracle,
     enumerate_subgroups,
     exponent_counts,
@@ -324,22 +332,40 @@ def test_dual_classes_orbit_kernel_matches_oracle(spec):
     rng = random.Random(spec)
     seen = {True: 0, False: 0}
     for classes in kernel_inputs(ring, rng):
-        seen[ring.class_permutations(classes) is not None] += 1
+        seen[ring.class_permutations(SRing(ring, classes).class_of) is not None] += 1
         assert dual_classes(table, classes) == dual_classes_oracle(table, classes)
     assert seen[True] and seen[False]  # both the orbit kernel and the fallback ran
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_from_labels_rebuilds_the_partition(spec):
+    # The canonical label vector alone gives back the checked partition,
+    # and the key labels of its classes' lists give the same vector.
+    ring = parse_ring_spec(spec)
+    for classes in kernel_inputs(ring, random.Random(spec)):
+        A = SRing(ring, classes)
+        assert SRing.from_labels(ring, A.class_of) == A
+        assert SRing.from_labels(ring, A.class_of).classes == A.classes
+        keys = [tuple(sorted(A.class_containing(x))) for x in ring.elements()]
+        assert labels(keys) == A.class_of
 
 
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_class_permutations_follow_the_generators(spec):
     ring = parse_ring_spec(spec)
     A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
-    perms = ring.class_permutations(A.classes)
+    perms = ring.class_permutations(A.class_of)
     assert len(perms) == len(ring.unit_generators())
     for g, perm in zip(ring.unit_generators(), perms):
         assert [A.classes.index(frozenset(ring.mul(g, x) for x in X)) for X in A.classes] == perm
-    assert ring.class_permutations(swap_broken(A, random.Random(spec))) is None
-    assert ring.class_permutations([[x] for x in ring.elements()][1:]) is None  # 0 uncovered
-    assert ring.class_permutations([[x] for x in ring.elements()] + [[0]]) is None  # 0 twice
+    broken = SRing(ring, swap_broken(A, random.Random(spec)))
+    assert ring.class_permutations(broken.class_of) is None
+    # a label vector is always a partition: the checked constructor
+    # rejects what is not one
+    with pytest.raises(PartitionError, match="element 0 not covered"):
+        SRing(ring, [[x] for x in ring.elements()][1:])
+    with pytest.raises(PartitionError, match="element 0 covered twice"):
+        SRing(ring, [[x] for x in ring.elements()] + [[0]])
 
 
 def same_size_swap(A: SRing) -> list[list[int]]:
@@ -355,21 +381,19 @@ def same_size_swap(A: SRing) -> list[list[int]]:
 
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_class_permutations_match_set_oracle(spec):
-    # The image-row check against one image set per class and generator,
-    # on lists and frozensets, with an empty class and a moved class that
-    # keeps its size among the inputs.
+    # The image-row check on label vectors against one image set per class
+    # and generator, with a moved class that keeps its size among the inputs.
     ring = parse_ring_spec(spec)
     rng = random.Random(spec)
     A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
     moved = same_size_swap(A)
     assert class_permutations_oracle(ring, moved) is None
-    inputs = list(kernel_inputs(ring, rng)) + [moved, list(A.classes) + [[]]]
     seen = {True: 0, False: 0}
-    for classes in inputs:
-        expected = class_permutations_oracle(ring, classes)
+    for classes in [*kernel_inputs(ring, rng), moved]:
+        B = SRing(ring, classes)
+        expected = class_permutations_oracle(ring, B.classes)
         seen[expected is not None] += 1
-        assert ring.class_permutations([list(X) for X in classes]) == expected
-        assert ring.class_permutations([frozenset(X) for X in classes]) == expected
+        assert ring.class_permutations(B.class_of) == expected
     assert seen[True] and seen[False]
 
 

@@ -14,7 +14,8 @@ import math
 import re
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .galois import DEFAULT_MAX_RING_SIZE, TABLE_LIMIT, GaloisRing, is_prime, make_galois_ring
+from .galois import (DEFAULT_MAX_RING_SIZE, GaloisRing, is_prime, make_galois_ring,
+                     mixed_radix_sum)
 
 
 class EmptySetError(ValueError):
@@ -50,6 +51,9 @@ class CGRing:
         self.primes = tuple(primes)
         self.char = math.prod(c.char for c in self.components)
         self.size = math.prod(c.size for c in self.components)
+        # the place value of each part: the product of the sizes before it
+        self.shifts = tuple(math.prod(c.size for c in self.components[:i])
+                            for i in range(len(self.components)))
         self.unit_count = math.prod(c.unit_count for c in self.components)
         self.one = self.from_parts([1] * len(self.components))
         self._units: tuple[int, ...] | None = None
@@ -84,10 +88,7 @@ class CGRing:
         return tuple(out)
 
     def from_parts(self, parts) -> int:
-        a = 0
-        for comp, i in reversed(list(zip(self.components, parts))):
-            a = a * comp.size + i
-        return a
+        return sum(i * shift for i, shift in zip(parts, self.shifts))
 
     def elements(self) -> range:
         return range(self.size)
@@ -100,12 +101,10 @@ class CGRing:
 
     def add(self, a: int, b: int) -> int:
         out = 0
-        shift = 1
-        for comp in self.components:
+        for comp, shift in zip(self.components, self.shifts):
             a, ra = divmod(a, comp.size)
             b, rb = divmod(b, comp.size)
             out += comp.add(ra, rb) * shift
-            shift *= comp.size
         return out
 
     def neg(self, a: int) -> int:
@@ -115,42 +114,31 @@ class CGRing:
 
     def mul(self, a: int, b: int) -> int:
         out = 0
-        shift = 1
-        for comp in self.components:
+        for comp, shift in zip(self.components, self.shifts):
             a, ra = divmod(a, comp.size)
             b, rb = divmod(b, comp.size)
             out += comp.mul(ra, rb) * shift
-            shift *= comp.size
         return out
 
     def _combine(self, comp_rows: Iterable[list[int]]) -> list[int]:
-        """The row whose entry at x is the element with parts
-        comp_rows[i][x_i], one row per component, combined in mixed radix,
-        component 0 least significant, at one addition per entry.  Row i
-        may be shorter than component i; x_i then runs over its length."""
-        row = [0]
-        shift = 1
-        for comp, comp_row in zip(self.components, comp_rows):
-            row = [a + s for s in [b * shift for b in comp_row] for a in row]
-            shift *= comp.size
-        return row
+        """The row whose entry at x is the element with parts comp_rows[i][x_i],
+        by mixed_radix_sum.  Row i may be shorter than component i; x_i then
+        runs over its length."""
+        return mixed_radix_sum([b * shift for b in comp_row]
+                               for shift, comp_row in zip(self.shifts, comp_rows))
 
     def mul_row(self, r: int) -> list[int]:
         """The products r*x over all elements x, in element order, as a
-        fresh list the caller owns.
+        fresh list the caller owns: the component rows r_i*R_i, combined
+        at |R| additions instead of |R| calls to mul."""
+        return self._combine(comp.mul_row(ri) for comp, ri in zip(self.components, self.parts(r)))
 
-        Each component gives its row r_i*R_i (d = 1: r_i*y % char), and
-        _combine joins them, at |R| additions instead of |R| calls to mul.
-        """
-        return self._combine(
-            [ri * y % comp.char for y in range(comp.char)] if comp.d == 1
-            else [comp.mul(ri, y) for y in comp.elements()]
-            for comp, ri in zip(self.components, self.parts(r)))
+    TABLE_LIMIT = 700  # the largest ring mul_table tabulates
 
     def mul_table(self) -> list[list[int]]:
         """Dense multiplication table, one mul_row per element and not kept;
         only for rings up to TABLE_LIMIT."""
-        if self.size > TABLE_LIMIT:
+        if self.size > self.TABLE_LIMIT:
             raise ValueError(f"ring of size {self.size} is too large to tabulate")
         return [self.mul_row(a) for a in self.elements()]
 
@@ -272,19 +260,9 @@ class CGRing:
     def ideal(self, m: int) -> frozenset[int]:
         """The ideal mR as a set of element indices."""
         if m not in self._ideals:
-            vals = self.valuations(m)
-            comp_sets = []
-            for comp, v in zip(self.components, vals):
-                q = comp.p**v
-                comp_sets.append(
-                    [a for a in comp.elements() if all(x % q == 0 for x in comp.coeffs(a))]
-                )
-            shift = 1
-            acc = [0]
-            for comp, cs in zip(self.components, comp_sets):
-                acc = [base + i * shift for base in acc for i in cs]
-                shift *= comp.size
-            self._ideals[m] = frozenset(acc)
+            self._ideals[m] = frozenset(self._combine(
+                [a for a in comp.elements() if all(x % comp.p**v == 0 for x in comp.coeffs(a))]
+                for comp, v in zip(self.components, self.valuations(m))))
         return self._ideals[m]
 
     def ideal_size(self, m: int) -> int:
@@ -316,17 +294,14 @@ class CGRing:
     def _translation_row(self, g: int) -> list[int]:
         """The row x -> x + g of an ideal generator g, kept and never handed out.
 
-        Built like mul_row, from the component rows g_i + R_i (d = 1:
-        (g_i + y) % char).  Each generator is p_i^v times a basis element
-        of one component, v < n_i, so at most sum of n_i*d_i rows of |R|
-        are ever kept (6 rows of 144 on GR(4,2)xGR(9)); no addition table.
+        Built like mul_row, from the component rows g_i + R_i.  Each
+        generator is p_i^v times a basis element of one component, v < n_i,
+        so at most sum of n_i*d_i rows of |R| are ever kept.
         """
         row = self._translation_rows.get(g)
         if row is None:
             row = self._translation_rows[g] = self._combine(
-                [(gi + y) % comp.char for y in range(comp.char)] if comp.d == 1
-                else [comp.add(gi, y) for y in comp.elements()]
-                for comp, gi in zip(self.components, self.parts(g)))
+                comp.add_row(gi) for comp, gi in zip(self.components, self.parts(g)))
         return row
 
     def coset_closed(self, X: frozenset[int], m: int) -> bool:
@@ -388,7 +363,7 @@ class CGRing:
 
     def embed(self, ci: int, members: Iterable[int]) -> list[int]:
         """Elements of component ci as global elements, 1 in the other slots."""
-        shift = math.prod(c.size for c in self.components[:ci])
+        shift = self.shifts[ci]
         base = self.one - shift  # self.one with slot ci emptied
         return [base + m * shift for m in members]
 
@@ -503,15 +478,12 @@ class IdealRingMap(NamedTuple):
 
         embed is additive and sends model component t into one source
         component, so embed(j) is the sum of embed(j_t * shift_t) over
-        the parts j_t of j: the row of embed values is combined like
-        CGRing._combine from one row per model component, at sum |R_t|
-        calls to embed instead of |mR|.
+        the parts j_t of j: the row of embed values is one mixed_radix_sum
+        of one row per model component, at sum |R_t| calls to embed
+        instead of |mR|.
         """
-        row = [0]
-        shift = 1
-        for comp in self.ring.components:
-            row = [a + s for s in [self.embed(i * shift) for i in comp.elements()] for a in row]
-            shift *= comp.size
+        row = mixed_radix_sum([self.embed(i * shift) for i in comp.elements()]
+                              for shift, comp in zip(self.ring.shifts, self.ring.components))
         return dict(zip(row, self.ring.elements()))
 
 

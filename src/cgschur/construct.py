@@ -44,32 +44,38 @@ def all_subgroups(ring: CGRing, group: Iterable[int],
                   limit: int = 256) -> list[frozenset[int]]:
     """Every subgroup of an abelian unit group, by closure over extensions.
 
-    Every g' in the coset H*g gives the same <H, g'>, so H is extended
-    once per coset outside it.  One mul_row(g) per extension holds both
-    that coset and the cosets <H, g> grows by (CGRing.extend_subgroup),
-    at |<H, g>| lookups.
+    The closure runs on positions in the group's own product table, one
+    mul_row per member cut to the group: |G|**2 entries, never |G| rows
+    of |R|.  Every g' in H*g gives the same <H, g'>, so H is extended once
+    per coset outside it, by CGRing.extend_subgroup along the row of g.
     """
     members = frozenset(group)
     if len(members) > limit:
         raise ValueError(f"group of order {len(members)} exceeds the limit {limit}")
     if not ring.is_subgroup(members):
         raise ValueError("not a unit subgroup")
-    trivial = frozenset({ring.one})
+    elements = sorted(members)
+    position = {g: i for i, g in enumerate(elements)}
+    table = [[position[row[h]] for h in elements] for row in map(ring.mul_row, elements)]
+    trivial = frozenset({position[ring.one]})
     found = {trivial}
     frontier = [trivial]
     while frontier:
         H = frontier.pop()
         done = set(H)
-        for g in members:
+        for g, row in enumerate(table):
             if g in done:
                 continue
-            row = ring.mul_row(g)
             done.update(row[x] for x in H)
             bigger = ring.extend_subgroup(H, row)
             if bigger not in found:
                 found.add(bigger)
                 frontier.append(bigger)
-    return sorted(found, key=lambda H: (len(H), sorted(H)))
+    subgroups = sorted(found, key=lambda H: (len(H), sorted(H)))
+    found.clear()
+    for k, H in enumerate(subgroups):  # positions keep the order of elements
+        subgroups[k] = frozenset(map(elements.__getitem__, H))
+    return subgroups
 
 
 class SubdirectSpec(NamedTuple):
@@ -85,8 +91,9 @@ def _check_epimorphism(ring: CGRing, group: frozenset[int],
     if set(mapping) != set(group):
         raise ValueError(f"{side} map is not defined on exactly its group")
     for x in group:
+        row = ring.mul_row(x)
         for y in group:
-            if mapping[ring.mul(x, y)] != (mapping[x] + mapping[y]) % modulus:
+            if mapping[row[y]] != (mapping[x] + mapping[y]) % modulus:
                 raise ValueError(f"{side} map is not a homomorphism")
     if set(mapping.values()) != set(range(modulus)):
         raise ValueError(f"{side} map is not onto the cyclic group of order {modulus}")
@@ -97,8 +104,8 @@ def subdirect(ring: CGRing, spec: SubdirectSpec) -> frozenset[int]:
     _check_epimorphism(ring, spec.left, spec.map_left, spec.modulus, "left")
     _check_epimorphism(ring, spec.right, spec.map_right, spec.modulus, "right")
     fiber = frozenset(
-        ring.mul(u, v)
-        for u in spec.left for v in spec.right
+        row[v]
+        for u, row in zip(spec.left, map(ring.mul_row, spec.left)) for v in spec.right
         if spec.map_left[u] == spec.map_right[v]
     )
     if len(fiber) * spec.modulus != len(spec.left) * len(spec.right):
@@ -111,10 +118,11 @@ def _cyclic_epimorphism(ring: CGRing, gen: int, order: int,
     if order % modulus:
         raise ValueError("target order must divide the group order")
     out: dict[int, int] = {}
+    row = ring.mul_row(gen)
     x = ring.one
     for k in range(order):
         out[x] = k % modulus
-        x = ring.mul(x, gen)
+        x = row[x]
     if x != ring.one:
         raise ValueError(f"generator order is not {order}")
     return out
@@ -333,7 +341,8 @@ def build_nonpure_dense_sring(
           f"got {units_lower}, expected {p * q * q}")
     check("nonunits_group_lower_ideal", nonunits_lower == p * p * q,
           f"got {nonunits_lower}, expected {p * p * q}")
-    product = frozenset(ring.mul(a, b) for a in units_group for b in nonunits_group)
+    product = frozenset(b for a in units_group
+                        for b in map(ring.mul_row(a).__getitem__, nonunits_group))
     check("group_product", product == full_group,
           f"product of orders {len(units_group)} and {len(nonunits_group)} "
           f"covers {len(product)} of {len(full_group)}")

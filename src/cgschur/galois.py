@@ -11,11 +11,10 @@ arithmetic, no floating point anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import add
+from typing import Iterable, Sequence
 
 DEFAULT_MAX_RING_SIZE = 1 << 20
-
-# Product tables are only built for rings at most this large.
-TABLE_LIMIT = 700
 
 
 def is_prime(m: int) -> bool:
@@ -27,6 +26,16 @@ def is_prime(m: int) -> bool:
             return False
         f += 1
     return True
+
+
+def mixed_radix_sum(rows: Iterable[Sequence[int]]) -> list[int]:
+    """The row whose entry at x = x_0 + n_0*x_1 + n_0*n_1*x_2 + ... is
+    rows[0][x_0] + rows[1][x_1] + ..., n_j = len(rows[j]): slot 0 least
+    significant, at one addition per entry and row."""
+    out = [0]
+    for row in rows:
+        out = [a + b for b in row for a in out]
+    return out
 
 
 def _poly_rem(a: list[int], b: tuple[int, ...], p: int) -> list[int]:
@@ -93,8 +102,6 @@ class GaloisRing:
         self.size = self.char**d
         self.residue_size = p**d
         self.unit_count = (self.residue_size - 1) * p ** ((n - 1) * d)
-        self._mul_table: list[list[int]] | None = None
-        self._direct_products = 0
 
     def __repr__(self) -> str:
         return f"GaloisRing({self.spec()})"
@@ -159,28 +166,12 @@ class GaloisRing:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        """a*b, read from the product table once the ring has one.
-
-        A table costs size**2 direct products, so it is built only once
-        that many have been made: a ring used for a few products never
-        pays for one, and a busy ring spends on its table no more than it
-        already spent without it.  Rings above TABLE_LIMIT are never
-        tabulated and keep no count.
-        """
-        table = self._mul_table
-        if table is not None:
-            return table[a][b]
-        if self.d == 1:
-            return a * b % self.char
-        if self.size <= TABLE_LIMIT:
-            self._direct_products += 1
-            if self._direct_products >= self.size * self.size:
-                return self.mul_table()[a][b]
-        return self._mul(a, b)
-
-    def _mul(self, a: int, b: int) -> int:
-        ca, cb = self.coeffs(a), self.coeffs(b)
+        """a*b: the product of the coefficient polynomials, reduced by the
+        modulus."""
         char, d = self.char, self.d
+        if d == 1:
+            return a * b % char
+        ca, cb = self.coeffs(a), self.coeffs(b)
         prod = [0] * (2 * d - 1)
         for i, x in enumerate(ca):
             if x:
@@ -195,14 +186,41 @@ class GaloisRing:
                     prod[i - d + j] = (prod[i - d + j] - q * m[j]) % char
         return self.index(prod[:d])
 
-    def mul_table(self) -> list[list[int]]:
-        """The product table, built once; only for rings up to TABLE_LIMIT."""
-        if self._mul_table is None:
-            if self.size > TABLE_LIMIT:
-                raise ValueError(f"ring of size {self.size} is too large to tabulate")
-            mul, elements = self._mul, self.elements()
-            self._mul_table = [[mul(a, b) for b in elements] for a in elements]
-        return self._mul_table
+    def _basis_images(self, r: int) -> list[list[int]]:
+        """The coefficient vectors b_j of r*x^j, j < d, each found from the
+        one before by a multiply-by-x step: shift up, less top * modulus."""
+        char = self.char
+        images = [list(self.coeffs(r))]
+        for _ in range(self.d - 1):
+            prev = images[-1]
+            top = prev[-1]
+            images.append([(low - top * mk) % char
+                           for low, mk in zip([0] + prev[:-1], self.modulus)])
+        return images
+
+    def mul_row(self, r: int) -> list[int]:
+        """The products r*y over all elements y, in element order.  y -> r*y
+        is Z_{p^n}-linear, so coefficient i of r*y is the sum over j of
+        y_j * b_j[i] mod char, b_j = r*x^j: one mixed_radix_sum per i."""
+        char, d = self.char, self.d
+        if d == 1:
+            return [r * y % char for y in range(char)]
+        images = self._basis_images(r)
+        row = None
+        for i in range(d):
+            coeff = mixed_radix_sum([t * b[i] % char for t in range(char)] for b in images)
+            weighted = [v % char * char**i for v in range(d * char)]  # coeff < d*char
+            column = map(weighted.__getitem__, coeff)
+            row = list(column) if row is None else list(map(add, row, column))
+        return row
+
+    def add_row(self, g: int) -> list[int]:
+        """The sums g + y over all elements y, in element order: one
+        mixed_radix_sum of (g_i + t) % char, weighted by char**i, over
+        the coefficient slots i."""
+        char = self.char
+        return mixed_radix_sum([(gi + t) % char * char**i for t in range(char)]
+                               for i, gi in enumerate(self.coeffs(g)))
 
     def pow(self, a: int, k: int) -> int:
         out = 1
@@ -239,8 +257,7 @@ class GaloisRing:
         the Galois conjugates of a is the trace of the map y -> a*y: the
         sum over i of the coefficient of x^i in a*x^i.
         """
-        char = self.char
-        return sum(self.coeffs(self.mul(a, char**i))[i] for i in range(self.d)) % char
+        return sum(b[i] for i, b in enumerate(self._basis_images(a))) % self.char
 
     def teichmuller_group(self) -> list[int]:
         """The p^d - 1 nonzero fixed points of x -> x^(p^d), in index order."""

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import pytest
 
@@ -17,10 +17,25 @@ from cgschur.galois import GaloisRing
 from cgschur.sring import PartitionError, SRing, cyclotomic, schur_closure
 
 
+@lru_cache(maxsize=None)
+def product_table(ring: CGRing) -> list[list[int]]:
+    """ring.mul_table(), built once per ring for the oracles below."""
+    return ring.mul_table()
+
+
+def products(ring: CGRing) -> Callable[[int, int], int]:
+    """a*b read from the memoised product table, or per-element CGRing.mul
+    for rings too large to tabulate."""
+    if ring.size > CGRing.TABLE_LIMIT:
+        return ring.mul
+    table = product_table(ring)
+    return lambda a, b: table[a][b]
+
+
 def enumerate_subgroups(ring: CGRing) -> list[frozenset[int]]:
     """Brute-force closure enumeration of all unit subgroups, read from one
     product table."""
-    table = ring.mul_table()
+    table = product_table(ring)
     units = ring.units()
     found = {frozenset({ring.one})}
     frontier = [frozenset({ring.one})]
@@ -58,12 +73,13 @@ def kernel_subgroups(spec: str) -> list[frozenset[int]]:
 
 def subgroup_generated_oracle(ring: CGRing, gens: Sequence[int]) -> frozenset[int]:
     """The closure of unit generators by a breadth-first product search."""
+    mul = products(ring)
     group = {ring.one}
     frontier = [ring.one]
     while frontier:
         x = frontier.pop()
         for g in gens:
-            y = ring.mul(x, g)
+            y = mul(x, g)
             if y not in group:
                 group.add(y)
                 frontier.append(y)
@@ -72,16 +88,18 @@ def subgroup_generated_oracle(ring: CGRing, gens: Sequence[int]) -> frozenset[in
 
 def is_subgroup_oracle(ring: CGRing, K: frozenset[int]) -> bool:
     """1 in K and K closed under products, by the scan over all |K|^2 pairs."""
-    return ring.one in K and all(ring.mul(a, b) in K for a in K for b in K)
+    mul = products(ring)
+    return ring.one in K and all(mul(a, b) in K for a in K for b in K)
 
 
 def is_rational_oracle(A: SRing, primes: Iterable[int]) -> bool:
     """Every unit of each chosen component maps every class onto itself."""
     ring = A.ring
+    mul = products(ring)
     for ci, comp in enumerate(ring.components):
         if comp.p in primes:
             for u in ring.embed_component_units(ci):
-                if any(frozenset(ring.mul(u, x) for x in X) != X for X in A.classes):
+                if any(frozenset(mul(u, x) for x in X) != X for X in A.classes):
                     return False
     return True
 
@@ -124,10 +142,11 @@ def closure_start_oracle(ring: CGRing, seeds: Sequence[Iterable[int]]) -> list[l
     """The dense closure's start partition, in element order: x keyed by its
     unit stratum and by which seeds hold u*x, for every unit u."""
     seeds = [frozenset(S) for S in seeds]
+    mul = products(ring)
     start: dict = {}
     for x in ring.elements():
         stratum = ring.upper_ideal(frozenset({x})) if x else 0
-        key = (stratum, tuple(tuple(ring.mul(u, x) in S for S in seeds) for u in ring.units()))
+        key = (stratum, tuple(tuple(mul(u, x) in S for S in seeds) for u in ring.units()))
         start.setdefault(key, []).append(x)
     return list(start.values())
 
@@ -148,9 +167,10 @@ def verify_sring_oracle(ring: CGRing, classes: Sequence[Iterable[int]]) -> dict:
         image = frozenset(ring.neg(x) for x in X)
         if not A.is_class(image):
             failures.append({"axiom": "negation", "class": k, "witness": sorted(image)})
+    mul = products(ring)
     for u in ring.units():
         bad = [k for k, X in enumerate(A.classes)
-               if not A.is_class(frozenset(ring.mul(u, x) for x in X))]
+               if not A.is_class(frozenset(mul(u, x) for x in X))]
         if bad:
             failures.append({"axiom": "unit-invariance", "unit": u, "class": bad[0]})
             break
@@ -177,8 +197,9 @@ def pack(table, coeffs: Iterable[int]) -> int:
 def character_sum_coeffs(table, r: int, S: Iterable[int]) -> tuple[int, ...]:
     """The character sum of chi(r*.) over S as a coefficient tuple, summed row by row."""
     total = [0] * table.phi
+    mul = products(table.ring)
     for x in S:
-        row = table.power_rows[table.exponent[table.ring.mul(r, x)]]
+        row = table.power_rows[table.exponent[mul(r, x)]]
         total = [a + b for a, b in zip(total, row)]
     return tuple(total)
 
@@ -196,7 +217,8 @@ class CycInt:
 
 def exponent_counts(table, r: int, S: Iterable[int]) -> Counter:
     """How often each exponent k occurs in chi(r*x) = zeta_c^k over x in S."""
-    return Counter(table.exponent[table.ring.mul(r, x)] for x in S)
+    mul = products(table.ring)
+    return Counter(table.exponent[mul(r, x)] for x in S)
 
 
 def digit_sum(table, counts: dict[int, int]) -> tuple[int, ...]:

@@ -56,6 +56,21 @@ def test_all_subgroups_counts(z9, z36):
         assert found == sorted(found, key=lambda H: (len(H), sorted(H)))
 
 
+def test_all_subgroups_reads_each_row_once(monkeypatch):
+    # all_subgroups once built mul_row(g) per subgroup and coset: 1,031
+    # rows for the 72 units of GR(4,2)xGR(9).
+    ring = parse_ring_spec("GR(4,2)xGR(9)")
+    units = frozenset(ring.units())
+    generator_rows = len(ring.generate(units)[0])  # is_subgroup's one generate
+    calls = []
+    real = ring.mul_row
+    monkeypatch.setattr(ring, "mul_row", lambda r: calls.append(r) or real(r))
+    found = all_subgroups(ring, ring.units())
+    assert len(calls) <= len(units) + generator_rows
+    assert found == sorted(enumerate_subgroups(ring), key=lambda H: (len(H), sorted(H)))
+    assert len(found) == 96
+
+
 def test_all_subgroups_rejections(z9):
     with pytest.raises(ValueError):
         all_subgroups(z9, z9.units(), limit=4)

@@ -10,7 +10,6 @@ import pytest
 from conftest import frobenius, teichmuller_lift, trace_oracle
 
 from cgschur.galois import (
-    TABLE_LIMIT,
     GaloisRing,
     canonical_modulus,
     is_prime,
@@ -91,28 +90,37 @@ def test_d1_matches_integers_mod_char(p, n):
             assert R.mul(a, b) == (a * b) % char
 
 
+def poly_mul_mod(a, b, modulus, q):
+    """a*b reduced by the monic modulus, coefficients mod q, by long division."""
+    out = poly_mul_mod_p(a, b, q)
+    d = len(modulus) - 1
+    while len(out) > d:
+        top = out.pop()
+        for j in range(d):
+            out[len(out) - d + j] = (out[len(out) - d + j] - top * modulus[j]) % q
+    return out + [0] * (d - len(out))
+
+
 @pytest.mark.parametrize("p,n,d", [(2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 1, 3), (3, 2, 2)])
-def test_mul_matches_direct_before_and_after_tabulation(p, n, d):
+def test_mul_matches_polynomial_oracle(p, n, d):
     R = make_galois_ring(p, n, d)
-    pairs = [(a, b) for a in R.elements() for b in R.elements()]
-    # the first pass makes size**2 products, after which d > 1 reads a table
-    for _ in range(2):
-        for a, b in pairs:
-            assert R.mul(a, b) == R._mul(a, b)
-    assert (R._mul_table is not None) == (d > 1)
+    for a in R.elements():
+        for b in R.elements():
+            expected = poly_mul_mod(list(R.coeffs(a)), list(R.coeffs(b)), R.modulus, R.char)
+            assert R.coeffs(R.mul(a, b)) == tuple(expected)
 
 
-def test_tables_wait_for_size_squared_products():
-    R = make_galois_ring(2, 1, 9)
-    assert R.mul(3, 5) == R._mul(3, 5)
-    assert R._mul_table is None
-    huge = make_galois_ring(2, 1, 10)
-    assert huge.size > TABLE_LIMIT
-    huge._direct_products = huge.size**2
-    assert huge.mul(3, 5) == huge._mul(3, 5)
-    assert huge._mul_table is None
-    with pytest.raises(ValueError):
-        huge.mul_table()
+@pytest.mark.parametrize("p,n,d", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 1, 3), (5, 1, 4),
+                                   (3, 2, 3), (2, 1, 10)])
+def test_rows_match_mul_and_add(p, n, d):
+    # GR(4,2), GR(8,2), GR(9,2), GR(2,3), GR(5,4), and two rings of over
+    # 700 elements: every row up to 256 elements, 40 sampled rows above
+    R = make_galois_ring(p, n, d)
+    rng = random.Random(f"{p}-{n}-{d}")
+    rows = R.elements() if R.size <= 256 else rng.sample(R.elements(), 40)
+    for r in rows:
+        assert R.mul_row(r) == [R.mul(r, y) for y in R.elements()]
+        assert R.add_row(r) == [R.add(r, y) for y in R.elements()]
 
 
 def test_index_coeff_roundtrip():

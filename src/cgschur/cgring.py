@@ -63,6 +63,7 @@ class CGRing:
         self._translation_rows: dict[int, list[int]] = {}
         self._divisors: list[int] | None = None
         self._unit_generators: tuple[int, ...] | None = None
+        self._unit_rows: tuple[tuple[int, ...], ...] = ()
 
     def __repr__(self) -> str:
         return f"CGRing({self.spec()})"
@@ -173,32 +174,35 @@ class CGRing:
         """
         return frozenset(_translates(list(H), row))
 
-    def _grow(self, elements: Iterable[int]) -> tuple[list[int], list[list[int]], frozenset[int]]:
-        """generate, also returning the mul_row of each generator kept."""
+    def generate(self, elements: Iterable[int]) -> tuple[tuple[int, ...], list[list[int]], frozenset[int]]:
+        """The unit group the given units generate, the generators kept and
+        their mul_rows, as fresh lists the caller owns.
+
+        In the given order, a unit joins the generators when it lies outside
+        the group built so far, which then grows by its cosets: extend_subgroup
+        is the one way a unit group grows, at one mul_row per generator.
+        """
         gens, rows, group = [], [], frozenset({self.one})
         for g in elements:
             if g not in group:
                 gens.append(g)
                 rows.append(self.mul_row(g))
                 group = self.extend_subgroup(group, rows[-1])
-        return gens, rows, group
-
-    def generate(self, elements: Iterable[int]) -> tuple[tuple[int, ...], frozenset[int]]:
-        """The unit group the given units generate, and the generators kept.
-
-        In the given order, a unit joins the generators when it lies outside
-        the group built so far, which then grows by its cosets: extend_subgroup
-        is the one way a unit group grows, at one mul_row per generator.
-        """
-        gens, _, group = self._grow(elements)
-        return tuple(gens), group
+        return tuple(gens), rows, group
 
     def unit_generators(self) -> tuple[int, ...]:
-        """generate(units())[0], cached: the units that grow the unit group
-        by cosets, in index order."""
+        """generate(units())[0], cached with its rows (unit_rows): the units
+        that grow the unit group by cosets, in index order."""
         if self._unit_generators is None:
-            self._unit_generators = self.generate(self.units())[0]
+            gens, rows, _ = self.generate(self.units())
+            self._unit_generators, self._unit_rows = gens, tuple(map(tuple, rows))
         return self._unit_generators
+
+    def unit_rows(self) -> tuple[tuple[int, ...], ...]:
+        """The mul_row of each unit generator, kept from their one generate
+        as tuples, so no caller can change them."""
+        self.unit_generators()
+        return self._unit_rows
 
     def orbit_representatives(self) -> list[int]:
         """One element m*1 per unit orbit, in divisor order.
@@ -215,15 +219,15 @@ class CGRing:
         labels[x] = k, classes numbered by first appearance.  None when
         some g*X_k is not a class, that is when the partition is not
         unit-invariant.  Per generator, the labels of g*x are read off
-        mul_row(g) for every x at once, and perm from one member of each
+        its kept unit row for every x at once, and perm from one member of each
         class; g maps each X_k into X_perm[k] when that image row equals
         perm read through labels, and then, g being a bijection of R,
         every class is hit and g*X_k is all of X_perm[k].
         """
         members = dict(zip(labels, self.elements())).values()  # label order
         perms = []
-        for g in self.unit_generators():
-            image = list(map(labels.__getitem__, self.mul_row(g)))
+        for row in self.unit_rows():
+            image = list(map(labels.__getitem__, row))
             perm = list(map(image.__getitem__, members))
             if image != list(map(perm.__getitem__, labels)):
                 return None
@@ -389,7 +393,7 @@ class CGRing:
         holds 1 and only units, and the group generate grows from it by
         cosets is K itself.  None otherwise."""
         if self.one in K and K <= self.unit_set():
-            _, rows, group = self._grow(K)
+            _, rows, group = self.generate(K)
             if group == K:
                 return rows
         return None
@@ -398,12 +402,7 @@ class CGRing:
         """Whether K is a unit subgroup, at one generate."""
         return self._subgroup_rows(K) is not None
 
-    def orbit(self, K: Iterable[int], x: int) -> frozenset[int]:
-        return frozenset(self.mul(k, x) for k in K)
-
-    def orbit_partition(
-        self, K: Iterable[int], carrier: Iterable[int] | None = None
-    ) -> list[frozenset[int]]:
+    def orbit_partition(self, K: Iterable[int]) -> list[frozenset[int]]:
         """Orbits of a unit subgroup K acting by multiplication, ordered by minimum.
 
         One generate checks that K is a unit subgroup (ValueError
@@ -416,19 +415,15 @@ class CGRing:
         rows = self._subgroup_rows(frozenset(K))
         if rows is None:
             raise ValueError("K must be a subgroup of the units")
-        pool = sorted(carrier) if carrier is not None else self.elements()
-        pool_set = set(pool)
         seen: set[int] = set()
         out = []
-        for x in pool:
+        for x in self.elements():
             if x in seen:
                 continue
             members = [x]
             for row in rows:
                 members = _translates(members, row)
             orb = frozenset(members)
-            if not orb <= pool_set:
-                raise ValueError("carrier is not invariant under the group")
             seen |= orb
             out.append(orb)
         return out

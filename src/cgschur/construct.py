@@ -20,6 +20,7 @@ from .galois import is_prime
 from .sring import SRing, has_nontrivial_wreath, verify_sring
 
 DEFAULT_MAX_CONSTRUCT_SIZE = 100_000
+ALL_SUBGROUPS_LIMIT = 256  # the largest group all_subgroups enumerates
 
 
 class ConstructionError(RuntimeError):
@@ -37,11 +38,10 @@ def subgroup_generated(ring: CGRing, gens: Iterable[int]) -> frozenset[int]:
             raise ValueError(f"generator {g!r} is not an element index of {ring.spec()}")
         if not ring.is_unit(g):
             raise ValueError(f"element {g} is not a unit")
-    return ring.generate(gens)[1]
+    return ring.generate(gens)[2]
 
 
-def all_subgroups(ring: CGRing, group: Iterable[int],
-                  limit: int = 256) -> list[frozenset[int]]:
+def all_subgroups(ring: CGRing, group: Iterable[int]) -> list[frozenset[int]]:
     """Every subgroup of an abelian unit group, by closure over extensions.
 
     The closure runs on positions in the group's own product table, one
@@ -50,8 +50,8 @@ def all_subgroups(ring: CGRing, group: Iterable[int],
     per coset outside it, by CGRing.extend_subgroup along the row of g.
     """
     members = frozenset(group)
-    if len(members) > limit:
-        raise ValueError(f"group of order {len(members)} exceeds the limit {limit}")
+    if len(members) > ALL_SUBGROUPS_LIMIT:
+        raise ValueError(f"group of order {len(members)} exceeds the limit {ALL_SUBGROUPS_LIMIT}")
     if not ring.is_subgroup(members):
         raise ValueError("not a unit subgroup")
     elements = sorted(members)
@@ -140,27 +140,6 @@ def _torsion_subgroup(ring: CGRing, ci: int, order: int) -> frozenset[int]:
     return frozenset(ring.embed(ci, members))
 
 
-def _principal_log(comp, u: int) -> list[int]:
-    """Coordinates of 1 + p*a over the residue field, for n = 2 components."""
-    p = comp.p
-    cs = comp.coeffs(u)
-    return [((cs[0] - 1) // p) % p] + [(c // p) % p for c in cs[1:]]
-
-
-def _extend_basis(rows: dict[int, list[int]], vec: list[int], p: int) -> bool:
-    v = [a % p for a in vec]
-    for pivot, row in rows.items():
-        if v[pivot]:
-            f = v[pivot]
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    lead = next((i for i, a in enumerate(v) if a), None)
-    if lead is None:
-        return False
-    inv = pow(v[lead], -1, p)
-    rows[lead] = [a * inv % p for a in v]
-    return True
-
-
 def _principal_decomposition(
     ring: CGRing, ci: int
 ) -> tuple[frozenset[int], frozenset[int], int]:
@@ -170,20 +149,12 @@ def _principal_decomposition(
     For squared characteristic the principal units form an elementary
     abelian group, so every cyclic factor has order p; the generator is
     the least nontrivial element, and the complement is completed
-    greedily in the same order, which makes the output deterministic.
+    greedily in the same order by generate, which makes the output
+    deterministic.
     """
-    comp = ring.components[ci]
-    p = comp.p
     principal = ring.embed_principal_units(ci)
     gen = next(x for x in principal if x != ring.one)
-    rows: dict[int, list[int]] = {}
-    _extend_basis(rows, _principal_log(comp, ring.parts(gen)[ci]), p)
-    complement_gens = []
-    for x in principal:
-        if x == ring.one:
-            continue
-        if _extend_basis(rows, _principal_log(comp, ring.parts(x)[ci]), p):
-            complement_gens.append(x)
+    complement_gens = ring.generate([gen, *principal])[0][1:]
     cyclic = subgroup_generated(ring, [gen])
     complement = subgroup_generated(ring, complement_gens)
     if len(cyclic) * len(complement) != len(principal) or (cyclic & complement) != {ring.one}:

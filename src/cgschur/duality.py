@@ -142,8 +142,8 @@ def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],
     and no generators.  The packed sums are interned as small ints so
     keys stay short.
 
-    Each generator's row g*R is built once per call, next to the
-    itemgetter that permutes a key along it, so a spread key is one
+    Each generator's row g*R is the ring's kept unit row, paired with
+    the itemgetter that permutes a key along it, so a spread key is one
     C-level call.  itemgetter of one index returns the bare item, so a
     one-class partition, which every unit fixes, keeps its key as it is.
     """
@@ -152,7 +152,7 @@ def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],
     if perms is not None:
         reps = ring.orbit_representatives()
         steps = [(row, itemgetter(*perm) if len(perm) > 1 else tuple)
-                 for row, perm in zip(map(ring.mul_row, ring.unit_generators()), perms)]
+                 for row, perm in zip(ring.unit_rows(), perms)]
     keys: list = [None] * ring.size
     interned: dict[int, int] = {}
     for r0 in reps:
@@ -285,13 +285,15 @@ def separation_check(ring: CGRing, K: Iterable[int], S: Iterable[int],
 
     For a pure orbit the separating unit exists whenever S != S2, and
     some unit character has nonzero sum on a nonempty S; both witnesses
-    are reported, or left None as a refutation on non-pure orbits.
+    are reported, or left None as a refutation on non-pure orbits.  The
+    orbit is read from orbit_partition(K), which raises ValueError unless
+    K is a unit subgroup.
     """
-    K = frozenset(K)
     S, S2 = frozenset(S), frozenset(S2)
     if not S:
         raise ValueError("S must be nonempty")
-    orbit = ring.orbit(K, next(iter(S)))
+    x = next(iter(S))
+    orbit = next((O for O in ring.orbit_partition(K) if x in O), frozenset())
     if not (S | S2) <= orbit:
         raise ValueError("S and S2 must lie in a single K-orbit")
     table = character_table(ring)

@@ -146,8 +146,8 @@ class SRing:
         for ci, comp in enumerate(ring.components):
             if comp.p not in keep:
                 continue
-            for g in ring.generate(ring.embed_component_units(ci))[0]:
-                if list(map(class_of.__getitem__, ring.mul_row(g))) != class_of:
+            for row in ring.generate(ring.embed_component_units(ci))[1]:
+                if list(map(class_of.__getitem__, row)) != class_of:
                     return False
         return True
 

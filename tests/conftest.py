@@ -92,6 +92,64 @@ def is_subgroup_oracle(ring: CGRing, K: frozenset[int]) -> bool:
     return ring.one in K and all(mul(a, b) in K for a in K for b in K)
 
 
+def orbit_oracle(ring: CGRing, K: Iterable[int], x: int) -> frozenset[int]:
+    """The orbit K*x, one product per member of K."""
+    mul = products(ring)
+    return frozenset(mul(k, x) for k in K)
+
+
+def orbit_partition_oracle(ring: CGRing, K: Iterable[int],
+                           pool: Iterable[int]) -> list[frozenset[int]]:
+    """The orbits K*x of the members x of pool, ordered by least member."""
+    K = list(K)
+    out, seen = [], set()
+    for x in sorted(pool):
+        if x not in seen:
+            orbit = orbit_oracle(ring, K, x)
+            seen |= orbit
+            out.append(orbit)
+    return out
+
+
+def _principal_log(comp: GaloisRing, u: int) -> list[int]:
+    """Coordinates of 1 + p*a over the residue field, for n = 2 components."""
+    p = comp.p
+    cs = comp.coeffs(u)
+    return [((cs[0] - 1) // p) % p] + [(c // p) % p for c in cs[1:]]
+
+
+def _extend_basis(rows: dict[int, list[int]], vec: list[int], p: int) -> bool:
+    """Add vec to the echelon rows over F_p when it is independent of them."""
+    v = [a % p for a in vec]
+    for pivot, row in rows.items():
+        if v[pivot]:
+            f = v[pivot]
+            v = [(a - f * b) % p for a, b in zip(v, row)]
+    lead = next((i for i, a in enumerate(v) if a), None)
+    if lead is None:
+        return False
+    inv = pow(v[lead], -1, p)
+    rows[lead] = [a * inv % p for a in v]
+    return True
+
+
+def principal_decomposition_oracle(
+        ring: CGRing, ci: int) -> tuple[frozenset[int], frozenset[int], int, list[int]]:
+    """construct._principal_decomposition by linear algebra over F_p, with
+    the complement's generators last: for n = 2, 1 + p*a -> a mod p takes
+    1 + pR onto F_p^d, and a principal unit joins the complement when its
+    log is independent of the logs of the generator and the earlier picks."""
+    comp = ring.components[ci]
+    principal = ring.embed_principal_units(ci)
+    gen = next(x for x in principal if x != ring.one)
+    rows: dict[int, list[int]] = {}
+    _extend_basis(rows, _principal_log(comp, ring.parts(gen)[ci]), comp.p)
+    complement_gens = [x for x in principal if x != ring.one and _extend_basis(
+        rows, _principal_log(comp, ring.parts(x)[ci]), comp.p)]
+    return (subgroup_generated_oracle(ring, [gen]),
+            subgroup_generated_oracle(ring, complement_gens), gen, complement_gens)
+
+
 def is_rational_oracle(A: SRing, primes: Iterable[int]) -> bool:
     """Every unit of each chosen component maps every class onto itself."""
     ring = A.ring

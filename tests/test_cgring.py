@@ -14,6 +14,8 @@ from conftest import (
     is_subgroup_oracle,
     kernel_subgroups,
     lower_ideal_oracle,
+    orbit_oracle,
+    orbit_partition_oracle,
     project_oracle,
     subgroup_generated_oracle,
 )
@@ -224,8 +226,6 @@ def test_orbit_partitions_z9():
     units = frozenset(R.units())
     parts = R.orbit_partition(units)
     assert parts == [frozenset({0}), frozenset({1, 2, 4, 5, 7, 8}), frozenset({3, 6})]
-    with pytest.raises(ValueError):
-        R.orbit_partition(units, carrier=[1, 2])
 
 
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
@@ -235,22 +235,13 @@ def test_orbit_partition_matches_orbit_oracle(spec):
     strata = (ring.units(),  # the elements x with upper ideal 1, then p
               [x for x in ring.elements() if x and ring.upper_ideal(frozenset({x})) == p])
 
-    def oracle(K, pool):
-        out, seen = [], set()
-        for x in sorted(pool):
-            if x not in seen:
-                orbit = frozenset(ring.mul(k, x) for k in K)
-                seen |= orbit
-                out.append(orbit)
-        return out
-
     for K in kernel_subgroups(spec):
-        assert ring.orbit_partition(K) == oracle(K, ring.elements())
-        for stratum in strata:
-            assert ring.orbit_partition(K, stratum) == oracle(K, stratum)
-        if len(K) > 1:
-            with pytest.raises(ValueError, match="not invariant"):
-                ring.orbit_partition(K, [0, ring.one])
+        orbits = ring.orbit_partition(K)
+        assert orbits == orbit_partition_oracle(ring, K, ring.elements())
+        # unit orbits stay inside a stratum: cut to it, they are its orbits
+        for stratum in map(set, strata):
+            assert [O for O in orbits if min(O) in stratum] == orbit_partition_oracle(
+                ring, K, stratum)
 
 
 def test_unit_orbits_are_ideal_differences(big):
@@ -444,6 +435,22 @@ def test_unit_generators_generate_the_units(spec):
         assert g not in subgroup_generated(ring, gens[:k])
 
 
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_unit_rows_are_kept_tuples(spec):
+    # The unit generator rows come from the one generate of the units; the
+    # rows generate hands out are fresh lists, the kept ones tuples.
+    ring = parse_ring_spec(spec)
+    rows = ring.unit_rows()
+    assert rows is ring.unit_rows()
+    assert all(type(row) is tuple for row in rows)
+    assert list(map(list, rows)) == [ring.mul_row(g) for g in ring.unit_generators()]
+    handed = ring.generate(ring.units())[1]
+    for row in handed:
+        row[:] = [0] * len(row)
+    assert ring.unit_rows() is rows
+    assert ring.generate(ring.units())[1] == [ring.mul_row(g) for g in ring.unit_generators()]
+
+
 def test_is_subgroup_rejects_non_units():
     # Checked first: all_subgroups used to accept {0, 1} and then never return.
     assert not parse_ring_spec("GR(9)").is_subgroup(frozenset({0, 1}))
@@ -457,7 +464,9 @@ def test_generate_matches_oracles(spec):
     ring = parse_ring_spec(spec)
     rng = random.Random(spec)
     units = ring.units()
-    assert ring.generate(units)[1] == frozenset(units)
+    gens, rows, group = ring.generate(units)
+    assert group == frozenset(units)
+    assert rows == [ring.mul_row(g) for g in gens]
     for _ in range(20):
         gens = rng.sample(units, rng.randrange(4))
         assert subgroup_generated(ring, gens) == subgroup_generated_oracle(ring, gens)
@@ -479,7 +488,7 @@ def test_orbit_representatives_partition_the_ring(spec):
     ring = parse_ring_spec(spec)
     reps = ring.orbit_representatives()
     assert len(reps) == len(ring.divisors())
-    orbits = [ring.orbit(ring.units(), r) for r in reps]
+    orbits = [orbit_oracle(ring, ring.units(), r) for r in reps]
     assert sum(map(len, orbits)) == ring.size
     assert frozenset().union(*orbits) == frozenset(ring.elements())
     for m, orbit in zip(ring.divisors(), orbits):

@@ -13,16 +13,18 @@ import pytest
 
 from cgschur.cgring import parse_ring_spec
 from cgschur.construct import (
+    ALL_SUBGROUPS_LIMIT,
     ConstructionError,
     SubdirectSpec,
     _orbits_agree,
+    _principal_decomposition,
     all_subgroups,
     build_nonpure_dense_sring,
     subdirect,
     subgroup_generated,
 )
 from cgschur.sring import has_nontrivial_wreath
-from conftest import enumerate_subgroups
+from conftest import enumerate_subgroups, orbit_partition_oracle, principal_decomposition_oracle
 
 
 def test_subgroup_generated_basics(z9, z36):
@@ -72,8 +74,10 @@ def test_all_subgroups_reads_each_row_once(monkeypatch):
 
 
 def test_all_subgroups_rejections(z9):
-    with pytest.raises(ValueError):
-        all_subgroups(z9, z9.units(), limit=4)
+    big = parse_ring_spec("GR(3^6)")
+    assert len(big.units()) == 486 > ALL_SUBGROUPS_LIMIT
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        all_subgroups(big, big.units())
     with pytest.raises(ValueError):
         all_subgroups(z9, {1, 2, 5})
 
@@ -214,6 +218,21 @@ def test_principal_decomposition_is_direct():
     assert doc["units_group"] == sorted(instance.units_group)
 
 
+@pytest.mark.parametrize("spec", ["GR(4,2)xGR(9)", "GR(9,2)xGR(4,2)", "GR(4,3)xGR(25)",
+                                  "GR(49)xGR(4,4)", "GR(4,5)"])
+def test_principal_decomposition_matches_linear_algebra(spec):
+    # For n = 2, 1 + p*a -> a mod p is an isomorphism onto F_p^d, so a unit
+    # outside the group generated so far is a log outside the span so far.
+    ring = parse_ring_spec(spec)
+    components = [ci for ci, comp in enumerate(ring.components) if comp.n == 2]
+    assert components
+    for ci in components:
+        *parts, picks = principal_decomposition_oracle(ring, ci)
+        assert _principal_decomposition(ring, ci) == tuple(parts)
+        gen = parts[2]
+        assert list(ring.generate([gen, *ring.embed_principal_units(ci)])[0]) == [gen, *picks]
+
+
 def test_orbits_agree_matches_per_stratum_orbits():
     # The stratum checks cut one orbit partition of R per group; the oracle
     # takes the orbits of each stratum separately, as the checks once did.
@@ -228,8 +247,8 @@ def test_orbits_agree_matches_per_stratum_orbits():
     for cell in sorted(set(stratum)):
         carrier = [x for x in ring.elements() if stratum[x] == cell]
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            oracle = set(ring.orbit_partition(groups[i], carrier)) == set(
-                ring.orbit_partition(groups[j], carrier))
+            oracle = (orbit_partition_oracle(ring, groups[i], carrier)
+                      == orbit_partition_oracle(ring, groups[j], carrier))
             assert _orbits_agree([partitions[i], partitions[j]], stratum, {cell}) == oracle
             verdicts.add(oracle)
     assert verdicts == {True, False}

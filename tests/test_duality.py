@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from cgschur.cgring import make_cg_ring, parse_ring_spec
+from cgschur.cgring import CGRing, make_cg_ring, parse_ring_spec
 from cgschur.duality import (
     CharacterTable,
     character_table,
@@ -30,6 +30,7 @@ from cgschur.sring import (
     cyclotomic,
     labels,
     schur_closure,
+    verify_sring,
     wreath_pairs,
 )
 from conftest import (
@@ -308,6 +309,14 @@ def test_separation_validation(z9):
         separation_check(z9, {1, 8}, {1}, {2})
 
 
+def test_separation_rejects_non_subgroups(z9):
+    # {1, 2} is not closed (2*2 = 4) and 3 is not a unit; both once
+    # reported the orbit {1, 2} as pure and separated.
+    for K in ({1, 2}, {1, 3}, {2}, {0, 1}):
+        with pytest.raises(ValueError, match="subgroup of the units"):
+            separation_check(z9, K, {1}, {2})
+
+
 # -- the unit-orbit kernel ------------------------------------------------------
 
 def kernel_inputs(ring, rng: random.Random):
@@ -490,3 +499,24 @@ def test_unfaithful_character_is_rejected(monkeypatch, spec, ci, trace):
                  if s and all(exponent(ring.mul(s, x)) == 0 for x in ring.elements()))
     with pytest.raises(StructureError, match=rf"generating character not faithful at {least}$"):
         CharacterTable(ring)
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_dual_reads_the_kept_unit_rows(spec, monkeypatch):
+    # Each dual once built mul_row(g) for every unit generator g twice, in
+    # class_permutations and in _dual_partition.  Now a dual builds only the
+    # packed row of each orbit representative, one per divisor, and
+    # verify_sring one more, the row of -1.
+    ring = parse_ring_spec(spec)
+    A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
+    table = character_table(ring)
+    for known in (ring, table.ring):  # the table may hold an equal ring built earlier
+        known.unit_generators()
+    calls = []
+    real = CGRing.mul_row
+    monkeypatch.setattr(CGRing, "mul_row", lambda self, r: calls.append(r) or real(self, r))
+    assert dual_sring(A, table).rank == A.rank
+    assert len(calls) == len(ring.divisors())
+    calls.clear()
+    assert verify_sring(ring, A.classes).ok
+    assert len(calls) == len(ring.divisors()) + 1

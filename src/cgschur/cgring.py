@@ -15,7 +15,7 @@ import re
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .galois import (DEFAULT_MAX_RING_SIZE, GaloisRing, is_prime, make_galois_ring,
-                     mixed_radix_sum)
+                     mixed_radix_sum, power_exceeds)
 
 
 class EmptySetError(ValueError):
@@ -262,10 +262,10 @@ class CGRing:
         return math.prod(c.p**v for c, v in zip(self.components, vals))
 
     def ideal(self, m: int) -> frozenset[int]:
-        """The ideal mR as a set of element indices."""
+        """The ideal mR as a set of element indices, from the digit rows p_i^v_i*R_i."""
         if m not in self._ideals:
             self._ideals[m] = frozenset(self._combine(
-                [a for a in comp.elements() if all(x % comp.p**v == 0 for x in comp.coeffs(a))]
+                _recode(comp.d, comp.p**(comp.n - v), comp.char, 1, comp.p**v)
                 for comp, v in zip(self.components, self.valuations(m))))
         return self._ideals[m]
 
@@ -279,20 +279,12 @@ class CGRing:
         return sorted(self.primes)
 
     def ideal_generators(self, m: int) -> tuple[int, ...]:
-        """Additive generators of mR, one per coefficient slot per component."""
+        """Additive generators p_i^v_i * x^j of mR, one per coefficient slot per component."""
         if m not in self._ideal_generators:
-            gens = []
-            k = len(self.components)
-            for ci, (comp, v) in enumerate(zip(self.components, self.valuations(m))):
-                if v == comp.n:
-                    continue
-                for j in range(comp.d):
-                    parts = [0] * k
-                    parts[ci] = comp.index(
-                        tuple(comp.p**v if jj == j else 0 for jj in range(comp.d))
-                    )
-                    gens.append(self.from_parts(parts))
-            self._ideal_generators[m] = tuple(gens)
+            self._ideal_generators[m] = tuple(
+                comp.p**v * comp.char**j * shift
+                for comp, v, shift in zip(self.components, self.valuations(m), self.shifts)
+                if v < comp.n for j in range(comp.d))
         return self._ideal_generators[m]
 
     def _translation_row(self, g: int) -> list[int]:
@@ -376,15 +368,10 @@ class CGRing:
         return self.embed(ci, self.components[ci].unit_indices())
 
     def embed_principal_units(self, ci: int) -> list[int]:
-        """The group 1 + pR_p of one component, as global units."""
+        """The group 1 + pR_p of one component, as global units, from the digit row pR_p."""
         comp = self.components[ci]
-        p = comp.p
-        principal = []
-        for a in comp.elements():
-            cs = comp.coeffs(a)
-            if cs[0] % p == 1 and all(c % p == 0 for c in cs[1:]):
-                principal.append(a)
-        return self.embed(ci, principal)
+        multiples = _recode(comp.d, comp.p**(comp.n - 1), comp.char, 1, comp.p)
+        return self.embed(ci, [1 + a for a in multiples])
 
     # -- group actions ---------------------------------------------------
 
@@ -446,7 +433,8 @@ class CGRing:
 
 
 class QuotientMap(NamedTuple):
-    """Quotient ring R/mR with the natural projection and least-preimage lift."""
+    """Quotient ring R/mR with the natural projection and least-preimage lift,
+    each read from its _truncate row."""
 
     ring: CGRing
     divisor: int
@@ -460,7 +448,7 @@ class IdealRingMap(NamedTuple):
     `ring` is the abstract model (a product of smaller Galois rings),
     `to_model` is the ring epimorphism x -> mx read in the model, and
     `embed` is the additive bijection from the model onto mR inside the
-    source ring.  embed(model identity) = m * 1.
+    source ring, both read from _truncate rows.  embed(model identity) = m*1.
     """
 
     ring: CGRing
@@ -469,42 +457,31 @@ class IdealRingMap(NamedTuple):
     embed: Callable[[int], int]
 
     def section_map(self) -> dict[int, int]:
-        """Inverse of embed, as a dict over the members of mR.
-
-        embed is additive and sends model component t into one source
-        component, so embed(j) is the sum of embed(j_t * shift_t) over
-        the parts j_t of j: the row of embed values is one mixed_radix_sum
-        of one row per model component, at sum |R_t| calls to embed
-        instead of |mR|.
-        """
-        row = mixed_radix_sum([self.embed(i * shift) for i in comp.elements()]
-                              for shift, comp in zip(self.ring.shifts, self.ring.components))
-        return dict(zip(row, self.ring.elements()))
+        """Inverse of embed, as a dict over mR keyed in model element order."""
+        elements = self.ring.elements()
+        return dict(zip(map(self.embed, elements), elements))
 
 
-def _truncate(ring: CGRing, exponents: Iterable[int]) -> tuple[CGRing, Callable, Callable]:
-    """The ring keeping component i mod p_i^exponents[i] (0 drops it).
+def _recode(d: int, source: int, target: int, weight: int, k: int = 1) -> list[int]:
+    """The row over d coefficient slots of digits t < source that reads each
+    as k*t mod target in base target, times weight: one mixed_radix_sum, as
+    GaloisRing.add_row.  Reduction, change of base and integer multiples act
+    on each coefficient alone, so each ideal and quotient map is such rows."""
+    return mixed_radix_sum([k * t % target * target**i * weight for t in range(source)]
+                           for i in range(d))
 
-    Returns the target ring, the reduction of coefficients into it, and
-    the lift that reads its coefficients back as a source element.
-    """
-    kept = [(ci, comp, e) for ci, (comp, e) in enumerate(zip(ring.components, exponents)) if e]
-    target = CGRing([make_galois_ring(comp.p, e, comp.d) for _, comp, e in kept])
 
-    def reduce(a: int) -> int:
-        parts = ring.parts(a)
-        out = []
-        for (ci, comp, e), new in zip(kept, target.components):
-            q = comp.p**e
-            out.append(new.index(tuple(c % q for c in comp.coeffs(parts[ci]))))
-        return target.from_parts(out)
-
-    def lift(b: int) -> int:
-        parts = [0] * len(ring.components)
-        for (ci, comp, _), new, i in zip(kept, target.components, target.parts(b)):
-            parts[ci] = comp.index(new.coeffs(i))
-        return ring.from_parts(parts)
-
+def _truncate(ring: CGRing, exponents: Sequence[int], k: int = 1) -> tuple[CGRing, list, list]:
+    """The ring keeping component i mod p_i^exponents[i] (0 drops it), the
+    reduction row over the source elements and the row over the target of k
+    times the lift of coefficients: each one mixed_radix_sum over every slot."""
+    target = CGRing([make_galois_ring(comp.p, e, comp.d)
+                     for comp, e in zip(ring.components, exponents) if e])
+    shifts = iter(target.shifts)
+    reduce = mixed_radix_sum(_recode(comp.d, comp.char, comp.p**e, next(shifts) if e else 0)
+                             for comp, e in zip(ring.components, exponents))
+    lift = mixed_radix_sum(_recode(comp.d, comp.p**e, comp.char, shift, k)
+                           for comp, e, shift in zip(ring.components, exponents, ring.shifts) if e)
     return target, reduce, lift
 
 
@@ -514,17 +491,18 @@ def quotient(ring: CGRing, m: int) -> QuotientMap:
     if m == 1:
         raise ValueError("quotient by the whole ring is degenerate")
     target, pi, section = _truncate(ring, vals)
-    return QuotientMap(target, m, pi, section)
+    return QuotientMap(target, m, pi.__getitem__, section.__getitem__)
 
 
 def ideal_ring(ring: CGRing, m: int) -> IdealRingMap:
-    """Ring structure on mR, for a proper divisor m of the characteristic."""
+    """Ring structure on mR, for a proper divisor m of the characteristic:
+    its embed row is the lift row scaled by the integer m."""
     vals = ring.valuations(m)
     if m == ring.char:
         raise ValueError("the zero ideal does not carry a ring structure")
     exponents = [comp.n - v for comp, v in zip(ring.components, vals)]
-    target, to_model, lift = _truncate(ring, exponents)
-    return IdealRingMap(target, m, to_model, lambda b: ring.scale(lift(b), m))
+    target, to_model, embed = _truncate(ring, exponents, m)
+    return IdealRingMap(target, m, to_model.__getitem__, embed.__getitem__)
 
 
 def make_cg_ring(components, max_size: int = DEFAULT_MAX_RING_SIZE) -> CGRing:
@@ -538,7 +516,7 @@ def make_cg_ring(components, max_size: int = DEFAULT_MAX_RING_SIZE) -> CGRing:
             built.append(make_galois_ring(p, n, d, max_size=max_size))
     ring = CGRing(built)
     if ring.size > max_size:
-        raise ValueError(f"|R| = {ring.size} exceeds the size limit {max_size}")
+        raise ValueError(f"{ring.spec()} exceeds the size limit {max_size}")
     return ring
 
 
@@ -555,7 +533,9 @@ def parse_ring_spec(spec: str, max_size: int = DEFAULT_MAX_RING_SIZE) -> CGRing:
         if not match:
             raise ValueError(f"bad ring component {token!r}")
         base, exp, d = match.groups()
-        base = int(base)
+        base, d = int(base), int(d or 1)
+        if power_exceeds(base, int(exp or 1) * d, max_size):  # before any number theory
+            raise ValueError(f"{token!r} exceeds the size limit {max_size}")
         if exp is not None:
             p, n = base, int(exp)
             if not is_prime(p):
@@ -571,5 +551,5 @@ def parse_ring_spec(spec: str, max_size: int = DEFAULT_MAX_RING_SIZE) -> CGRing:
                     raise ValueError(f"{base} is not a prime power in {token!r}")
                 q //= p
                 n += 1
-        comps.append((p, n, int(d) if d else 1))
+        comps.append((p, n, d))
     return make_cg_ring(comps, max_size=max_size)

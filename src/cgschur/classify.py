@@ -196,8 +196,13 @@ def classify_rational(A: SRing) -> Decomposition:
     an input with a moved unit class gives NotApplicable.
     """
     ring = A.ring
+    # the units fixing every unit class form a group, grown in unit order, so
+    # the first unit outside it that moves a class is the first moving unit
+    fixers = frozenset({ring.one})
     for ci in range(len(ring.components)):
         for u in ring.embed_component_units(ci):
+            if u in fixers:
+                continue
             row = ring.mul_row(u)
             for k in A.unit_class_indices():
                 X = A.classes[k]
@@ -207,6 +212,7 @@ def classify_rational(A: SRing) -> Decomposition:
                         f"the unit {u} moves the class {sorted(X)};"
                         " the input is not rational",
                     )
+            fixers = ring.extend_subgroup(fixers, row)
 
     cert = next((c for c in wreath_pairs(A) if c.nontrivial), None)
     if cert is not None:

@@ -16,7 +16,7 @@ import json
 from typing import Iterable, NamedTuple
 
 from .cgring import CGRing, make_cg_ring
-from .galois import is_prime
+from .galois import is_prime, power_exceeds
 from .sring import SRing, has_nontrivial_wreath, verify_sring
 
 DEFAULT_MAX_CONSTRUCT_SIZE = 100_000
@@ -237,6 +237,10 @@ def build_nonpure_dense_sring(
     for name, value in (("p", p), ("d", d), ("q", q), ("e", e)):
         if not isinstance(value, int) or value < 1:
             raise ValueError(f"{name} must be a positive integer")
+    # the size gate first, before any primality test or big power
+    if (power_exceeds(p, 2 * d, max_size) or power_exceeds(q, 2 * e, max_size)
+            or p ** (2 * d) * q ** (2 * e) > max_size):
+        raise ValueError(f"GR({p}^2,{d})xGR({q}^2,{e}) exceeds the limit {max_size}")
     if not is_prime(p) or not is_prime(q):
         raise ValueError("p and q must be prime")
     if p == q:
@@ -245,9 +249,6 @@ def build_nonpure_dense_sring(
         raise ValueError(f"{q} does not divide {p}^{d} - 1 = {p**d - 1}")
     if (q**e - 1) % p:
         raise ValueError(f"{p} does not divide {q}^{e} - 1 = {q**e - 1}")
-    size = p ** (2 * d) * q ** (2 * e)
-    if size > max_size:
-        raise ValueError(f"ring size {size} exceeds the limit {max_size}")
 
     ring = make_cg_ring([(p, 2, d), (q, 2, e)])
     left_torsion = _torsion_subgroup(ring, 0, q)

@@ -17,6 +17,18 @@ from typing import Iterable, Sequence
 DEFAULT_MAX_RING_SIZE = 1 << 20
 
 
+def power_exceeds(base: int, exp: int, limit: int) -> bool:
+    """Whether base**exp > limit, multiplying no further than past the limit
+    (at most limit.bit_length() + 1 products), so it can gate a size before
+    any factoring, primality test or large power."""
+    value = 1
+    for _ in range(exp if base > 1 else min(exp, 1)):
+        value *= base
+        if value > limit:
+            break
+    return value > limit
+
+
 def is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -276,10 +288,10 @@ def make_galois_ring(
 
     Rejects composite p and rings larger than max_size elements.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    if p ** (n * d) > max_size:
-        raise ValueError(f"|GR({p}^{n},{d})| = {p**(n*d)} exceeds the size limit {max_size}")
+    if power_exceeds(p, n * d, max_size):
+        raise ValueError(f"GR({p}^{n},{d}) exceeds the size limit {max_size}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     return GaloisRing(p, n, d, canonical_modulus(p, d))

@@ -306,8 +306,8 @@ def restrict(A: SRing, m: int) -> SRing:
     if not A.is_aset(members):
         raise ValueError(f"the ideal {m}R is not an A-ideal")
     sub = ideal_ring(A.ring, m)
-    # the section map's keys are embed(j), in model element order j
-    return SRing.from_labels(sub.ring, labels(map(A.class_of.__getitem__, sub.section_map())))
+    return SRing.from_labels(sub.ring, labels(map(A.class_of.__getitem__,
+                                                  map(sub.embed, sub.ring.elements()))))
 
 
 def quotient_sring(A: SRing, m: int) -> SRing:
@@ -315,7 +315,7 @@ def quotient_sring(A: SRing, m: int) -> SRing:
     if not A.is_aset(A.ring.ideal(m)):
         raise ValueError(f"the ideal {m}R is not an A-ideal")
     q = quotient(A.ring, m)
-    images = {frozenset(q.pi(x) for x in X) for X in A.classes}
+    images = {frozenset(map(q.pi, X)) for X in A.classes}
     try:
         return SRing(q.ring, images)
     except PartitionError as err:

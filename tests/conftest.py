@@ -13,7 +13,7 @@ import pytest
 from cgschur.cgring import CGRing, make_cg_ring, parse_ring_spec
 from cgschur.construct import all_subgroups
 from cgschur.duality import _dual_partition
-from cgschur.galois import GaloisRing
+from cgschur.galois import GaloisRing, make_galois_ring
 from cgschur.sring import PartitionError, SRing, cyclotomic, schur_closure
 
 
@@ -194,6 +194,81 @@ def project_oracle(ring: CGRing, a: int, primes: Iterable[int]) -> int:
     keep = set(primes)
     return ring.from_parts(i if comp.p in keep else 0
                            for comp, i in zip(ring.components, ring.parts(a)))
+
+
+def truncate_oracle(ring: CGRing, exponents: Sequence[int]) -> tuple[CGRing, Callable, Callable]:
+    """cgring._truncate one element at a time: the target ring, and the
+    reduction and lift as closures that split an element through parts,
+    coeffs, index and from_parts."""
+    kept = [(ci, comp, e) for ci, (comp, e) in enumerate(zip(ring.components, exponents)) if e]
+    target = CGRing([make_galois_ring(comp.p, e, comp.d) for _, comp, e in kept])
+
+    def reduce(a: int) -> int:
+        parts = ring.parts(a)
+        out = []
+        for (ci, comp, e), new in zip(kept, target.components):
+            q = comp.p**e
+            out.append(new.index(tuple(c % q for c in comp.coeffs(parts[ci]))))
+        return target.from_parts(out)
+
+    def lift(b: int) -> int:
+        parts = [0] * len(ring.components)
+        for (ci, comp, _), new, i in zip(kept, target.components, target.parts(b)):
+            parts[ci] = comp.index(new.coeffs(i))
+        return ring.from_parts(parts)
+
+    return target, reduce, lift
+
+
+def ideal_oracle(ring: CGRing, m: int) -> frozenset[int]:
+    """mR: the elements whose component i has every coefficient divisible
+    by p_i^v_i, filtered element by element."""
+    return frozenset(ring._combine(
+        [a for a in comp.elements() if all(x % comp.p**v == 0 for x in comp.coeffs(a))]
+        for comp, v in zip(ring.components, ring.valuations(m))))
+
+
+def ideal_generators_oracle(ring: CGRing, m: int) -> tuple[int, ...]:
+    """The generators p_i^v_i * x^j of mR, each built from a one-hot
+    coefficient tuple through index and from_parts."""
+    gens = []
+    k = len(ring.components)
+    for ci, (comp, v) in enumerate(zip(ring.components, ring.valuations(m))):
+        if v == comp.n:
+            continue
+        for j in range(comp.d):
+            parts = [0] * k
+            parts[ci] = comp.index(tuple(comp.p**v if jj == j else 0 for jj in range(comp.d)))
+            gens.append(ring.from_parts(parts))
+    return tuple(gens)
+
+
+def principal_units_oracle(ring: CGRing, ci: int) -> list[int]:
+    """1 + pR_p of component ci as global units, in index order, by the
+    coefficients of every component element."""
+    comp = ring.components[ci]
+    p = comp.p
+    principal = []
+    for a in comp.elements():
+        cs = comp.coeffs(a)
+        if cs[0] % p == 1 and all(c % p == 0 for c in cs[1:]):
+            principal.append(a)
+    return ring.embed(ci, principal)
+
+
+def rational_witness_oracle(A: SRing) -> tuple[int, list[int]] | None:
+    """The first unit, in component unit order, that moves a unit class,
+    with the first class it moves, by one mul_row per unit; None when
+    every unit fixes every unit class."""
+    ring = A.ring
+    for ci in range(len(ring.components)):
+        for u in ring.embed_component_units(ci):
+            row = ring.mul_row(u)
+            for k in A.unit_class_indices():
+                X = A.classes[k]
+                if frozenset(row[x] for x in X) != X:
+                    return u, sorted(X)
+    return None
 
 
 def closure_start_oracle(ring: CGRing, seeds: Sequence[Iterable[int]]) -> list[list[int]]:

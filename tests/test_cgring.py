@@ -11,13 +11,17 @@ import pytest
 from conftest import (
     KERNEL_RINGS,
     enumerate_subgroups,
+    ideal_generators_oracle,
+    ideal_oracle,
     is_subgroup_oracle,
     kernel_subgroups,
     lower_ideal_oracle,
     orbit_oracle,
     orbit_partition_oracle,
+    principal_units_oracle,
     project_oracle,
     subgroup_generated_oracle,
+    truncate_oracle,
 )
 
 from cgschur.cgring import (
@@ -338,14 +342,46 @@ def test_projection_rows_match_oracle(spec):
 
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_section_map_inverts_embed(spec):
-    # Built from one row per model component; the same pairs, in the same
-    # order, as embed over every model element.
+    # The same pairs, in the same order, as embed over every model element.
     ring = parse_ring_spec(spec)
     for m in ring.divisors()[:-1]:
         sub = ideal_ring(ring, m)
         expected = {sub.embed(j): j for j in sub.ring.elements()}
         assert list(sub.section_map().items()) == list(expected.items())
         assert set(expected) == ring.ideal(m)
+
+
+# d > 1 with n > 2, a dropped middle component and a prime power base
+MAP_RINGS = KERNEL_RINGS + ("GR(8,3)", "GR(27,2)xGR(4)", "GR(2,3)xGR(25)xGR(7)",
+                            "GR(2^4,2)xGR(3)")
+
+
+@pytest.mark.parametrize("spec", MAP_RINGS)
+def test_map_rows_match_per_element_oracles(spec):
+    # Every digit row against the per-element closures and coefficient
+    # filters it replaced, for every divisor, order included.
+    ring = parse_ring_spec(spec)
+    elements = ring.elements()
+    for m in ring.divisors():
+        assert ring.ideal(m) == ideal_oracle(ring, m)
+        assert ring.ideal_generators(m) == ideal_generators_oracle(ring, m)
+        if m != 1:
+            q = quotient(ring, m)
+            target, reduce, lift = truncate_oracle(ring, ring.valuations(m))
+            assert q.ring == target
+            assert list(map(q.pi, elements)) == list(map(reduce, elements))
+            assert list(map(q.section, target.elements())) == list(map(lift, target.elements()))
+        if m != ring.char:
+            sub = ideal_ring(ring, m)
+            target, reduce, lift = truncate_oracle(
+                ring, [comp.n - v for comp, v in zip(ring.components, ring.valuations(m))])
+            assert sub.ring == target
+            assert list(map(sub.to_model, elements)) == list(map(reduce, elements))
+            embedded = [ring.scale(lift(j), m) for j in target.elements()]
+            assert list(map(sub.embed, target.elements())) == embedded
+            assert list(sub.section_map().items()) == list(zip(embedded, target.elements()))
+    for ci in range(len(ring.components)):
+        assert ring.embed_principal_units(ci) == principal_units_oracle(ring, ci)
 
 
 @pytest.mark.parametrize("spec", KERNEL_RINGS)

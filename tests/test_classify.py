@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import rank2
+from conftest import kernel_subgroups, rank2, rational_witness_oracle
 
-from cgschur.cgring import ideal_ring, make_cg_ring, quotient
+from cgschur.cgring import CGRing, ideal_ring, make_cg_ring, parse_ring_spec, quotient
 from cgschur.classify import (
     KIND_NOT_APPLICABLE,
+    KIND_RATIONAL_TENSOR,
     Decomposition,
     FalsificationError,
     check_nondense_structure,
@@ -271,6 +272,40 @@ def test_classify_rejects_non_rational():
     assert dec.kind == KIND_NOT_APPLICABLE
     assert dec.factors == () and dec.certificates == ()
     assert "not rational" in dec.reason
+
+
+def test_classify_rational_reads_one_row_per_fixer_generator(monkeypatch):
+    # The rank-2 ring over GR(4,2)xGR(9) is rational: its 12 + 6 component
+    # units fix the one unit class.  The group of fixers grows by the units
+    # outside it, so 4 rows are built instead of one per unit.
+    ring = make_cg_ring([(2, 2, 2), (3, 2, 1)])
+    calls = []
+    original = CGRing.mul_row
+    monkeypatch.setattr(CGRing, "mul_row", lambda self, r: calls.append(r) or original(self, r))
+    assert classify_rational(rank2(ring)).kind == KIND_RATIONAL_TENSOR
+    units = [u for ci in range(2) for u in ring.embed_component_units(ci)]
+    assert len(units) == 18
+    assert calls == [19, 20, 22, 33] == list(ring.generate(units)[0])
+
+
+@pytest.mark.parametrize("spec", ["GR(4,2)xGR(9)", "GR(3)xGR(5)xGR(7)"])
+def test_classify_rational_witness_matches_full_scan(corpus, spec):
+    # Skipping the units inside the fixer group keeps the witness: the first
+    # unit that moves a unit class in a scan over every component unit.
+    ring = parse_ring_spec(spec)
+    inputs = [A for _, A in corpus] + [cyclotomic(ring, K) for K in kernel_subgroups(spec)]
+    moved = 0
+    for A in inputs:
+        dec = classify_rational(A)
+        witness = rational_witness_oracle(A)
+        if witness is None:
+            assert dec.kind != KIND_NOT_APPLICABLE
+        else:
+            moved += 1
+            u, X = witness
+            assert dec.kind == KIND_NOT_APPLICABLE
+            assert dec.reason == f"the unit {u} moves the class {X}; the input is not rational"
+    assert 0 < moved < len(inputs)
 
 
 # -- check_nondense_structure -------------------------------------------------

@@ -473,13 +473,33 @@ def test_usage_errors_and_help(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
 
-def run_child(*argv: str, **env: str) -> subprocess.CompletedProcess:
+def run_child(*argv: str, timeout: float | None = None, **env: str) -> subprocess.CompletedProcess:
     """Run the interpreter on the same cgschur as this process, installed or
-    not, with env added to the environment."""
+    not, with env added to the environment; a child still running after
+    timeout seconds is killed and raises subprocess.TimeoutExpired."""
     src = os.path.dirname(os.path.dirname(cgschur.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env={**os.environ, **env, "PYTHONPATH": path})
+                          env={**os.environ, **env, "PYTHONPATH": path}, timeout=timeout)
+
+
+@pytest.mark.parametrize("argv", [
+    ("ring", "info", "GR(1000000007)"),  # the smallest-factor search
+    ("ring", "info", "GR(1000000000000000003^1)"),  # is_prime
+    ("ring", "info", "GR(3,30000000)"),  # p ** (n*d)
+    ("ring", "info", "GR(3,3000000)"),  # a size past 4300 digits
+    ("ring", "info", "GR(2^3000000)"),
+    ("construct", "t210809a", "--p", "1000000000000000003", "--d", "1", "--q", "3", "--e", "1"),
+    ("construct", "t210809a", "--p", "3", "--d", "30000000", "--q", "2", "--e", "1"),
+])
+def test_size_gate_runs_before_number_theory(argv):
+    # Unless the size gate runs first, each input hangs in number theory or
+    # a big power, or fails printing a size too long to convert; a child
+    # still running after 10 s fails the test.
+    proc = run_child("-m", "cgschur", *argv, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "exceeds" in proc.stderr and "4300" not in proc.stderr
 
 
 def test_module_entry_point():

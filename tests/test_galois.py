@@ -14,6 +14,7 @@ from cgschur.galois import (
     canonical_modulus,
     is_prime,
     make_galois_ring,
+    power_exceeds,
 )
 
 
@@ -69,6 +70,19 @@ def test_make_galois_ring_validation():
     with pytest.raises(ValueError):
         make_galois_ring(2, 21, 1)
     make_galois_ring(2, 20, 1)  # exactly at the default limit
+    # the size gate runs before is_prime and before any power is built
+    with pytest.raises(ValueError, match=r"^GR\(1000000000000000003\^1,1\) exceeds the size limit"):
+        make_galois_ring(10**18 + 3)
+    with pytest.raises(ValueError, match="exceeds the size limit 1048576$"):
+        make_galois_ring(3, 1, 30_000_000)
+
+
+def test_power_exceeds():
+    for base, exp in itertools.product(range(5), range(6)):
+        for limit in (0, 1, 15, 16, 17, 1024):
+            assert power_exceeds(base, exp, limit) == (base**exp > limit)
+    assert power_exceeds(2, 10**12, 1 << 20)
+    assert not power_exceeds(1, 10**12, 1)
 
 
 def test_is_prime():

@@ -22,20 +22,40 @@ class EmptySetError(ValueError):
     """Raised for set operations that are undefined on the empty set."""
 
 
-def _translates(S: list[int], row: list[int]) -> list[int]:
-    """The union of the translates g^k*S, k >= 0, where row = mul_row(g).
+def _orbit_labels(size: int, rows: Iterable[Sequence[int]]) -> list[int]:
+    """The canonical label vector of the orbits of the unit group generated
+    by the g whose mul_rows are given, over elements 0 .. size-1.
 
-    Precondition: S is an orbit of a unit group H and g a unit.  Units
-    commute, so every g^k*S is an H-orbit too, and two of them are equal
-    or disjoint: the first translate that meets S is S, and the loop
-    stops there, at |S| lookups per translate.
+    The group H grows one generator g at a time.  Units commute, so
+    g*(H*x) = H*(g*x) and g permutes the H-orbits; the orbits of <H, g>
+    are the cycles of that permutation.  It is read at one member per
+    H-orbit (the least) with one C-level map, its cycles are walked over
+    the orbits alone, and every label is renamed with one more map.
+    Cycles are numbered in the order of their least orbit, which is the
+    order of their least member, so the vector stays canonical.
     """
-    base, union, coset = set(S), list(S), S
-    while True:
-        coset = [row[x] for x in coset]
-        if coset[0] in base:
-            return union
-        union += coset
+    labels, reps = list(range(size)), range(size)
+    for row in rows:
+        perm = list(map(labels.__getitem__, map(row.__getitem__, reps)))
+        rename, starts = [-1] * len(perm), []
+        for k in range(len(perm)):
+            if rename[k] < 0:
+                label, j = len(starts), k
+                starts.append(reps[k])
+                while rename[j] < 0:
+                    rename[j] = label
+                    j = perm[j]
+        labels, reps = list(map(rename.__getitem__, labels)), starts
+    return labels
+
+
+def label_classes(class_of: Sequence[int]) -> list[frozenset[int]]:
+    """The classes of a canonical label vector, in label order: class k
+    holds the x with class_of[x] = k."""
+    members: list[list[int]] = [[] for _ in range(max(class_of) + 1)]
+    for x, k in enumerate(class_of):
+        members[k].append(x)
+    return list(map(frozenset, members))
 
 
 class CGRing:
@@ -64,6 +84,7 @@ class CGRing:
         self._divisors: list[int] | None = None
         self._unit_generators: tuple[int, ...] | None = None
         self._unit_rows: tuple[tuple[int, ...], ...] = ()
+        self._unit_orbit_keys: tuple[int, ...] | None = None
 
     def __repr__(self) -> str:
         return f"CGRing({self.spec()})"
@@ -168,11 +189,18 @@ class CGRing:
         the cosets H*g^k.
 
         Precondition: H is a unit subgroup and g a unit; otherwise no g^k
-        need lie in H and _translates never returns.  Units commute, so
+        need lie in H and the loop never ends.  Units commute, so
         H*g^j * H*g^k = H*g^(j+k), and the union is closed under products.
-        The cosets are read from the row, at |<H, g>| lookups.
+        Two cosets are equal or disjoint, so the first one that meets H is
+        H and the loop stops there.  The cosets are read from the row, at
+        |<H, g>| lookups.
         """
-        return frozenset(_translates(list(H), row))
+        union, coset = list(H), list(H)
+        while True:
+            coset = [row[x] for x in coset]
+            if coset[0] in H:
+                return frozenset(union)
+            union += coset
 
     def generate(self, elements: Iterable[int]) -> tuple[tuple[int, ...], list[list[int]], frozenset[int]]:
         """The unit group the given units generate, the generators kept and
@@ -389,31 +417,38 @@ class CGRing:
         """Whether K is a unit subgroup, at one generate."""
         return self._subgroup_rows(K) is not None
 
-    def orbit_partition(self, K: Iterable[int]) -> list[frozenset[int]]:
-        """Orbits of a unit subgroup K acting by multiplication, ordered by minimum.
+    def orbit_labels(self, K: Iterable[int]) -> list[int]:
+        """The canonical label vector of the orbits of a unit subgroup K
+        acting by multiplication: orbits numbered by least member.
 
         One generate checks that K is a unit subgroup (ValueError
-        otherwise) and keeps the rows of its generators.  Each orbit
-        grows from its least member one generator at a time: the orbit
-        under the earlier generators grows by its translates along the
-        next generator's row, at about one lookup per orbit member and
-        generator.
+        otherwise) and keeps the rows of its generators, and
+        _orbit_labels reads each row once.
         """
         rows = self._subgroup_rows(frozenset(K))
         if rows is None:
             raise ValueError("K must be a subgroup of the units")
-        seen: set[int] = set()
-        out = []
-        for x in self.elements():
-            if x in seen:
-                continue
-            members = [x]
-            for row in rows:
-                members = _translates(members, row)
-            orb = frozenset(members)
-            seen |= orb
-            out.append(orb)
-        return out
+        return _orbit_labels(self.size, rows)
+
+    def unit_orbit_keys(self) -> tuple[int, ...]:
+        """A key per element, equal exactly on unit orbits, kept once per
+        ring: the component valuations v_i of x in mixed radix n_i + 1,
+        one valuation per component element.  Every x is a unit times m*1
+        for the divisor m with xR = mR, so x and y share a unit orbit
+        exactly when their valuations agree."""
+        if self._unit_orbit_keys is None:
+            weight, rows = 1, []
+            for comp in self.components:
+                rows.append([comp.valuation(i) * weight for i in comp.elements()])
+                weight *= comp.n + 1
+            self._unit_orbit_keys = tuple(mixed_radix_sum(rows))
+        return self._unit_orbit_keys
+
+    def orbit_partition(self, K: Iterable[int]) -> list[frozenset[int]]:
+        """Orbits of a unit subgroup K acting by multiplication, ordered by
+        minimum: the classes of orbit_labels(K), which raises ValueError
+        unless K is a unit subgroup."""
+        return label_classes(self.orbit_labels(K))
 
     # -- purity ------------------------------------------------------------
 

@@ -114,6 +114,13 @@ class CharacterTable:
         values = self._packed_exponent
         return [values[s] for s in self.ring.mul_row(r)]
 
+    @cached_property
+    def representative_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """(r, packed_row(r)) for each unit-orbit representative r of
+        ring.orbit_representatives(), built on first use and kept as
+        tuples, which every dual of a unit-invariant partition reads."""
+        return tuple((r, tuple(self.packed_row(r))) for r in self.ring.orbit_representatives())
+
     def packed_sum(self, r: int, S: Iterable[int]) -> int:
         """The packed character sum of chi(r*.) over S."""
         mul, values = self.ring.mul, self._packed_exponent
@@ -136,11 +143,13 @@ def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],
 
     For a unit-invariant partition, the sum over X_k at g*r is the sum
     over g*X_k at r, so the key of g*r is the key of r with the classes
-    permuted by g.  Then one packed row per unit orbit is summed, and
-    the keys spread along the unit generators.  Any other partition
-    (perms None) runs the same loop with every element a representative
-    and no generators.  The packed sums are interned as small ints so
-    keys stay short.
+    permuted by g.  Then the table's kept packed row of each unit-orbit
+    representative is summed, and the keys spread along the unit
+    generators.  Any other partition (perms None) runs the same loop
+    with every element a representative and no generators.  The packed
+    sums are interned as small ints so keys stay short, and equal keys
+    as one tuple, so the keys held are one per dual class and their
+    identities label the elements.
 
     Each generator's row g*R is the ring's kept unit row, paired with
     the itemgetter that permutes a key along it, so a spread key is one
@@ -148,17 +157,20 @@ def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],
     one-class partition, which every unit fixes, keeps its key as it is.
     """
     ring = table.ring
-    reps, steps = ring.elements(), []
-    if perms is not None:
-        reps = ring.orbit_representatives()
+    steps = []
+    if perms is None:
+        reps = ((r, table.packed_row(r)) for r in ring.elements())
+    else:
+        reps = table.representative_rows
         steps = [(row, itemgetter(*perm) if len(perm) > 1 else tuple)
                  for row, perm in zip(ring.unit_rows(), perms)]
     keys: list = [None] * ring.size
     interned: dict[int, int] = {}
-    for r0 in reps:
-        values = table.packed_row(r0).__getitem__
-        keys[r0] = tuple(interned.setdefault(sum(map(values, X)), len(interned))
-                         for X in classes)
+    distinct: dict[tuple, tuple] = {}
+    for r0, packed in reps:
+        values = packed.__getitem__
+        key = tuple(interned.setdefault(sum(map(values, X)), len(interned)) for X in classes)
+        keys[r0] = distinct.setdefault(key, key)
         frontier = [r0]
         while frontier:
             r = frontier.pop()
@@ -166,10 +178,11 @@ def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],
             for row_g, move in steps:
                 s = row_g[r]
                 if keys[s] is None:
-                    keys[s] = move(key)
+                    key_s = move(key)
+                    keys[s] = distinct.setdefault(key_s, key_s)
                     frontier.append(s)
     assert None not in keys, "an element received no key"
-    return labels(keys)
+    return labels(map(id, keys))
 
 
 def _dual(table: CharacterTable, A: SRing) -> SRing:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from collections import Counter
 from functools import cached_property
 from itertools import chain, combinations, product
-from typing import Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .cgring import CGRing, ideal_ring, parse_ring_spec, quotient
+from .cgring import CGRing, ideal_ring, label_classes, parse_ring_spec, quotient
 from .galois import DEFAULT_MAX_RING_SIZE
 
 
@@ -67,11 +67,8 @@ class SRing:
     def from_labels(cls, ring: CGRing, class_of: list[int]) -> SRing:
         """The partition of a canonical label vector, unchecked: the caller
         owns that class_of numbers |R| elements by first appearance."""
-        members: list[list[int]] = [[] for _ in range(max(class_of) + 1)]
-        for x, k in enumerate(class_of):
-            members[k].append(x)
         A = cls.__new__(cls)
-        A.ring, A.classes, A.class_of = ring, tuple(map(frozenset, members)), class_of
+        A.ring, A.classes, A.class_of = ring, tuple(label_classes(class_of)), class_of
         return A
 
     @property
@@ -110,7 +107,15 @@ class SRing:
         return [m for m in self.ring.divisors() if self.is_aset(self.ring.ideal(m))]
 
     def is_dense(self) -> bool:
-        return len(self.a_ideal_divisors()) == len(self.ring.divisors())
+        """Whether every ideal is a union of classes.
+
+        The ideals are unions of the unit orbits, each the set where xR is
+        constant, and each orbit is a difference of ideals; so A is dense
+        exactly when no class meets two orbits, read against the ring's
+        kept unit-orbit keys with no ideal built.
+        """
+        pairs = set(zip(self.class_of, self.ring.unit_orbit_keys()))
+        return len(pairs) == self.rank
 
     def unit_class_indices(self) -> list[int]:
         units = self.ring.unit_set()
@@ -245,13 +250,15 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
 def cyclotomic(ring: CGRing, K: Iterable[int]) -> SRing:
     """The Schur ring whose classes are the orbits of a unit subgroup.
 
-    orbit_partition checks, at its one generate, that K is a unit subgroup.
+    orbit_labels checks, at its one generate, that K is a unit subgroup,
+    and returns a canonical label vector, so the partition needs no
+    second check by the SRing constructor.
     """
     K = list(K)  # checked before the set merges True into 1
     for k in K:
         if not ring.is_element(k):
             raise ValueError(f"unit {k!r} is not an element index of {ring.spec()}")
-    return SRing(ring, ring.orbit_partition(frozenset(K)))
+    return SRing.from_labels(ring, ring.orbit_labels(K))
 
 
 def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
@@ -413,29 +420,35 @@ def power_map(A: SRing, X: Iterable[int], m: int) -> frozenset[int]:
     return A.ring.scale_set(X, m)
 
 
+def _coset_hits(ring: CGRing, m: int, X: frozenset[int]) -> Callable[[int], int]:
+    """x -> |X meet (x + mR)|.  Two elements share a coset of mR exactly
+    when their images in R/mR are equal, so the count at x is the
+    multiplicity of pi(x) among the images of X; for m = 1 the coset is R
+    and every count is |X|."""
+    if m == 1:
+        return lambda x: len(X)
+    pi = quotient(ring, m).pi
+    counts = Counter(map(pi, X))
+    return lambda x: counts[pi(x)]
+
+
 def frobenius_set(A: SRing, X: Iterable[int], p: int) -> frozenset[int]:
     """The set {p*x : x in X, |(x + H) meet X| not 0 mod p}, H the p-torsion."""
     ring = A.ring
     if ring.char % p:
         raise ValueError(f"{p} does not divide the characteristic")
     X = frozenset(X)
-    H = ring.ideal(ring.char // p)
-    out = []
-    for x in X:
-        hits = sum(1 for h in H if ring.add(x, h) in X)
-        if hits % p:
-            out.append(ring.scale(x, p))
-    return frozenset(out)
+    hits = _coset_hits(ring, ring.char // p, X)
+    return frozenset(ring.scale(x, p) for x in X if hits(x) % p)
 
 
 def coset_count(A: SRing, m: int, X: Iterable[int]) -> int:
     """The constant |X meet (x + H)| over x in X, H = mR an A-ideal."""
     ring = A.ring
-    H = ring.ideal(m)
-    if not A.is_aset(H):
+    if not A.is_aset(ring.ideal(m)):
         raise ValueError(f"the ideal {m}R is not an A-ideal")
     X = frozenset(X)
-    found = {sum(1 for h in H if ring.add(x, h) in X) for x in X}
+    found = set(map(_coset_hits(ring, m, X), X))
     if len(found) != 1:
         raise StructureError(f"coset counts not constant: {sorted(found)}")
     return found.pop()

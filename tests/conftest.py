@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Sequence
 
 import pytest
@@ -478,8 +478,9 @@ class PowerBasisTable:
     Z[x]/(Phi_c): x^k reduced by Phi_c for every k < c, packed into one
     int each at a width wide enough for the largest coefficient times |R|.
 
-    Only `ring` and `packed_row` are provided, so `dual_classes` runs on
-    it unchanged and its output is the power-basis result.
+    Only `ring`, `packed_row` and `representative_rows` are provided, so
+    `dual_classes` runs on it unchanged and its output is the power-basis
+    result.
     """
 
     def __init__(self, table):
@@ -511,6 +512,10 @@ class PowerBasisTable:
         values = self._packed_exponent
         return [values[s] for s in self.ring.mul_row(r)]
 
+    @cached_property
+    def representative_rows(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        return tuple((r, tuple(self.packed_row(r))) for r in self.ring.orbit_representatives())
+
 
 def dual_classes(table, classes: Sequence[Iterable[int]]) -> list[list[int]]:
     """The character-sum dual of a partition, as sorted classes in element
@@ -534,6 +539,27 @@ def lower_ideal_oracle(ring: CGRing, X: frozenset[int]) -> int:
     closed = [m for m in ring.divisors()
               if all(ring.add(x, i) in X for x in X for i in ring.ideal(m))]
     return max(closed, key=lambda m: len(ring.ideal(m)))
+
+
+def is_dense_oracle(A: SRing) -> bool:
+    """Whether every ideal is an A-set, checked ideal by ideal."""
+    return all(A.is_aset(A.ring.ideal(m)) for m in A.ring.divisors())
+
+
+def coset_counts_oracle(A: SRing, m: int, X: Iterable[int]) -> set[int]:
+    """The set of |X meet (x + mR)| over x in X, one ring.add per pair."""
+    ring, X = A.ring, frozenset(X)
+    H = ring.ideal(m)
+    return {sum(1 for h in H if ring.add(x, h) in X) for x in X}
+
+
+def frobenius_set_oracle(A: SRing, X: Iterable[int], p: int) -> frozenset[int]:
+    """{p*x : x in X, |(x + H) meet X| not 0 mod p}, H = (c/p)R the
+    p-torsion, counted with one ring.add per pair."""
+    ring, X = A.ring, frozenset(X)
+    H = ring.ideal(ring.char // p)
+    return frozenset(ring.scale(x, p) for x in X
+                     if sum(1 for h in H if ring.add(x, h) in X) % p)
 
 
 def swap_broken(A: SRing, rng: random.Random) -> list[list[int]]:

@@ -27,6 +27,7 @@ from conftest import (
 from cgschur.cgring import (
     CGRing,
     EmptySetError,
+    _orbit_labels,
     ideal_ring,
     make_cg_ring,
     parse_ring_spec,
@@ -34,6 +35,7 @@ from cgschur.cgring import (
 )
 from cgschur.construct import all_subgroups, subgroup_generated
 from cgschur.galois import make_galois_ring
+from cgschur.sring import labels
 
 
 def z36_iso(ring: CGRing):
@@ -246,6 +248,23 @@ def test_orbit_partition_matches_orbit_oracle(spec):
         for stratum in map(set, strata):
             assert [O for O in orbits if min(O) in stratum] == orbit_partition_oracle(
                 ring, K, stratum)
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_orbit_labels_match_orbit_oracle(spec):
+    # The label vector numbers the oracle's orbits in order of their least
+    # member, whatever order the generators are read in.
+    ring = parse_ring_spec(spec)
+    for K in kernel_subgroups(spec):
+        expected = [0] * ring.size
+        for k, orbit in enumerate(orbit_partition_oracle(ring, K, ring.elements())):
+            for x in orbit:
+                expected[x] = k
+        assert ring.orbit_labels(K) == expected
+        rows = [ring.mul_row(g) for g in reversed(ring.generate(K)[0])]
+        assert _orbit_labels(ring.size, rows) == expected
+    by_ideal = labels(ring.upper_ideal(frozenset({x})) for x in ring.elements())
+    assert labels(ring.unit_orbit_keys()) == ring.orbit_labels(ring.units()) == by_ideal
 
 
 def test_unit_orbits_are_ideal_differences(big):
@@ -572,5 +591,6 @@ def test_orbit_partition_rejects_non_subgroups():
     # A non-unit such as 3 in GR(9) once sent the coset walk round forever.
     ring = parse_ring_spec("GR(9)")
     for K in ({1, 3}, {8}, {1, 2}, {0, 1}):
-        with pytest.raises(ValueError, match="subgroup of the units"):
-            ring.orbit_partition(frozenset(K))
+        for orbits in (ring.orbit_partition, ring.orbit_labels):
+            with pytest.raises(ValueError, match="subgroup of the units"):
+                orbits(frozenset(K))

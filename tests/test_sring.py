@@ -4,17 +4,22 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
 from conftest import (
     KERNEL_RINGS,
     closure_start_oracle,
+    coset_counts_oracle,
     enumerate_subgroups,
+    frobenius_set_oracle,
+    is_dense_oracle,
     is_rational_oracle,
     kernel_subgroups,
     merge_multiples,
     merge_strata,
+    orbit_partition_oracle,
     random_invariant_seed,
     rank2,
     swap_broken,
@@ -34,6 +39,7 @@ from cgschur.sring import (
     frobenius_set,
     has_nontrivial_wreath,
     is_tensor_over,
+    labels,
     power_map,
     quotient_sring,
     restrict,
@@ -282,6 +288,64 @@ def test_a_ideals_and_density(z9, z36):
         assert cyclotomic(z36, K).is_dense()
 
 
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_cyclotomic_matches_checked_orbit_partition(spec):
+    ring = parse_ring_spec(spec)
+    for K in kernel_subgroups(spec):
+        A = cyclotomic(ring, K)
+        B = SRing(ring, orbit_partition_oracle(ring, K, ring.elements()))
+        assert A == B and A.classes == B.classes
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_is_dense_matches_ideal_scan(spec, z9):
+    # 30 random partitions: 15 refine the sets where xR is constant, so are
+    # dense, and 15 ignore them, which almost never leaves {0} a class.
+    ring = parse_ring_spec(spec)
+    rng = random.Random(spec)
+    generated = [ring.upper_ideal(frozenset({x})) for x in ring.elements()]
+
+    def random_partition(refine: bool) -> SRing:
+        k = rng.randrange(1, 6)
+        return SRing.from_labels(ring, labels(
+            (generated[x] if refine else 0, rng.randrange(k)) for x in ring.elements()))
+
+    dense = [cyclotomic(ring, K) for K in kernel_subgroups(spec)]
+    dense += [random_partition(True) for _ in range(15)]
+    loose = [random_partition(False) for _ in range(15)]
+    broken = SRing(z9, [{0}, {1, 4, 7}, {2}, {3}, {5}, {6}, {8}])
+    partitions = dense + loose + [rank2(ring), rank2(z9), broken]
+    assert [A.is_dense() for A in partitions] == [is_dense_oracle(A) for A in partitions]
+    assert all(A.is_dense() for A in dense) and not any(A.is_dense() for A in loose)
+    assert not rank2(z9).is_dense() and broken.is_dense()
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_cyclotomic_and_density_count_guards(spec, monkeypatch):
+    # cyclotomic checks K's members and nothing else, and builds only the
+    # rows its one generate keeps; is_dense reads the kept unit-orbit
+    # keys and builds no ideal and no row.
+    ring = parse_ring_spec(spec)
+    calls, kept = Counter(), []
+    for name in ("is_element", "mul_row", "ideal"):
+        real = getattr(CGRing, name)
+        monkeypatch.setattr(CGRing, name, lambda self, arg, real=real, name=name:
+                            calls.update([name]) or real(self, arg))
+    real_generate = CGRing.generate
+    monkeypatch.setattr(CGRing, "generate", lambda self, elements:
+                        kept.append(real_generate(self, elements)) or kept[-1])
+    for K in kernel_subgroups(spec):
+        calls.clear()
+        kept.clear()
+        A = cyclotomic(ring, sorted(K))
+        assert calls == Counter(is_element=len(K), mul_row=len(kept[0][0])) and len(kept) == 1
+        calls.clear()
+        assert A.is_dense() and not calls
+    trivial = rank2(ring)
+    calls.clear()
+    assert not trivial.is_dense() and not calls
+
+
 def test_lower_ideal_and_purity(z9):
     assert cyclotomic(z9, [1, 8]).is_pure()
     A = cyclotomic(z9, [1, 4, 7])
@@ -403,6 +467,29 @@ def test_coset_count_example(z9):
     assert coset_count(cyclotomic(z9, [1, 8]), 3, frozenset({1, 8})) == 1
     with pytest.raises(ValueError):
         coset_count(rank2(z9), 3, frozenset(range(1, 9)))
+
+
+def test_coset_count_and_frobenius_set_match_pair_oracles(corpus):
+    # |X meet (x + mR)| is read from the images in R/mR, and m = 1 (a
+    # field's p-torsion included) counts |X|; both against the per-pair
+    # count, on classes and on random sets whose counts may vary.
+    gr3 = parse_ring_spec("GR(3)")
+    rings = corpus + [("over GR(3)", A) for A in (rank2(gr3), cyclotomic(gr3, [1]))]
+    rng = random.Random(2026)
+    for label, A in rings:
+        ring = A.ring
+        sizes = [rng.randrange(1, ring.size) for _ in range(3)]
+        sets = list(A.classes) + [frozenset(rng.sample(ring.elements(), k)) for k in sizes]
+        for X in sets:
+            for p in ring.primes:
+                assert frobenius_set(A, X, p) == frobenius_set_oracle(A, X, p), (label, p)
+            for m in A.a_ideal_divisors():
+                found = coset_counts_oracle(A, m, X)
+                if len(found) == 1:
+                    assert coset_count(A, m, X) == found.pop(), (label, m, sorted(X))
+                else:
+                    with pytest.raises(StructureError, match="not constant"):
+                        coset_count(A, m, X)
 
 
 def test_doc_round_trip(z36):

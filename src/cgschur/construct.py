@@ -6,18 +6,22 @@ unit subgroups: one acting on the units, the other on the non-units.
 Each group couples a torsion part on one side with a principal-unit
 part on the other through a fiber product, which is what makes the
 result dense but not pure while admitting no nontrivial wreath
-decomposition.  Every identity the design relies on is re-verified
-exactly on each build, and the returned report records every check.
+decomposition.  Both factors of each fiber product are cyclic of one
+prime order, and each maps its generator to 1 in that cyclic quotient,
+so the fiber product is the graph of an isomorphism: the cyclic group
+of the product of the two generators, grown by one generate.  Every
+identity the design relies on is re-verified exactly on each build,
+and the returned report records every check.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .cgring import CGRing, make_cg_ring
 from .galois import is_prime, power_exceeds
-from .sring import SRing, has_nontrivial_wreath, verify_sring
+from .sring import SRing, has_nontrivial_wreath, labels, verify_sring
 
 DEFAULT_MAX_CONSTRUCT_SIZE = 100_000
 ALL_SUBGROUPS_LIMIT = 256  # the largest group all_subgroups enumerates
@@ -76,56 +80,6 @@ def all_subgroups(ring: CGRing, group: Iterable[int]) -> list[frozenset[int]]:
     for k, H in enumerate(subgroups):  # positions keep the order of elements
         subgroups[k] = frozenset(map(elements.__getitem__, H))
     return subgroups
-
-
-class SubdirectSpec(NamedTuple):
-    left: frozenset[int]
-    right: frozenset[int]
-    modulus: int
-    map_left: dict[int, int]
-    map_right: dict[int, int]
-
-
-def _check_epimorphism(ring: CGRing, group: frozenset[int],
-                       mapping: dict[int, int], modulus: int, side: str) -> None:
-    if set(mapping) != set(group):
-        raise ValueError(f"{side} map is not defined on exactly its group")
-    for x in group:
-        row = ring.mul_row(x)
-        for y in group:
-            if mapping[row[y]] != (mapping[x] + mapping[y]) % modulus:
-                raise ValueError(f"{side} map is not a homomorphism")
-    if set(mapping.values()) != set(range(modulus)):
-        raise ValueError(f"{side} map is not onto the cyclic group of order {modulus}")
-
-
-def subdirect(ring: CGRing, spec: SubdirectSpec) -> frozenset[int]:
-    """Fiber product of two unit subgroups over a common cyclic quotient."""
-    _check_epimorphism(ring, spec.left, spec.map_left, spec.modulus, "left")
-    _check_epimorphism(ring, spec.right, spec.map_right, spec.modulus, "right")
-    fiber = frozenset(
-        row[v]
-        for u, row in zip(spec.left, map(ring.mul_row, spec.left)) for v in spec.right
-        if spec.map_left[u] == spec.map_right[v]
-    )
-    if len(fiber) * spec.modulus != len(spec.left) * len(spec.right):
-        raise ConstructionError("fiber product collapsed; the factors overlap")
-    return fiber
-
-
-def _cyclic_epimorphism(ring: CGRing, gen: int, order: int,
-                        modulus: int) -> dict[int, int]:
-    if order % modulus:
-        raise ValueError("target order must divide the group order")
-    out: dict[int, int] = {}
-    row = ring.mul_row(gen)
-    x = ring.one
-    for k in range(order):
-        out[x] = k % modulus
-        x = row[x]
-    if x != ring.one:
-        raise ValueError(f"generator order is not {order}")
-    return out
 
 
 # -- component subgroups, embedded globally ------------------------------------
@@ -214,13 +168,15 @@ class ConstructionReport(NamedTuple):
         }
 
 
-def _orbits_agree(partitions: list[list[frozenset[int]]],
-                  stratum: list[tuple[int, int]], cells: set[tuple[int, int]]) -> bool:
-    """Whether the orbit partitions agree on the elements whose stratum
-    (valuation pair) lies in cells.  Unit orbits stay inside a stratum, so
-    each partition is cut to cells by the stratum of its orbits' minima."""
-    cut = [{O for O in part if stratum[min(O)] in cells} for part in partitions]
-    return all(c == cut[0] for c in cut[1:])
+def _orbits_agree(vectors: list[list[int]], keys: Sequence[int], cells: set[int]) -> bool:
+    """Whether the orbit label vectors give one partition of the elements
+    whose unit-orbit key lies in cells: cut to those elements, they do
+    exactly when the joint label tuples are as many as each vector's own
+    labels."""
+    inside = [x for x, key in enumerate(keys) if key in cells]
+    cut = [[v[x] for x in inside] for v in vectors]
+    joint = len(set(zip(*cut)))
+    return all(len(set(c)) == joint for c in cut)
 
 
 def build_nonpure_dense_sring(
@@ -260,41 +216,30 @@ def build_nonpure_dense_sring(
 
     # couple the order-q torsion on the left to the right principal factor,
     # and the order-p torsion on the right to the left principal factor
-    units_link = subdirect(ring, SubdirectSpec(
-        left_torsion, right_cyclic, q,
-        _cyclic_epimorphism(ring, min(left_torsion - {ring.one}), q, q),
-        _cyclic_epimorphism(ring, right_gen, q, q)))
-    nonunits_link = subdirect(ring, SubdirectSpec(
-        left_cyclic, right_torsion, p,
-        _cyclic_epimorphism(ring, left_gen, p, p),
-        _cyclic_epimorphism(ring, min(right_torsion - {ring.one}), p, p)))
+    units_link = ring.generate([ring.mul(min(left_torsion - {ring.one}), right_gen)])[2]
+    nonunits_link = ring.generate([ring.mul(left_gen, min(right_torsion - {ring.one}))])[2]
+    if len(units_link) != q or len(nonunits_link) != p:
+        raise ConstructionError("a link is not cyclic of its prime order")
 
-    units_group = subgroup_generated(
-        ring, set(left_principal) | set(right_torsion)
-        | set(right_complement) | set(units_link))
-    nonunits_group = subgroup_generated(
-        ring, set(left_torsion) | set(left_complement)
-        | set(right_principal) | set(nonunits_link))
-    full_group = subgroup_generated(
-        ring, set(left_torsion) | set(left_principal)
-        | set(right_torsion) | set(right_principal))
+    units_group, nonunits_group, full_group = (
+        subgroup_generated(ring, set().union(*parts)) for parts in (
+            (left_principal, right_torsion, right_complement, units_link),
+            (left_torsion, left_complement, right_principal, nonunits_link),
+            (left_torsion, left_principal, right_torsion, right_principal)))
 
-    # one orbit partition of R per group; each check reads the strata it needs
-    left, right = ring.components
-    stratum = [(left.valuation(a), right.valuation(b))
-               for a, b in map(ring.parts, ring.elements())]
-    full_orbits, units_orbits, nonunits_orbits = (
-        ring.orbit_partition(G) for G in (full_group, units_group, nonunits_group))
-    classes = ([O for O in units_orbits if stratum[min(O)] == (0, 0)]
-               + [O for O in nonunits_orbits if stratum[min(O)] != (0, 0)])
-    built = SRing(ring, classes)
+    # one orbit label vector of R per group; both components have n = 2,
+    # so the unit-orbit key of x is v_p(x) + 3*v_q(x), 0 on the units
+    keys = ring.unit_orbit_keys()
+    vectors = [ring.orbit_labels(G) for G in (full_group, units_group, nonunits_group)]
+    built = SRing.from_labels(ring, labels(
+        (key == 0, u if key == 0 else n) for key, _, u, n in zip(keys, *vectors)))
 
     checks: list[CheckResult] = []
 
     def check(name: str, ok: bool, witness: str) -> None:
         checks.append(CheckResult(name, bool(ok), witness))
 
-    report = verify_sring(ring, classes)
+    report = verify_sring(ring, built.classes)
     check("partition_axioms", report.ok,
           "; ".join(json.dumps(f, sort_keys=True) for f in report.failures)
           or "all axioms hold")
@@ -313,8 +258,11 @@ def build_nonpure_dense_sring(
           f"got {units_lower}, expected {p * q * q}")
     check("nonunits_group_lower_ideal", nonunits_lower == p * p * q,
           f"got {nonunits_lower}, expected {p * p * q}")
-    product = frozenset(b for a in units_group
-                        for b in map(ring.mul_row(a).__getitem__, nonunits_group))
+    # units commute, so the product set of the two groups is the group they
+    # generate: nonunits_group grown by the generator rows of units_group
+    product = nonunits_group
+    for row in ring.generate(units_group)[1]:
+        product = ring.extend_subgroup(product, row)
     check("group_product", product == full_group,
           f"product of orders {len(units_group)} and {len(nonunits_group)} "
           f"covers {len(product)} of {len(full_group)}")
@@ -323,15 +271,12 @@ def build_nonpure_dense_sring(
     meet = units_group & nonunits_group
     check("intersection_order", len(meet) == expected_meet,
           f"got {len(meet)}, expected {expected_meet}")
-    deep = _orbits_agree([full_orbits, units_orbits, nonunits_orbits], stratum,
-                         {(i, j) for i in (0, 1, 2) for j in (0, 1, 2) if i + j >= 2})
-    check("deep_strata_orbits", deep,
+    deep = {i + 3 * j for i in range(3) for j in range(3) if i + j >= 2}
+    check("deep_strata_orbits", _orbits_agree(vectors, keys, deep),
           "the three groups induce one orbit partition below the top strata")
-    check("q_stratum_orbits",
-          _orbits_agree([full_orbits, units_orbits], stratum, {(0, 1)}),
+    check("q_stratum_orbits", _orbits_agree(vectors[:2], keys, {3}),
           "full group and units group agree on the stratum of q times units")
-    check("p_stratum_orbits",
-          _orbits_agree([full_orbits, nonunits_orbits], stratum, {(1, 0)}),
+    check("p_stratum_orbits", _orbits_agree(vectors[::2], keys, {1}),
           "full group and nonunits group agree on the stratum of p times units")
 
     instance = ConstructionInstance(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .cgring import CGRing, ideal_ring, label_classes, parse_ring_spec, quotient
@@ -269,9 +269,12 @@ def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
     {1, ..., 8} is a Schur ring.  The start partition is the atoms of
     the family of every unit translate u*S of a seed and every ideal mR:
     x and y share a start class when each of these sets holds both or
-    neither.  The translates cost one mul_row per seed element, read at
-    the |U| units.  The zero ideal makes {0} a class, and every Schur ring
-    keeping the family as A-sets refines the start.  Each round
+    neither.  The atoms of the ideals alone are the unit orbits, so the
+    start class of x is keyed by its kept unit-orbit key and the
+    translates that hold it, with no ideal listed.  The translates cost
+    one mul_row per seed element, read at the |U| units.  The zero ideal
+    makes {0} a class, and every Schur ring keeping the family as
+    A-sets refines the start.  Each round
     replaces P by its double character-sum dual P**.  P** refines P, and
     taking the dual preserves refinement, so a Schur ring S refining P
     also refines P** (S** = S); the dual is always closed under negation
@@ -292,11 +295,11 @@ def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
     translates = (T for S in seed_sets
                   for T in zip(*([row[u] for u in units] for row in map(ring.mul_row, S))))
     marks: list[list[int]] = [[] for _ in ring.elements()]
-    for i, T in enumerate(chain(map(ring.ideal, ring.divisors()), translates)):
+    for i, T in enumerate(translates):
         for x in T:
             marks[x].append(i)
     table = character_table(ring)
-    P = SRing.from_labels(ring, labels(map(tuple, marks)))
+    P = SRing.from_labels(ring, labels(zip(ring.unit_orbit_keys(), map(tuple, marks))))
     while True:
         D = _dual(table, P)
         if D.rank == P.rank:

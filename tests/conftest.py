@@ -150,6 +150,31 @@ def principal_decomposition_oracle(
             subgroup_generated_oracle(ring, complement_gens), gen, complement_gens)
 
 
+def cyclic_log_oracle(ring: CGRing, gen: int, modulus: int) -> dict[int, int]:
+    """g^k -> k mod modulus over the cyclic group of the unit gen, walked
+    by repeated products."""
+    mul = products(ring)
+    logs, x, k = {}, ring.one, 0
+    while x not in logs:
+        logs[x], x, k = k % modulus, mul(x, gen), k + 1
+    return logs
+
+
+def fiber_product_oracle(ring: CGRing, map_left: dict[int, int],
+                         map_right: dict[int, int], modulus: int) -> frozenset[int]:
+    """The fiber product {u*v : map_left[u] = map_right[v]} of two unit
+    groups over the cyclic group of order modulus, each given by its map
+    onto Z/modulus, checked here to be an epimorphism: the construction's
+    links as once computed pair by pair, kept as a reference."""
+    mul = products(ring)
+    for mapping in (map_left, map_right):
+        assert all(mapping[mul(x, y)] == (mapping[x] + mapping[y]) % modulus
+                   for x in mapping for y in mapping)
+        assert set(mapping.values()) == set(range(modulus))
+    return frozenset(mul(u, v) for u in map_left for v in map_right
+                     if map_left[u] == map_right[v])
+
+
 def is_rational_oracle(A: SRing, primes: Iterable[int]) -> bool:
     """Every unit of each chosen component maps every class onto itself."""
     ring = A.ring

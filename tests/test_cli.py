@@ -555,6 +555,8 @@ main(["dual", {sign_doc!r}])
 # recorded before the unit-group kernel was rebuilt on CGRing.generate.
 # The calls from ring-info-1296 on, and the sha256 of the construct --out
 # file, were recorded before the report classes became NamedTuple records.
+# construct-3122 and construct-3222 were recorded before the construction
+# read its links as cyclic groups and its orbits as label vectors.
 GOLDEN = {
     "closure-nonzero": (0, "6bb58d17884322cb955a3aa2ecb98e0e7f3a1601bd26124561e6dd8efc1d968d"),
     "closure-unit": (0, "2a8a9ae36ef1b402fda5d474ea2d2ebd14968330c207aa8195240d3e0c0fd209"),
@@ -580,6 +582,8 @@ GOLDEN = {
     "classify-quotient-even": (1, "90e46d10178d3ac8f86599f92289998e7242494ebd7a6f641fe5122edcffc249"),
     "construct-2231": (0, "b85a4ee90bf18e6e5e1e17cbcf0d567bcf2064205a68f8313e967d951c252def"),
     "construct-2231-out": (0, "2787de6918926d26c52cf5a42f1a5f298d8d7b55f61e11bd0216169dae226e80"),
+    "construct-3122": (0, "47b3a1830109e792db911933e09e353ffb5c975f854c72cad8bca33e7480d857"),
+    "construct-3222": (0, "4cd9d4bfe6f201e20f2e0463ff8878f925992036e716b67852e150ff31ee76eb"),
 }
 
 SWAP_DOC = {  # orbits of the coefficient swap of GR(4,2): a Schur ring, not unit-invariant
@@ -635,6 +639,8 @@ def test_golden_stdout(capsys, tmp_path):
     call("construct-2231", "construct", "t210809a",
          "--p", "2", "--d", "2", "--q", "3", "--e", "1", "--out", str(out))
     seen["construct-2231-out"] = (0, hashlib.sha256(out.read_bytes()).hexdigest())
+    call("construct-3122", "construct", "t210809a", "--p", "3", "--d", "1", "--q", "2", "--e", "2")
+    call("construct-3222", "construct", "t210809a", "--p", "3", "--d", "2", "--q", "2", "--e", "2")
     assert seen == GOLDEN
 
 

@@ -4,27 +4,30 @@ Frozen instance values (rank, class sizes, group orders) were derived
 by independent stratum-by-stratum orbit counting: the unit group splits
 into three orbits of 24, and the eight non-unit strata contribute
 orbits 18, 12+12, 12, 6, 6, 3, 2, 1 at (2,2,3,1).  Fiber products are
-recomputed here from first-principles discrete logs.
+recomputed here from first-principles discrete logs, pair by pair.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from cgschur.cgring import parse_ring_spec
+from cgschur.cgring import CGRing, parse_ring_spec
 from cgschur.construct import (
     ALL_SUBGROUPS_LIMIT,
-    ConstructionError,
-    SubdirectSpec,
     _orbits_agree,
     _principal_decomposition,
     all_subgroups,
     build_nonpure_dense_sring,
-    subdirect,
     subgroup_generated,
 )
 from cgschur.sring import has_nontrivial_wreath
-from conftest import enumerate_subgroups, orbit_partition_oracle, principal_decomposition_oracle
+from conftest import (
+    cyclic_log_oracle,
+    enumerate_subgroups,
+    fiber_product_oracle,
+    orbit_partition_oracle,
+    principal_decomposition_oracle,
+)
 
 
 def test_subgroup_generated_basics(z9, z36):
@@ -82,29 +85,41 @@ def test_all_subgroups_rejections(z9):
         all_subgroups(z9, {1, 2, 5})
 
 
-def test_subdirect_trivial_target_is_direct_product(z9):
-    spec = SubdirectSpec(frozenset({1, 8}), frozenset({1, 4, 7}), 1,
-                         {1: 0, 8: 0}, {1: 0, 4: 0, 7: 0})
-    assert subdirect(z9, spec) == frozenset(z9.units())
+@pytest.mark.parametrize("args", [(2, 2, 3, 1), (3, 1, 2, 2), (2, 3, 7, 1)],
+                         ids=["2231", "3122", "2371"])
+def test_links_are_the_fiber_products(args):
+    # Each link couples an order-r torsion group on one side with the cyclic
+    # principal factor on the other, both sent onto Z/r with generator 1.
+    instance, _built, report = build_nonpure_dense_sring(*args)
+    ring, one = instance.ring, instance.ring.one
+    left_gen, right_gen = (principal_decomposition_oracle(ring, ci)[2] for ci in (0, 1))
+    for link, modulus, (left, g), (right, h) in (
+            (instance.units_link, instance.q,
+             (instance.left_torsion, min(instance.left_torsion - {one})),
+             (instance.right_cyclic, right_gen)),
+            (instance.nonunits_link, instance.p,
+             (instance.left_cyclic, left_gen),
+             (instance.right_torsion, min(instance.right_torsion - {one})))):
+        map_left = cyclic_log_oracle(ring, g, modulus)
+        map_right = cyclic_log_oracle(ring, h, modulus)
+        assert set(map_left) == left and set(map_right) == right
+        assert link == fiber_product_oracle(ring, map_left, map_right, modulus)
+        assert len(link) == modulus
+    # (2,3,7,1) is GR(4,3)xGR(49), the first instance with d = 3
+    assert report.ok, report.to_doc()
 
 
-def test_subdirect_diagonal(z9):
-    group = frozenset({1, 4, 7})
-    logs = {1: 0, 4: 1, 7: 2}
-    fiber = subdirect(z9, SubdirectSpec(group, group, 3, logs, logs))
-    # the diagonal {t*t : t in the group} is the group itself
-    assert fiber == group
-
-
-def test_subdirect_rejections(z9):
-    group = frozenset({1, 4, 7})
-    logs = {1: 0, 4: 1, 7: 2}
-    with pytest.raises(ValueError):
-        subdirect(z9, SubdirectSpec(group, frozenset({1}), 3, logs, {1: 0}))
-    with pytest.raises(ValueError):
-        subdirect(z9, SubdirectSpec(group, group, 3, {1: 0, 4: 1, 7: 1}, logs))
-    with pytest.raises(ValueError):
-        subdirect(z9, SubdirectSpec(group, group, 3, {1: 0, 4: 1}, logs))
+@pytest.mark.parametrize("args", [(2, 2, 3, 1), (3, 2, 2, 2)], ids=["2231", "3222"])
+def test_build_reads_few_rows(args, monkeypatch):
+    # The fiber products once read a mul_row per member of a link factor,
+    # and the group product one per member of the units group: 89 and 177
+    # rows on these two instances in a fresh process.
+    calls = []
+    real = CGRing.mul_row
+    monkeypatch.setattr(CGRing, "mul_row", lambda ring, r: calls.append(r) or real(ring, r))
+    _instance, _built, report = build_nonpure_dense_sring(*args)
+    assert report.ok
+    assert len(calls) <= 60
 
 
 CHECK_NAMES = [
@@ -234,21 +249,25 @@ def test_principal_decomposition_matches_linear_algebra(spec):
 
 
 def test_orbits_agree_matches_per_stratum_orbits():
-    # The stratum checks cut one orbit partition of R per group; the oracle
-    # takes the orbits of each stratum separately, as the checks once did.
+    # The stratum checks cut one orbit label vector of R per group; the
+    # oracle takes the orbits of each stratum separately, as the checks
+    # once did.
     instance, _, _ = build_nonpure_dense_sring(2, 2, 3, 1)
     ring = instance.ring
     left, right = ring.components
-    stratum = [(left.valuation(a), right.valuation(b))
-               for a, b in map(ring.parts, ring.elements())]
+    keys = ring.unit_orbit_keys()
     groups = (instance.full_group, instance.units_group, instance.nonunits_group)
-    partitions = [ring.orbit_partition(G) for G in groups]
+    vectors = [ring.orbit_labels(G) for G in groups]
     verdicts = set()
-    for cell in sorted(set(stratum)):
-        carrier = [x for x in ring.elements() if stratum[x] == cell]
+    for x in ring.elements():  # both components have n = 2
+        a, b = ring.parts(x)
+        assert keys[x] == left.valuation(a) + 3 * right.valuation(b)
+    for cell in sorted(set(keys)):
+        carrier = [x for x in ring.elements() if keys[x] == cell]
+        orbits = [orbit_partition_oracle(ring, G, carrier) for G in groups]
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            oracle = (orbit_partition_oracle(ring, groups[i], carrier)
-                      == orbit_partition_oracle(ring, groups[j], carrier))
-            assert _orbits_agree([partitions[i], partitions[j]], stratum, {cell}) == oracle
+            oracle = orbits[i] == orbits[j]
+            assert _orbits_agree([vectors[i], vectors[j]], keys, {cell}) == oracle
             verdicts.add(oracle)
+        assert _orbits_agree(vectors, keys, {cell}) == (orbits[0] == orbits[1] == orbits[2])
     assert verdicts == {True, False}

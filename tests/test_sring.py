@@ -260,6 +260,15 @@ def test_closure_start_matches_stratum_oracle(spec, monkeypatch):
         assert closure_start(monkeypatch, ring, [*seeds, *ideals]) == (start, A)
 
 
+def test_closure_lists_no_ideal(monkeypatch):
+    # The start partition keys each element by its unit-orbit key, the atoms
+    # of every ideal, so no ideal is built as a set.
+    ring = parse_ring_spec("GR(4,2)xGR(9)")
+    expected = schur_closure(ring, [[5, 31]])
+    monkeypatch.setattr(CGRing, "ideal", lambda *args: pytest.fail("an ideal was listed"))
+    assert schur_closure(ring, [[5, 31]]) == expected
+
+
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_is_rational_matches_all_units_oracle(spec):
     ring = parse_ring_spec(spec)

@@ -85,6 +85,7 @@ class CGRing:
         self._unit_generators: tuple[int, ...] | None = None
         self._unit_rows: tuple[tuple[int, ...], ...] = ()
         self._unit_orbit_keys: tuple[int, ...] | None = None
+        self._character_table = None  # filled by duality.character_table
 
     def __repr__(self) -> str:
         return f"CGRing({self.spec()})"
@@ -130,9 +131,7 @@ class CGRing:
         return out
 
     def neg(self, a: int) -> int:
-        return self.from_parts(
-            comp.neg(i) for comp, i in zip(self.components, self.parts(a))
-        )
+        return self.scale(a, -1)
 
     def mul(self, a: int, b: int) -> int:
         out = 0
@@ -453,18 +452,12 @@ class CGRing:
     # -- purity ------------------------------------------------------------
 
     def is_pure_set(self, X: frozenset[int]) -> bool:
-        return self.lower_ideal(X) == self.char
+        """No nonzero ideal I with X + I = X: every nonzero ideal holds a
+        minimal one (c/p)R, and X + J = X gives X + I = X for I inside J.
+        On a unit subgroup K, K + I = K exactly when 1 + I lies in K."""
+        return not any(self.coset_closed(X, self.char // p) for p in self.primes)
 
-    def is_pure_subgroup(self, K: frozenset[int]) -> bool:
-        """No coset 1 + I of a nonzero ideal inside K.
-
-        It is enough to test the minimal ideals, one per prime.
-        """
-        one = self.one
-        for p in self.primes:
-            if all(self.add(one, g) in K for g in self.ideal(self.char // p)):
-                return False
-        return True
+    is_pure_subgroup = is_pure_set
 
 
 class QuotientMap(NamedTuple):

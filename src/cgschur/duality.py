@@ -18,6 +18,7 @@ from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 from .cgring import CGRing
+from .galois import mixed_radix_sum
 from .sring import (
     SRing,
     StructureError,
@@ -77,19 +78,16 @@ class CharacterTable:
 
         # Mixed radix, component 0 least significant: each component
         # contributes w_i*tr_i to every element sharing its part.
-        exponent = [0]
-        shift = 1
-        for comp in ring.components:
+        weighted = []
+        for comp, shift in zip(ring.components, ring.shifts):
             traces = [comp.trace(a) for a in comp.elements()]
             kernel = [s for s in comp.elements()
                       if s and all(traces[comp.mul(s, x)] == 0 for x in comp.elements())]
             if kernel:
                 # the least global s with chi(s*.) trivial has this part alone
                 raise StructureError(f"generating character not faithful at {kernel[0] * shift}")
-            w = c // comp.char
-            exponent = [e + w * t for t in traces for e in exponent]
-            shift *= comp.size
-        self.exponent = [e % c for e in exponent]
+            weighted.append([c // comp.char * t for t in traces])
+        self.exponent = [e % c for e in mixed_radix_sum(weighted)]
         self._packed_exponent = [self.packed[e] for e in self.exponent]
 
     @cached_property
@@ -127,13 +125,11 @@ class CharacterTable:
         return sum(values[mul(r, x)] for x in S)
 
 
-_TABLES: dict[CGRing, CharacterTable] = {}
-
-
 def character_table(ring: CGRing) -> CharacterTable:
-    if ring not in _TABLES:
-        _TABLES[ring] = CharacterTable(ring)
-    return _TABLES[ring]
+    """The ring's character table, built on first use and kept on the ring."""
+    if ring._character_table is None:
+        ring._character_table = CharacterTable(ring)
+    return ring._character_table
 
 
 def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],

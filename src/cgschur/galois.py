@@ -11,6 +11,7 @@ arithmetic, no floating point anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from operator import add
 from typing import Iterable, Sequence
 
@@ -65,16 +66,9 @@ def _poly_rem(a: list[int], b: tuple[int, ...], p: int) -> list[int]:
 def _is_irreducible(f: tuple[int, ...], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= deg(f)/2."""
     d = len(f) - 1
-    if d == 1:
-        return True
     for deg in range(1, d // 2 + 1):
-        for k in range(p**deg):
-            g, t = [], k
-            for _ in range(deg):
-                t, r = divmod(t, p)
-                g.append(r)
-            g.append(1)
-            if not any(_poly_rem(list(f), tuple(g), p)):
+        for low in product(range(p), repeat=deg):
+            if not any(_poly_rem(list(f), low + (1,), p)):
                 return False
     return True
 
@@ -85,14 +79,10 @@ def canonical_modulus(p: int, d: int) -> tuple[int, ...]:
 
     Candidates x^d + a_{d-1} x^{d-1} + ... + a_0 are ordered by the value
     sum(a_i * p**i), so for d = 1 the modulus is x itself and the quotient
-    ring is Z_{p^n}.
+    ring is Z_{p^n}.  Reversed, the product tuples run a_0 fastest, in order.
     """
-    for k in range(p**d):
-        coeffs, t = [], k
-        for _ in range(d):
-            t, r = divmod(t, p)
-            coeffs.append(r)
-        f = tuple(coeffs) + (1,)
+    for low in product(range(p), repeat=d):
+        f = low[::-1] + (1,)
         if _is_irreducible(f, p):
             return f
     raise AssertionError(f"no irreducible polynomial of degree {d} over GF({p})")

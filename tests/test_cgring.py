@@ -583,6 +583,7 @@ def test_coset_closed_matches_add_oracle(spec):
                   if all(ring.add(x, i) in X for x in X for i in ring.ideal(m))]
         assert [m for m in ring.divisors() if ring.coset_closed(X, m)] == closed
         assert ring.lower_ideal(X) == max(closed, key=lambda m: len(ring.ideal(m)))
+        assert ring.is_pure_set(X) == (ring.lower_ideal(X) == ring.char)
     # every divisor's generators were read: one kept row per generator
     assert len(ring._translation_rows) == sum(c.n * c.d for c in ring.components)
 

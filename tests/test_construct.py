@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from cgschur import construct
 from cgschur.cgring import CGRing, parse_ring_spec
 from cgschur.construct import (
     ALL_SUBGROUPS_LIMIT,
@@ -120,6 +121,21 @@ def test_build_reads_few_rows(args, monkeypatch):
     _instance, _built, report = build_nonpure_dense_sring(*args)
     assert report.ok
     assert len(calls) <= 60
+
+
+@pytest.mark.parametrize("args", [(2, 2, 3, 1), (3, 1, 2, 2)], ids=["2231", "3122"])
+def test_build_checks_the_pinned_strata(args, monkeypatch):
+    # The unit-orbit key is v_p + 3*v_q.  The deep strata are the cells
+    # with v_p + v_q >= 2; then the stratum of q times units (v_q = 1) and
+    # of p times units (v_p = 1).  On correct inputs every check holds for
+    # other cells too, so only the cells passed can pin them.
+    cells = []
+    real = construct._orbits_agree
+    monkeypatch.setattr(construct, "_orbits_agree",
+                        lambda vectors, keys, c: cells.append(set(c)) or real(vectors, keys, c))
+    _instance, _built, report = build_nonpure_dense_sring(*args)
+    assert report.ok
+    assert cells == [{2, 4, 5, 6, 7, 8}, {3}, {1}]
 
 
 CHECK_NAMES = [

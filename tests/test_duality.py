@@ -9,7 +9,9 @@ against hand computations over Z_9.
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -506,14 +508,12 @@ def test_dual_reads_the_kept_unit_rows(spec, monkeypatch):
     # A dual reads the kept unit rows and the table's kept packed rows of
     # the orbit representatives.  A fresh table builds one row per divisor,
     # once; later duals build none, and verify_sring only the row of -1.
-    # The module's tables are shared by every test, so the count on a
-    # fresh table is made on one of this test's own.
+    # The ring's own table is warmed first, so dual_sring(A) reads it
+    # without building a row, and the count is made on a fresh table.
     ring = parse_ring_spec(spec)
     A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
-    shared = character_table(ring)
-    for known in (ring, shared.ring):  # the table may hold an equal ring built earlier
-        known.unit_generators()
-    assert len(shared.representative_rows) == len(ring.divisors())
+    ring.unit_generators()
+    assert len(character_table(ring).representative_rows) == len(ring.divisors())
     table = CharacterTable(ring)
     calls = []
     real = CGRing.mul_row
@@ -526,3 +526,20 @@ def test_dual_reads_the_kept_unit_rows(spec, monkeypatch):
     assert calls == []
     assert verify_sring(ring, A.classes).ok
     assert calls == [ring.neg(ring.one)]
+
+
+def test_character_table_lives_on_its_ring():
+    # Each ring keeps its own table, so equal rings do not share one, and
+    # a ring with every reference dropped is freed with its table.
+    first, second = parse_ring_spec("GR(4)xGR(9)"), parse_ring_spec("GR(4)xGR(9)")
+    assert first == second and first is not second
+    for ring in (first, second):
+        assert character_table(ring).ring is ring
+    assert character_table(first) is character_table(first)
+    A = cyclotomic(first, subgroup_generated(first, [first.neg(first.one)]))
+    assert dual_sring(A).rank == A.rank
+    assert verify_sring(first, A.classes).ok
+    alive = weakref.ref(first)
+    del first, second, ring, A
+    gc.collect()
+    assert alive() is None

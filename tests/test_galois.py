@@ -43,7 +43,8 @@ def oracle_irreducible(f, p):
 
 
 def test_canonical_modulus_is_least_irreducible():
-    for p, d in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 2)]:
+    for p, d in [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6), (3, 1), (3, 2), (3, 3),
+                 (5, 2), (5, 3), (7, 2)]:
         m = canonical_modulus(p, d)
         assert len(m) == d + 1 and m[-1] == 1
         assert oracle_irreducible(m, p)

@@ -79,8 +79,7 @@ class CGRing:
         self._units: tuple[int, ...] | None = None
         self._unit_set: frozenset[int] = frozenset()
         self._ideals: dict[int, frozenset[int]] = {}
-        self._ideal_generators: dict[int, tuple[int, ...]] = {}
-        self._translation_rows: dict[int, list[int]] = {}
+        self._reductions: dict[int, tuple[tuple[int, ...], int]] = {}
         self._divisors: list[int] | None = None
         self._unit_generators: tuple[int, ...] | None = None
         self._unit_rows: tuple[tuple[int, ...], ...] = ()
@@ -307,49 +306,46 @@ class CGRing:
 
     def ideal_generators(self, m: int) -> tuple[int, ...]:
         """Additive generators p_i^v_i * x^j of mR, one per coefficient slot per component."""
-        if m not in self._ideal_generators:
-            self._ideal_generators[m] = tuple(
-                comp.p**v * comp.char**j * shift
-                for comp, v, shift in zip(self.components, self.valuations(m), self.shifts)
-                if v < comp.n for j in range(comp.d))
-        return self._ideal_generators[m]
+        return tuple(comp.p**v * comp.char**j * shift
+                     for comp, v, shift in zip(self.components, self.valuations(m), self.shifts)
+                     if v < comp.n for j in range(comp.d))
 
-    def _translation_row(self, g: int) -> list[int]:
-        """The row x -> x + g of an ideal generator g, kept and never handed out.
-
-        Built like mul_row, from the component rows g_i + R_i.  Each
-        generator is p_i^v times a basis element of one component, v < n_i,
-        so at most sum of n_i*d_i rows of |R| are ever kept.
-        """
-        row = self._translation_rows.get(g)
-        if row is None:
-            row = self._translation_rows[g] = self._combine(
-                comp.add_row(gi) for comp, gi in zip(self.components, self.parts(g)))
-        return row
+    def reduction(self, m: int) -> tuple[tuple[int, ...], int]:
+        """The row x -> x mod mR, as an element index of R/mR, and |mR|, kept
+        once per divisor as a tuple.  Each coefficient of component i is read
+        mod p_i^v_i, weighted by the size of R/mR before it; m = 1 gives the
+        zero row and m = c the identity."""
+        kept = self._reductions.get(m)
+        if kept is None:
+            weight, rows = 1, []
+            for comp, v in zip(self.components, self.valuations(m)):
+                rows.append(_recode(comp.d, comp.char, comp.p**v, weight))
+                weight *= comp.p**(v * comp.d)
+            kept = self._reductions[m] = (tuple(mixed_radix_sum(rows)), self.size // weight)
+        return kept
 
     def coset_closed(self, X: frozenset[int], m: int) -> bool:
-        """Whether X is a union of cosets of the ideal mR: X + g = X for
-        each additive generator g of mR, read from the translation row
-        of g at |X| lookups per generator."""
-        for g in self.ideal_generators(m):
-            if not X.issuperset(map(self._translation_row(g).__getitem__, X)):
-                return False
-        return True
+        """Whether X is a union of cosets of the ideal mR: |mR| divides |X|
+        and X meets exactly |X|/|mR| cosets, read from the kept reduction
+        row at |X| lookups."""
+        row, size = self.reduction(m)
+        return not len(X) % size and len(set(map(row.__getitem__, X))) * size == len(X)
 
     def lower_ideal(self, X: frozenset[int]) -> int:
         """Divisor of the largest ideal I with X + I = X.
 
         Such ideals are closed under sums, so the largest is the sum of
         the largest one inside each component, found by coset_closed on
-        the ideals p_i^v R_i in turn, v = 0 first.
+        the ideals p_i^v R_i in turn, v = 0 first.  The zero ideal, v = n_i,
+        closes every X and is never tested.
         """
         if not X:
             raise EmptySetError("the lower ideal of the empty set is undefined")
         vals = []
         for comp in self.components:
             others = self.char // comp.char  # others*R is this component
-            vals.append(next(v for v in range(comp.n + 1)
-                             if self.coset_closed(X, others * comp.p**v)))
+            vals.append(next((v for v in range(comp.n)
+                              if self.coset_closed(X, others * comp.p**v)), comp.n))
         return self.divisor_from_valuations(vals)
 
     def upper_ideal(self, X: frozenset[int]) -> int:
@@ -461,8 +457,8 @@ class CGRing:
 
 
 class QuotientMap(NamedTuple):
-    """Quotient ring R/mR with the natural projection and least-preimage lift,
-    each read from its _truncate row."""
+    """Quotient ring R/mR with the natural projection, read from the kept
+    reduction row, and the least-preimage lift, read from its _truncate row."""
 
     ring: CGRing
     divisor: int
@@ -492,22 +488,20 @@ class IdealRingMap(NamedTuple):
 
 def _recode(d: int, source: int, target: int, weight: int, k: int = 1) -> list[int]:
     """The row over d coefficient slots of digits t < source that reads each
-    as k*t mod target in base target, times weight: one mixed_radix_sum, as
-    GaloisRing.add_row.  Reduction, change of base and integer multiples act
-    on each coefficient alone, so each ideal and quotient map is such rows."""
+    as k*t mod target in base target, times weight: one mixed_radix_sum.
+    Reduction, change of base and integer multiples act on each coefficient
+    alone, so each ideal and quotient map is such rows."""
     return mixed_radix_sum([k * t % target * target**i * weight for t in range(source)]
                            for i in range(d))
 
 
-def _truncate(ring: CGRing, exponents: Sequence[int], k: int = 1) -> tuple[CGRing, list, list]:
+def _truncate(ring: CGRing, exponents: Sequence[int], k: int = 1) -> tuple[CGRing, Sequence, list]:
     """The ring keeping component i mod p_i^exponents[i] (0 drops it), the
-    reduction row over the source elements and the row over the target of k
-    times the lift of coefficients: each one mixed_radix_sum over every slot."""
+    kept reduction row of the source ring onto it, and the row over the
+    target of k times the lift of coefficients, one mixed_radix_sum."""
     target = CGRing([make_galois_ring(comp.p, e, comp.d)
                      for comp, e in zip(ring.components, exponents) if e])
-    shifts = iter(target.shifts)
-    reduce = mixed_radix_sum(_recode(comp.d, comp.char, comp.p**e, next(shifts) if e else 0)
-                             for comp, e in zip(ring.components, exponents))
+    reduce = ring.reduction(ring.divisor_from_valuations(exponents))[0]
     lift = mixed_radix_sum(_recode(comp.d, comp.p**e, comp.char, shift, k)
                            for comp, e, shift in zip(ring.components, exponents, ring.shifts) if e)
     return target, reduce, lift

@@ -158,8 +158,7 @@ def _cmd_sring(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
             "dense": A.is_dense(),
             "lower_ideal": A.lower_ideal(),
             "unit_classes": [
-                {"class": k, "lower_ideal": A.ring.lower_ideal(A.classes[k])}
-                for k in A.unit_class_indices()
+                {"class": k, "lower_ideal": m} for k, m in A.unit_lower_ideals.items()
             ],
         }, True
     if args.action == "rational":

@@ -216,14 +216,6 @@ class GaloisRing:
             row = list(column) if row is None else list(map(add, row, column))
         return row
 
-    def add_row(self, g: int) -> list[int]:
-        """The sums g + y over all elements y, in element order: one
-        mixed_radix_sum of (g_i + t) % char, weighted by char**i, over
-        the coefficient slots i."""
-        char = self.char
-        return mixed_radix_sum([(gi + t) % char * char**i for t in range(char)]
-                               for i, gi in enumerate(self.coeffs(g)))
-
     def pow(self, a: int, k: int) -> int:
         out = 1
         while k:

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .cgring import CGRing, ideal_ring, label_classes, parse_ring_spec, quotient
+from .cgring import CGRing, EmptySetError, ideal_ring, label_classes, parse_ring_spec, quotient
 from .galois import DEFAULT_MAX_RING_SIZE
 
 
@@ -25,6 +25,16 @@ class PartitionError(ValueError):
 
 class StructureError(RuntimeError):
     """An internal Schur ring law failed; the input partition is broken."""
+
+
+def _element_set(ring: CGRing, X: Iterable[int], what: str) -> frozenset[int]:
+    """X as a frozenset, each member checked to be an element index as
+    given, before the set merges True into 1."""
+    X = list(X)
+    for x in X:
+        if not ring.is_element(x):
+            raise ValueError(f"{what} {x!r} is not an element index of {ring.spec()}")
+    return frozenset(X)
 
 
 def labels(keys: Iterable[Hashable]) -> list[int]:
@@ -122,17 +132,18 @@ class SRing:
         return [k for k, X in enumerate(self.classes) if not X.isdisjoint(units)]
 
     @cached_property
-    def _unit_lower_ideals(self) -> set[int]:
-        return {self.ring.lower_ideal(self.classes[k]) for k in self.unit_class_indices()}
+    def unit_lower_ideals(self) -> dict[int, int]:
+        """The lower ideal of each class that meets the units, keyed by class
+        number in unit_class_indices order, found once per SRing."""
+        return {k: self.ring.lower_ideal(self.classes[k]) for k in self.unit_class_indices()}
 
     def lower_ideal(self) -> int:
         """The common lower ideal of the classes that meet the units.
 
         All such classes share one lower ideal; disagreement means the
-        partition is not a Schur ring, and every call raises.  The lower
-        ideals are found once per SRing.
+        partition is not a Schur ring, and every call raises.
         """
-        found = self._unit_lower_ideals
+        found = set(self.unit_lower_ideals.values())
         if len(found) != 1:
             raise StructureError(f"unit classes disagree on the lower ideal: {sorted(found)}")
         return next(iter(found))
@@ -254,11 +265,7 @@ def cyclotomic(ring: CGRing, K: Iterable[int]) -> SRing:
     and returns a canonical label vector, so the partition needs no
     second check by the SRing constructor.
     """
-    K = list(K)  # checked before the set merges True into 1
-    for k in K:
-        if not ring.is_element(k):
-            raise ValueError(f"unit {k!r} is not an element index of {ring.spec()}")
-    return SRing.from_labels(ring, ring.orbit_labels(K))
+    return SRing.from_labels(ring, ring.orbit_labels(_element_set(ring, K, "unit")))
 
 
 def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
@@ -284,13 +291,7 @@ def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
     """
     from .duality import _dual, character_table  # .duality imports this module
 
-    seed_sets = []
-    for S in seeds:
-        S = list(S)
-        for x in S:
-            if not ring.is_element(x):
-                raise ValueError(f"seed element {x!r} is not an element index of {ring.spec()}")
-        seed_sets.append(frozenset(S))
+    seed_sets = [_element_set(ring, S, "seed element") for S in seeds]
     units = ring.units()
     translates = (T for S in seed_sets
                   for T in zip(*([row[u] for u in units] for row in map(ring.mul_row, S))))
@@ -425,32 +426,39 @@ def power_map(A: SRing, X: Iterable[int], m: int) -> frozenset[int]:
 
 def _coset_hits(ring: CGRing, m: int, X: frozenset[int]) -> Callable[[int], int]:
     """x -> |X meet (x + mR)|.  Two elements share a coset of mR exactly
-    when their images in R/mR are equal, so the count at x is the
-    multiplicity of pi(x) among the images of X; for m = 1 the coset is R
-    and every count is |X|."""
-    if m == 1:
-        return lambda x: len(X)
-    pi = quotient(ring, m).pi
-    counts = Counter(map(pi, X))
-    return lambda x: counts[pi(x)]
+    when the ring's kept reduction row maps them to one index of R/mR, so
+    the count at x is the multiplicity of its index among those of X."""
+    row = ring.reduction(m)[0]
+    counts = Counter(map(row.__getitem__, X))
+    return lambda x: counts[row[x]]
+
+
+def _nonempty_set(ring: CGRing, X: Iterable[int]) -> frozenset[int]:
+    """X as a nonempty frozenset of element indices, or ValueError."""
+    X = _element_set(ring, X, "element")
+    if not X:
+        raise EmptySetError("the set X must be nonempty")
+    return X
 
 
 def frobenius_set(A: SRing, X: Iterable[int], p: int) -> frozenset[int]:
-    """The set {p*x : x in X, |(x + H) meet X| not 0 mod p}, H the p-torsion."""
+    """The set {p*x : x in X, |(x + H) meet X| not 0 mod p}, H the p-torsion,
+    for a nonempty set X of elements and a prime p of the ring."""
     ring = A.ring
-    if ring.char % p:
-        raise ValueError(f"{p} does not divide the characteristic")
-    X = frozenset(X)
+    if type(p) is not int or p not in ring.primes:
+        raise ValueError(f"{p!r} is not a prime of {ring.spec()}")
+    X = _nonempty_set(ring, X)
     hits = _coset_hits(ring, ring.char // p, X)
     return frozenset(ring.scale(x, p) for x in X if hits(x) % p)
 
 
 def coset_count(A: SRing, m: int, X: Iterable[int]) -> int:
-    """The constant |X meet (x + H)| over x in X, H = mR an A-ideal."""
+    """The constant |X meet (x + H)| over x in a nonempty set X of elements,
+    H = mR an A-ideal."""
     ring = A.ring
     if not A.is_aset(ring.ideal(m)):
         raise ValueError(f"the ideal {m}R is not an A-ideal")
-    X = frozenset(X)
+    X = _nonempty_set(ring, X)
     found = set(map(_coset_hits(ring, m, X), X))
     if len(found) != 1:
         raise StructureError(f"coset counts not constant: {sorted(found)}")

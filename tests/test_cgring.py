@@ -475,7 +475,6 @@ def test_ideal_generators_are_cached(spec):
     for m in ring.divisors():
         gens = ring.ideal_generators(m)
         assert isinstance(gens, tuple)
-        assert ring.ideal_generators(m) is gens
         assert gens == parse_ring_spec(spec).ideal_generators(m)
 
 
@@ -563,7 +562,7 @@ def test_scale_is_repeated_addition(big):
 
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_coset_closed_matches_add_oracle(spec):
-    # coset_closed reads translation rows; the oracle adds every ideal
+    # coset_closed reads kept reduction rows; the oracle adds every ideal
     # member with CGRing.add.  Every divisor, on random sets, unions of
     # ideal cosets and the unit classes of every cyclotomic ring.
     ring = parse_ring_spec(spec)
@@ -584,8 +583,26 @@ def test_coset_closed_matches_add_oracle(spec):
         assert [m for m in ring.divisors() if ring.coset_closed(X, m)] == closed
         assert ring.lower_ideal(X) == max(closed, key=lambda m: len(ring.ideal(m)))
         assert ring.is_pure_set(X) == (ring.lower_ideal(X) == ring.char)
-    # every divisor's generators were read: one kept row per generator
-    assert len(ring._translation_rows) == sum(c.n * c.d for c in ring.components)
+    # at most one kept reduction per divisor
+    assert set(ring._reductions) <= set(ring.divisors())
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_reductions_match_truncate_oracle(spec):
+    # The one coset map: x -> x mod mR as an index of R/mR, and |mR|, for
+    # every divisor; m = 1 reads all zero and m = c the identity.
+    ring = parse_ring_spec(spec)
+    elements = ring.elements()
+    for m in ring.divisors():
+        row, size = ring.reduction(m)
+        assert type(row) is tuple and size == ring.ideal_size(m)
+        assert ring.reduction(m) is ring.reduction(m)
+        if m == 1:
+            assert row == (0,) * ring.size
+        else:
+            reduce = truncate_oracle(ring, ring.valuations(m))[1]
+            assert list(row) == list(map(reduce, elements))
+    assert ring.reduction(ring.char)[0] == tuple(elements)
 
 
 def test_orbit_partition_rejects_non_subgroups():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import math
 import random
 from collections import Counter
@@ -26,7 +27,7 @@ from conftest import (
     verify_sring_oracle,
 )
 
-from cgschur import duality
+from cgschur import cli, duality
 from cgschur.cgring import CGRing, make_cg_ring, parse_ring_spec
 from cgschur.construct import subgroup_generated
 from cgschur.cgring import quotient as ring_quotient
@@ -478,6 +479,26 @@ def test_coset_count_example(z9):
         coset_count(rank2(z9), 3, frozenset(range(1, 9)))
 
 
+def test_coset_count_and_frobenius_set_reject_outside_domain():
+    # Each of these used to answer: -1 wrapped to the last element, p = 8
+    # and p = 1 counted over R and over nothing, and an empty X reported
+    # unequal coset counts.  A float or bool p is no prime either.
+    ring = parse_ring_spec("GR(8)")
+    A = cyclotomic(ring, [1])
+    for X in ({-1, 1}, {1, 8}, {True}, {1.0}):
+        with pytest.raises(ValueError, match="not an element index"):
+            coset_count(A, 2, X)
+        with pytest.raises(ValueError, match="not an element index"):
+            frobenius_set(A, X, 2)
+    for p in (8, 1, 4, 3, 2.0, True):
+        with pytest.raises(ValueError, match="not a prime"):
+            frobenius_set(A, {1}, p)
+    with pytest.raises(ValueError, match="nonempty"):
+        coset_count(A, 2, set())
+    with pytest.raises(ValueError, match="nonempty"):
+        frobenius_set(A, set(), 2)
+
+
 def test_coset_count_and_frobenius_set_match_pair_oracles(corpus):
     # |X meet (x + mR)| is read from the images in R/mR, and m = 1 (a
     # field's p-torsion included) counts |X|; both against the per-pair
@@ -637,12 +658,12 @@ def test_projections_are_classes_when_split(corpus):
 
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_lower_ideal_rows_stay_bounded_and_private(spec):
-    # The translation rows are kept per ideal generator, at most
-    # sum n_i*d_i of them, and no row handed to a caller is one of them.
+    # The reduction rows are kept at most one per divisor, and no row
+    # handed to a caller is one of them.
     ring = parse_ring_spec(spec)
     rings = [cyclotomic(ring, K) for K in kernel_subgroups(spec)]
     before = [[ring.lower_ideal(X) for X in A.classes] for A in rings]
-    assert len(ring._translation_rows) <= sum(c.n * c.d for c in ring.components)
+    assert set(ring._reductions) <= set(ring.divisors())
     handed = [ring.mul_row(g) for m in ring.divisors() for g in ring.ideal_generators(m)]
     handed += ring.mul_table() if ring.size <= 200 else []
     for row in handed:
@@ -657,6 +678,12 @@ def test_sring_lower_ideal_is_found_once(z9, monkeypatch):
     monkeypatch.setattr(z9, "lower_ideal", lambda X: calls.append(X) or real(X))
     assert [A.lower_ideal(), A.is_pure(), A.lower_ideal()] == [3, False, 3]
     assert len(calls) == len(A.unit_class_indices()) == 2
+    # the pure document reads the kept per-class values: no further call
+    monkeypatch.setattr(cli, "_load_sring", lambda path, max_size: A)
+    doc, ok = cli._cmd_sring(argparse.Namespace(action="pure", file=None), z9.size)
+    assert ok and doc["unit_classes"] == [{"class": 1, "lower_ideal": 3},
+                                          {"class": 2, "lower_ideal": 3}]
+    assert len(calls) == 2
     # unit classes {1, 4, 7} (lower ideal 3) and {2} (9) disagree, on every call
     broken = SRing(z9, [{0}, {1, 4, 7}, {2}, {3}, {5}, {6}, {8}])
     for _ in range(2):

@@ -457,27 +457,23 @@ class CGRing:
 
 
 class QuotientMap(NamedTuple):
-    """Quotient ring R/mR with the natural projection, read from the kept
-    reduction row, and the least-preimage lift, read from its _truncate row."""
+    """Quotient ring R/mR with the natural projection, read from the ring's
+    kept reduction row."""
 
     ring: CGRing
-    divisor: int
     pi: Callable[[int], int]
-    section: Callable[[int], int]
 
 
 class IdealRingMap(NamedTuple):
     """The ideal mR as a ring with identity m*1.
 
-    `ring` is the abstract model (a product of smaller Galois rings),
-    `to_model` is the ring epimorphism x -> mx read in the model, and
-    `embed` is the additive bijection from the model onto mR inside the
-    source ring, both read from _truncate rows.  embed(model identity) = m*1.
+    `ring` is the abstract model (a product of smaller Galois rings) and
+    `embed` the additive bijection from the model onto mR inside the
+    source ring: the lift of coefficients scaled by m, one _recode row per
+    component.  embed(model identity) = m*1.
     """
 
     ring: CGRing
-    divisor: int
-    to_model: Callable[[int], int]
     embed: Callable[[int], int]
 
     def section_map(self) -> dict[int, int]:
@@ -495,16 +491,10 @@ def _recode(d: int, source: int, target: int, weight: int, k: int = 1) -> list[i
                            for i in range(d))
 
 
-def _truncate(ring: CGRing, exponents: Sequence[int], k: int = 1) -> tuple[CGRing, Sequence, list]:
-    """The ring keeping component i mod p_i^exponents[i] (0 drops it), the
-    kept reduction row of the source ring onto it, and the row over the
-    target of k times the lift of coefficients, one mixed_radix_sum."""
-    target = CGRing([make_galois_ring(comp.p, e, comp.d)
-                     for comp, e in zip(ring.components, exponents) if e])
-    reduce = ring.reduction(ring.divisor_from_valuations(exponents))[0]
-    lift = mixed_radix_sum(_recode(comp.d, comp.p**e, comp.char, shift, k)
-                           for comp, e, shift in zip(ring.components, exponents, ring.shifts) if e)
-    return target, reduce, lift
+def _truncate(ring: CGRing, exponents: Sequence[int]) -> CGRing:
+    """The ring keeping component i mod p_i^exponents[i] (0 drops it)."""
+    return CGRing([make_galois_ring(comp.p, e, comp.d)
+                   for comp, e in zip(ring.components, exponents) if e])
 
 
 def quotient(ring: CGRing, m: int) -> QuotientMap:
@@ -512,19 +502,19 @@ def quotient(ring: CGRing, m: int) -> QuotientMap:
     vals = ring.valuations(m)
     if m == 1:
         raise ValueError("quotient by the whole ring is degenerate")
-    target, pi, section = _truncate(ring, vals)
-    return QuotientMap(target, m, pi.__getitem__, section.__getitem__)
+    return QuotientMap(_truncate(ring, vals), ring.reduction(m)[0].__getitem__)
 
 
 def ideal_ring(ring: CGRing, m: int) -> IdealRingMap:
     """Ring structure on mR, for a proper divisor m of the characteristic:
-    its embed row is the lift row scaled by the integer m."""
+    its embed row is the lift of coefficients scaled by the integer m."""
     vals = ring.valuations(m)
     if m == ring.char:
         raise ValueError("the zero ideal does not carry a ring structure")
     exponents = [comp.n - v for comp, v in zip(ring.components, vals)]
-    target, to_model, embed = _truncate(ring, exponents, m)
-    return IdealRingMap(target, m, to_model.__getitem__, embed.__getitem__)
+    embed = mixed_radix_sum(_recode(comp.d, comp.p**e, comp.char, shift, m)
+                            for comp, e, shift in zip(ring.components, exponents, ring.shifts) if e)
+    return IdealRingMap(_truncate(ring, exponents), embed.__getitem__)
 
 
 def make_cg_ring(components, max_size: int = DEFAULT_MAX_RING_SIZE) -> CGRing:

@@ -22,6 +22,7 @@ from .galois import mixed_radix_sum
 from .sring import (
     SRing,
     StructureError,
+    _element_set,
     is_tensor_over,
     labels,
     proper_prime_splits,
@@ -118,11 +119,6 @@ class CharacterTable:
         ring.orbit_representatives(), built on first use and kept as
         tuples, which every dual of a unit-invariant partition reads."""
         return tuple((r, tuple(self.packed_row(r))) for r in self.ring.orbit_representatives())
-
-    def packed_sum(self, r: int, S: Iterable[int]) -> int:
-        """The packed character sum of chi(r*.) over S."""
-        mul, values = self.ring.mul, self._packed_exponent
-        return sum(values[mul(r, x)] for x in S)
 
 
 def character_table(ring: CGRing) -> CharacterTable:
@@ -298,7 +294,7 @@ def separation_check(ring: CGRing, K: Iterable[int], S: Iterable[int],
     orbit is read from orbit_partition(K), which raises ValueError unless
     K is a unit subgroup.
     """
-    S, S2 = frozenset(S), frozenset(S2)
+    S, S2 = _element_set(ring, S, "S member"), _element_set(ring, S2, "S2 member")
     if not S:
         raise ValueError("S must be nonempty")
     x = next(iter(S))
@@ -309,10 +305,11 @@ def separation_check(ring: CGRing, K: Iterable[int], S: Iterable[int],
     separator = None
     nonzero = None
     for r in ring.units():
-        key = table.packed_sum(r, S)
+        values = table.packed_row(r).__getitem__
+        key = sum(map(values, S))
         if nonzero is None and key:
             nonzero = r
-        if separator is None and S != S2 and key != table.packed_sum(r, S2):
+        if separator is None and S != S2 and key != sum(map(values, S2)):
             separator = r
         if nonzero is not None and (separator is not None or S == S2):
             break

@@ -162,31 +162,21 @@ class GaloisRing:
         return out
 
     def neg(self, a: int) -> int:
-        return self.index(-c for c in self.coeffs(a))
+        return self.scale(a, -1)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        """a*b: the product of the coefficient polynomials, reduced by the
-        modulus."""
-        char, d = self.char, self.d
-        if d == 1:
-            return a * b % char
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    prod[i + j] = (prod[i + j] + x * y) % char
-        m = self.modulus
-        for i in range(2 * d - 2, d - 1, -1):
-            q = prod[i]
-            if q:
-                prod[i] = 0
-                for j in range(d):
-                    prod[i - d + j] = (prod[i - d + j] - q * m[j]) % char
-        return self.index(prod[:d])
+        """a*b = sum over j of b_j * (a*x^j), read from the basis images of
+        a, so the modulus enters products only in their multiply-by-x step."""
+        if self.d == 1:
+            return a * b % self.char
+        out = [0] * self.d
+        for t, image in zip(self.coeffs(b), self._basis_images(a)):
+            if t:
+                out = [o + t * v for o, v in zip(out, image)]
+        return self.index(out)
 
     def _basis_images(self, r: int) -> list[list[int]]:
         """The coefficient vectors b_j of r*x^j, j < d, each found from the

@@ -420,8 +420,11 @@ def has_nontrivial_wreath(A: SRing) -> bool:
 
 
 def power_map(A: SRing, X: Iterable[int], m: int) -> frozenset[int]:
-    """The set m*X; a class again whenever gcd(m, |R|) = 1."""
-    return A.ring.scale_set(X, m)
+    """The set m*X for a set X of elements and an integer m; a class again
+    whenever gcd(m, |R|) = 1."""
+    if type(m) is not int:
+        raise ValueError(f"the multiplier must be an integer, got {m!r}")
+    return A.ring.scale_set(_element_set(A.ring, X, "element"), m)
 
 
 def _coset_hits(ring: CGRing, m: int, X: frozenset[int]) -> Callable[[int], int]:

@@ -116,25 +116,37 @@ def poly_mul_mod(a, b, modulus, q):
     return out + [0] * (d - len(out))
 
 
-@pytest.mark.parametrize("p,n,d", [(2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 1, 3), (3, 2, 2)])
+@pytest.mark.parametrize("p,n,d", [(2, 3, 1), (3, 2, 1), (2, 2, 2), (2, 1, 3), (3, 2, 2),
+                                   (2, 2, 3), (3, 2, 3)])
 def test_mul_matches_polynomial_oracle(p, n, d):
+    # every pair up to 81 elements; GR(9,3), n >= 2 with d >= 3, on 3000 seeded pairs
     R = make_galois_ring(p, n, d)
-    for a in R.elements():
-        for b in R.elements():
-            expected = poly_mul_mod(list(R.coeffs(a)), list(R.coeffs(b)), R.modulus, R.char)
-            assert R.coeffs(R.mul(a, b)) == tuple(expected)
+    if R.size <= 81:
+        pairs = itertools.product(R.elements(), repeat=2)
+    else:
+        rng = random.Random(f"{p}-{n}-{d}")
+        pairs = [(rng.randrange(R.size), rng.randrange(R.size)) for _ in range(3000)]
+    for a, b in pairs:
+        expected = poly_mul_mod(list(R.coeffs(a)), list(R.coeffs(b)), R.modulus, R.char)
+        assert R.coeffs(R.mul(a, b)) == tuple(expected)
 
 
 @pytest.mark.parametrize("p,n,d", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 1, 3), (5, 1, 4),
                                    (3, 2, 3), (2, 1, 10)])
 def test_rows_match_mul_and_add(p, n, d):
     # GR(4,2), GR(8,2), GR(9,2), GR(2,3), GR(5,4), and two rings of over
-    # 700 elements: every row up to 256 elements, 40 sampled rows above
+    # 700 elements: every row up to 256 elements, 40 sampled rows above.
+    # mul and mul_row share the basis images, so 8 sampled entries per row
+    # are also checked against the long-division oracle.
     R = make_galois_ring(p, n, d)
     rng = random.Random(f"{p}-{n}-{d}")
     rows = R.elements() if R.size <= 256 else rng.sample(R.elements(), 40)
     for r in rows:
-        assert R.mul_row(r) == [R.mul(r, y) for y in R.elements()]
+        row = R.mul_row(r)
+        assert row == [R.mul(r, y) for y in R.elements()]
+        for y in rng.sample(R.elements(), 8):
+            expected = poly_mul_mod(list(R.coeffs(r)), list(R.coeffs(y)), R.modulus, R.char)
+            assert R.coeffs(row[y]) == tuple(expected)
 
 
 def test_index_coeff_roundtrip():

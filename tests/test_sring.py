@@ -499,6 +499,19 @@ def test_coset_count_and_frobenius_set_reject_outside_domain():
         frobenius_set(A, set(), 2)
 
 
+def test_power_map_rejects_outside_domain():
+    # -1 once wrapped to the last element: power_map(A, {-1}, 2) was {7}.
+    ring = parse_ring_spec("GR(9)")
+    A = cyclotomic(ring, ring.units())
+    for X in ({-1}, {9}, {True}, {1.0}):
+        with pytest.raises(ValueError, match="not an element index"):
+            power_map(A, X, 2)
+    for m in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="must be an integer"):
+            power_map(A, {1}, m)
+    assert power_map(A, {1, 2}, -1) == {8, 7}
+
+
 def test_coset_count_and_frobenius_set_match_pair_oracles(corpus):
     # |X meet (x + mR)| is read from the images in R/mR, and m = 1 (a
     # field's p-torsion included) counts |X|; both against the per-pair

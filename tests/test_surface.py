@@ -6,8 +6,11 @@ the benchmark (``bench/*.py``), or in the paper criteria
 (``tests/test_acceptance.py``).  A mention inside a definition of the
 same name does not count, so same-named methods that only call each
 other are caught.  A name that only unit tests reach is dead surface
-unless ``KEEP`` records why it stays.  The benchmark's tracer must also
-still find the kernel methods it counts.
+unless ``KEEP`` records why it stays.  Likewise each field of a
+``NamedTuple`` in the package must be read: ``.field`` occurs in the
+package outside its declaration line or in those users, or the class
+reads ``self._fields``; ``KEEP`` exempts a field as ``"Class.field"``.
+The benchmark's tracer must also still find the kernel methods it counts.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import ast
 import importlib.util
 import re
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "cgschur").glob("*.py"))
@@ -64,9 +68,54 @@ def test_every_definition_is_reached():
     assert not unreached, f"defined but never reached: {unreached}"
 
 
+def _record_fields(text: str) -> Iterator[tuple[str, str, int, bool]]:
+    """(class, field, declaration line, whether the class body reads
+    self._fields) for each field of each NamedTuple class in one text."""
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(base, ast.Name) and base.id == "NamedTuple" for base in node.bases):
+            all_read = "self._fields" in (ast.get_source_segment(text, node) or "")
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id, stmt.lineno, all_read
+
+
+def _unread_fields(src_texts: list[str], user_texts: list[str]) -> set[str]:
+    """Class.field for every record field whose `.field` occurs nowhere in
+    the package outside its declaration line, nor in the users."""
+    unread = set()
+    for text in src_texts:
+        for cls, field, lineno, all_read in _record_fields(text):
+            word = re.compile(rf"\.{re.escape(field)}\b")
+            if all_read or any(word.search(t) for t in user_texts) or any(
+                    word.search(line) for other in src_texts
+                    for n, line in enumerate(other.splitlines(), 1)
+                    if not (other is text and n == lineno)):
+                continue
+            unread.add(f"{cls}.{field}")
+    return unread
+
+
+def _package_unread_fields() -> set[str]:
+    return _unread_fields([p.read_text(encoding="utf-8") for p in SRC],
+                          [p.read_text(encoding="utf-8") for p in USERS])
+
+
+def test_every_record_field_is_read():
+    unread = sorted(_package_unread_fields() - set(KEEP))
+    assert not unread, f"record fields that nothing reads: {unread}"
+
+
 def test_keep_lists_only_unreached_names():
-    stale = sorted(set(KEEP) - _package_unreached())
+    stale = sorted(set(KEEP) - _package_unreached() - _package_unread_fields())
     assert not stale, f"KEEP lists names that are reached or no longer defined: {stale}"
+
+
+def test_unread_fields_are_found():
+    record = "class R(NamedTuple):\n    a: int\n    b: int\n"
+    assert _unread_fields([record + "\nR(1, 2).a\n"], []) == {"R.b"}
+    assert _unread_fields([record], ["r.b", "r.a"]) == set()
+    assert _unread_fields([record + "    def f(self):\n        return self._fields\n"], []) == set()
 
 
 MUTUAL = """

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .galois import (DEFAULT_MAX_RING_SIZE, GaloisRing, is_prime, make_galois_ring,
                      mixed_radix_sum, power_exceeds)
@@ -200,20 +200,22 @@ class CGRing:
                 return frozenset(union)
             union += coset
 
-    def generate(self, elements: Iterable[int]) -> tuple[tuple[int, ...], list[list[int]], frozenset[int]]:
-        """The unit group the given units generate, the generators kept and
-        their mul_rows, as fresh lists the caller owns.
-
-        In the given order, a unit joins the generators when it lies outside
-        the group built so far, which then grows by its cosets: extend_subgroup
-        is the one way a unit group grows, at one mul_row per generator.
-        """
-        gens, rows, group = [], [], frozenset({self.one})
+    def grow(self, elements: Iterable[int]) -> Iterator[tuple[int, list[int], frozenset[int]]]:
+        """Yield (g, mul_row(g), the group so far) for each given unit g
+        outside the group grown by cosets from the units before it."""
+        group = frozenset({self.one})
         for g in elements:
             if g not in group:
-                gens.append(g)
-                rows.append(self.mul_row(g))
-                group = self.extend_subgroup(group, rows[-1])
+                row = self.mul_row(g)
+                group = self.extend_subgroup(group, row)
+                yield g, row, group
+
+    def generate(self, elements: Iterable[int]) -> tuple[tuple[int, ...], list[list[int]], frozenset[int]]:
+        """The units grow yields, their rows as fresh lists, and the group."""
+        gens, rows, group = [], [], frozenset({self.one})
+        for g, row, group in self.grow(elements):
+            gens.append(g)
+            rows.append(row)
         return tuple(gens), rows, group
 
     def unit_generators(self) -> tuple[int, ...]:

@@ -114,8 +114,9 @@ def reassemble(ring: CGRing, factors: tuple[Factor, ...]) -> SRing:
     seen: set[int] = set()
     maps = []
     for Q, F, _role in factors:
-        overlap = seen & Q
-        if overlap:
+        if foreign := Q - set(ring.primes):
+            raise ValueError(f"primes {sorted(foreign)} are not primes of {ring.spec()}")
+        if overlap := seen & Q:
             raise ValueError(f"primes {sorted(overlap)} appear in two factors")
         seen |= Q
         sub = ideal_ring(ring, ring.component_divisor(Q))
@@ -196,23 +197,17 @@ def classify_rational(A: SRing) -> Decomposition:
     an input with a moved unit class gives NotApplicable.
     """
     ring = A.ring
-    # the units fixing every unit class form a group, grown in unit order, so
-    # the first unit outside it that moves a class is the first moving unit
-    fixers = frozenset({ring.one})
-    for ci in range(len(ring.components)):
-        for u in ring.embed_component_units(ci):
-            if u in fixers:
-                continue
-            row = ring.mul_row(u)
-            for k in A.unit_class_indices():
-                X = A.classes[k]
-                if frozenset(row[x] for x in X) != X:
-                    return Decomposition(
-                        KIND_NOT_APPLICABLE, (), (),
-                        f"the unit {u} moves the class {sorted(X)};"
-                        " the input is not rational",
-                    )
-            fixers = ring.extend_subgroup(fixers, row)
+    # the units fixing every unit class form a group, so the first unit that
+    # moves one is among those grow yields
+    unit_classes = [A.classes[k] for k in A.unit_class_indices()]
+    units = (u for ci in range(len(ring.components)) for u in ring.embed_component_units(ci))
+    for u, row, _ in ring.grow(units):
+        for X in unit_classes:
+            if frozenset(map(row.__getitem__, X)) != X:
+                return Decomposition(
+                    KIND_NOT_APPLICABLE, (), (),
+                    f"the unit {u} moves the class {sorted(X)}; the input is not rational",
+                )
 
     cert = next((c for c in wreath_pairs(A) if c.nontrivial), None)
     if cert is not None:

@@ -162,7 +162,9 @@ def _cmd_sring(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
             ],
         }, True
     if args.action == "rational":
-        primes = _parse_elements(args.primes) if args.primes else None
+        primes = None if args.primes is None else _parse_elements(args.primes)
+        if primes == []:
+            raise ValueError(f"--primes lists no prime, got {args.primes!r}")
         return {"rational": A.is_rational(primes)}, True
     raise ValueError(f"unknown sring action {args.action!r}")
 

@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .cgring import CGRing, make_cg_ring
 from .galois import is_prime, power_exceeds
-from .sring import SRing, has_nontrivial_wreath, labels, verify_sring
+from .sring import SRing, _element_set, has_nontrivial_wreath, labels, verify_sring
 
 DEFAULT_MAX_CONSTRUCT_SIZE = 100_000
 ALL_SUBGROUPS_LIMIT = 256  # the largest group all_subgroups enumerates
@@ -37,9 +37,8 @@ class ConstructionError(RuntimeError):
 def subgroup_generated(ring: CGRing, gens: Iterable[int]) -> frozenset[int]:
     """The unit group the generators generate, grown by CGRing.generate."""
     gens = list(gens)
+    _element_set(ring, gens, "generator")
     for g in gens:
-        if not ring.is_element(g):
-            raise ValueError(f"generator {g!r} is not an element index of {ring.spec()}")
         if not ring.is_unit(g):
             raise ValueError(f"element {g} is not a unit")
     return ring.generate(gens)[2]
@@ -102,15 +101,13 @@ def _principal_decomposition(
 
     For squared characteristic the principal units form an elementary
     abelian group, so every cyclic factor has order p; the generator is
-    the least nontrivial element, and the complement is completed
-    greedily in the same order by generate, which makes the output
+    the least nontrivial element, and the complement is generated by the
+    units grow keeps after it, in the same order, which makes the output
     deterministic.
     """
     principal = ring.embed_principal_units(ci)
-    gen = next(x for x in principal if x != ring.one)
-    complement_gens = ring.generate([gen, *principal])[0][1:]
-    cyclic = subgroup_generated(ring, [gen])
-    complement = subgroup_generated(ring, complement_gens)
+    (gen, _, cyclic), *rest = ring.grow(principal)
+    complement = ring.generate(g for g, _, _ in rest)[2]
     if len(cyclic) * len(complement) != len(principal) or (cyclic & complement) != {ring.one}:
         raise ConstructionError("principal unit decomposition is not direct")
     return cyclic, complement, gen

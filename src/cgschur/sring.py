@@ -157,15 +157,12 @@ class SRing:
         keep = set(primes) if primes is not None else own
         if keep - own:
             raise ValueError(f"primes {sorted(keep - own)} are not primes of {self.ring.spec()}")
-        # The units fixing every class form a group, so generators suffice.
+        # The units fixing every class form a group, so the rows grow
+        # yields suffice, up to the first that moves a class.
         ring, class_of = self.ring, self.class_of
-        for ci, comp in enumerate(ring.components):
-            if comp.p not in keep:
-                continue
-            for row in ring.generate(ring.embed_component_units(ci))[1]:
-                if list(map(class_of.__getitem__, row)) != class_of:
-                    return False
-        return True
+        units = (u for ci, comp in enumerate(ring.components) if comp.p in keep
+                 for u in ring.embed_component_units(ci))
+        return all(list(map(class_of.__getitem__, row)) == class_of for _, row, _ in ring.grow(units))
 
     def to_doc(self) -> dict:
         return {
@@ -193,13 +190,13 @@ class VerifyReport(NamedTuple):
 def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport:
     """Check the four Schur ring axioms, reporting witnesses for failures.
 
-    Unit invariance is checked on a generating set of the units; only
-    when a generator moves a class are all units scanned, in order, for
-    the first witness.  A partition with {0} as a class spans an algebra
-    exactly when its character-sum dual has the same rank, so when no
-    other axiom has failed, equal ranks settle the convolution axiom
-    without the scan over class pairs.  Otherwise that scan runs and
-    reports every failing pair and class.
+    Unit invariance is checked on the kept unit generator rows; the units
+    keeping the partition form a group, so the first unit in index order
+    that does not is a generator, and the witness.  A partition with {0}
+    as a class spans an algebra exactly when its character-sum dual has
+    the same rank, so when no other axiom has failed, equal ranks settle
+    the convolution axiom without the scan over class pairs.  Otherwise
+    that scan runs and reports every failing pair and class.
     """
     from .duality import _dual_partition, character_table  # .duality imports this module
 
@@ -219,16 +216,11 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
             failures.append({"axiom": "negation", "class": k, "witness": sorted(image)})
 
     perms = ring.class_permutations(A.class_of)
-    for u in () if perms is not None else ring.units():
-        row = ring.mul_row(u)
-        for k, X in enumerate(A.classes):
-            image = frozenset(row[x] for x in X)
-            if not A.is_class(image):
-                failures.append({"axiom": "unit-invariance", "unit": u, "class": k})
-                break
-        else:
-            continue
-        break
+    if perms is None:
+        u, k = next((u, k) for u, row in zip(ring.unit_generators(), ring.unit_rows())
+                    for k, X in enumerate(A.classes)
+                    if not A.is_class(frozenset(map(row.__getitem__, X))))
+        failures.append({"axiom": "unit-invariance", "unit": u, "class": k})
 
     if not failures and max(_dual_partition(character_table(ring), A.classes, perms)) + 1 == A.rank:
         return VerifyReport(True, ())

@@ -8,6 +8,8 @@ The derivations are spelled out next to the assertions.
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from conftest import kernel_subgroups, rank2, rational_witness_oracle
@@ -177,6 +179,18 @@ def test_reassemble_rejects_bad_factor_lists():
         reassemble(A.ring, (left,))
     with pytest.raises(ValueError, match="does not match"):
         reassemble(A.ring, ((frozenset({3}), rank2(z25), "rank2"),))
+
+
+@pytest.mark.parametrize("primes", [({3, 7}, {2}), ({3}, {2, 5})])
+def test_reassemble_rejects_foreign_primes(primes):
+    # A prime outside the ring once dropped out of the component divisor,
+    # and the factors reassembled without complaint.
+    z9, z4 = make_cg_ring([(3, 2, 1)]), make_cg_ring([(2, 2, 1)])
+    A = tensor(rank2(z9), rank2(z4))
+    factors = tuple((frozenset(Q), F, "rank2") for Q, F in zip(primes, (rank2(z9), rank2(z4))))
+    foreign = sorted(set().union(*primes) - {2, 3})
+    with pytest.raises(ValueError, match=re.escape(f"primes {foreign} are not primes of GR(9)xGR(4)")):
+        reassemble(A.ring, factors)
 
 
 # -- classify_rational --------------------------------------------------------

@@ -248,6 +248,15 @@ def test_rational_flag(capsys, units_doc, sign_doc):
     assert "not primes of GR(9)" in err
 
 
+@pytest.mark.parametrize("listed", [",", "", " , "])
+def test_rational_primes_listing_no_prime_is_usage_error(capsys, sign_doc, listed):
+    # --primes , once checked no prime and printed {"rational":true}, and
+    # --primes '' quietly checked every prime.
+    code, out, err = run_cli(capsys, "sring", "rational", sign_doc, "--primes", listed)
+    assert code == 2 and out == ""
+    assert "--primes lists no prime" in err
+
+
 # -- dual ----------------------------------------------------------------------
 
 

@@ -139,6 +139,31 @@ def test_verify_computes_class_permutations_once(z36, monkeypatch):
         assert len(calls) == 1
 
 
+@pytest.mark.parametrize("left, right", [("GR(9)", "GR(5)"), ("GR(4,2)", "GR(9)")])
+def test_verify_late_mover_reads_only_kept_rows(left, right, monkeypatch):
+    # Every unit of the first factor keeps the tensor of its unit-orbit ring
+    # with {0}, {1}, rest, and the first unit moving a class comes after
+    # them all.  The witness once cost one mul_row per unit up to it (8 and
+    # 14 with the -1 row); it is the first unit generator that fails, read
+    # from the kept generator rows, so only the -1 row is built.
+    first, second = parse_ring_spec(left), parse_ring_spec(right)
+    A = tensor(cyclotomic(first, first.units()),
+               SRing(second, [[0], [1], range(2, second.size)]))
+    ring = A.ring
+    ring.unit_rows()
+    calls = []
+    original = CGRing.mul_row
+    monkeypatch.setattr(CGRing, "mul_row", lambda self, r: calls.append(r) or original(self, r))
+    doc = verify_sring(ring, A.classes).to_doc()
+    assert calls == [ring.neg(ring.one)]
+    monkeypatch.undo()
+    assert doc == verify_sring_oracle(ring, A.classes)
+    moved = [f for f in doc["failures"] if f["axiom"] == "unit-invariance"]
+    witness = 1 + 2 * first.size  # the unit (1, 2), moving {0} x {1}
+    assert moved == [{"axiom": "unit-invariance", "unit": witness, "class": A.class_of[first.size]}]
+    assert ring.units().index(witness) == first.unit_count
+
+
 def test_verify_reports_zero_and_negation():
     ring = make_cg_ring([(5, 1, 1)])
     report = verify_sring(ring, [{0, 1, 2, 3, 4}])
@@ -285,6 +310,25 @@ def test_is_rational_matches_all_units_oracle(spec):
                 verdicts.add(A.is_rational(Q))
                 assert A.is_rational(Q) == is_rational_oracle(A, Q)
     assert verdicts == {True, False}
+
+
+def test_is_rational_reads_rows_up_to_the_first_mover(monkeypatch):
+    # The units fixing every class grow one row per generator: the rank-2
+    # ring over GR(4,2)xGR(9) reads the 3 + 1 generator rows of its 12 + 6
+    # component units.  A ring that is not rational stops at the first row
+    # that moves a class, where one generate per component once built all
+    # 3 rows of the first component before reading any.
+    ring = make_cg_ring([(2, 2, 2), (3, 2, 1)])
+    discrete = SRing(ring, [[x] for x in ring.elements()])
+    calls = []
+    original = CGRing.mul_row
+    monkeypatch.setattr(CGRing, "mul_row", lambda self, r: calls.append(r) or original(self, r))
+    expected = [(rank2(ring), None, True, [19, 20, 22, 33]),
+                (discrete, None, False, [19]), (discrete, (3,), False, [33])]
+    for A, primes, rational, rows in expected:
+        calls.clear()
+        assert A.is_rational(primes) is rational
+        assert calls == rows
 
 
 def test_a_ideals_and_density(z9, z36):

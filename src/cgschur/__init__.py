@@ -1,42 +1,42 @@
 """Exact construction, verification, duality, and decomposition of
 Schur rings over finite products of Galois rings of coprime
-characteristics."""
+characteristics.
 
-from .cgring import CGRing, ideal_ring, make_cg_ring, parse_ring_spec, quotient
-from .classify import (
-    Decomposition,
-    FalsificationError,
-    check_nondense_structure,
-    check_quotient_purity,
-    classify_rational,
-    decompose_pure,
-    reassemble,
-)
-from .construct import (
-    ConstructionError,
-    all_subgroups,
-    build_nonpure_dense_sring,
-    subgroup_generated,
-)
-from .duality import (
-    character_table,
-    check_duality,
-    dual_sring,
-    perp_of_ideal,
-    separation_check,
-)
-from .galois import GaloisRing, make_galois_ring
-from .sring import (
-    PartitionError,
-    SRing,
-    StructureError,
-    cyclotomic,
-    is_tensor_over,
-    quotient_sring,
-    restrict,
-    schur_closure,
-    sring_from_doc,
-    tensor,
-    verify_sring,
-    wreath_pairs,
-)
+Importing the package loads none of its modules: each public name, and
+each submodule such as ``cgschur.sring``, is imported on first use and
+then kept here, so a command line call compiles only what its verb runs.
+"""
+
+from importlib import import_module
+
+# home module -> the public names it holds
+_EXPORTS = {
+    "cgring": ("CGRing", "ideal_ring", "make_cg_ring", "parse_ring_spec", "quotient"),
+    "classify": ("Decomposition", "FalsificationError", "check_nondense_structure",
+                 "check_quotient_purity", "classify_rational", "decompose_pure", "reassemble"),
+    "construct": ("ConstructionError", "all_subgroups", "build_nonpure_dense_sring",
+                  "subgroup_generated"),
+    "duality": ("character_table", "check_duality", "dual_sring", "perp_of_ideal",
+                "separation_check"),
+    "galois": ("GaloisRing", "make_galois_ring"),
+    "sring": ("PartitionError", "SRing", "StructureError", "cyclotomic", "is_tensor_over",
+              "quotient_sring", "restrict", "schur_closure", "sring_from_doc", "tensor",
+              "verify_sring", "wreath_pairs"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli"}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")  # the import binds it here
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -22,6 +22,11 @@ class EmptySetError(ValueError):
     """Raised for set operations that are undefined on the empty set."""
 
 
+class CheckFailedError(RuntimeError):
+    """A law, identity or decomposition step that should hold failed; each
+    layer raises its own subclass, and the command line exits 1 on any."""
+
+
 def _orbit_labels(size: int, rows: Iterable[Sequence[int]]) -> list[int]:
     """The canonical label vector of the orbits of the unit group generated
     by the g whose mul_rows are given, over elements 0 .. size-1.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cgring import CGRing, ideal_ring
+from .cgring import CGRing, CheckFailedError, ideal_ring
 from .duality import dual_sring
 from .sring import (
     SRing,
@@ -38,7 +38,7 @@ ROLE_RANK2 = "rank2"
 ROLE_REST = "rest"
 
 
-class FalsificationError(RuntimeError):
+class FalsificationError(CheckFailedError):
     """A guaranteed decomposition step failed on a valid input."""
 
 

@@ -13,37 +13,13 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .cgring import CGRing, parse_ring_spec
-from .classify import (
-    KIND_NOT_APPLICABLE,
-    FalsificationError,
-    check_nondense_structure,
-    check_quotient_purity,
-    classify_rational,
-    decompose_pure,
-)
-from .construct import (
-    ConstructionError,
-    all_subgroups,
-    build_nonpure_dense_sring,
-    subgroup_generated,
-)
-from .duality import check_duality, dual_sring
+from .cgring import CheckFailedError, parse_ring_spec
 from .galois import DEFAULT_MAX_RING_SIZE
-from .sring import (
-    SRing,
-    StructureError,
-    cyclotomic,
-    quotient_sring,
-    restrict,
-    schur_closure,
-    sring_from_doc,
-    tensor,
-    verify_sring,
-    wreath_pairs,
-)
+
+if TYPE_CHECKING:
+    from .sring import SRing
 
 ENV_MAX_RING_SIZE = "CGSCHUR_MAX_RING_SIZE"
 
@@ -79,6 +55,8 @@ def _read_doc(path: str) -> dict:
 
 
 def _load_sring(path: str, max_size: int) -> SRing:
+    from .sring import sring_from_doc
+
     return sring_from_doc(_read_doc(path), max_size=max_size)
 
 
@@ -93,7 +71,8 @@ def _parse_elements(text: str) -> list[int]:
 #
 # Each handler returns the document to print and whether every check,
 # classification or construction it ran succeeded; main prints the
-# document and turns the flag into the exit code.
+# document and turns the flag into the exit code.  A handler imports the
+# library modules it calls, so a call compiles only what its verb runs.
 
 
 def _cmd_ring(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
@@ -121,7 +100,12 @@ def _cmd_ring(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
 
 
 def _cmd_sring(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
+    from .sring import (cyclotomic, quotient_sring, restrict, schur_closure, tensor,
+                        verify_sring, wreath_pairs)
+
     if args.action == "cyc":
+        from .construct import subgroup_generated
+
         ring = parse_ring_spec(args.spec, max_size=max_size)
         K = subgroup_generated(ring, _parse_elements(args.group))
         return cyclotomic(ring, K).to_doc(), True
@@ -170,6 +154,8 @@ def _cmd_sring(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
 
 
 def _cmd_dual(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
+    from .duality import check_duality, dual_sring
+
     words = args.target
     if words[0] == "check":
         if len(words) != 2:
@@ -186,6 +172,8 @@ def _cmd_dual(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
 
 
 def _cmd_construct(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
+    from .construct import build_nonpure_dense_sring
+
     instance, built, report = build_nonpure_dense_sring(
         args.p, args.d, args.q, args.e, max_size=max_size
     )
@@ -200,6 +188,9 @@ def _cmd_construct(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]
 
 
 def _cmd_classify(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
+    from .classify import (KIND_NOT_APPLICABLE, check_nondense_structure,
+                           check_quotient_purity, classify_rational, decompose_pure)
+
     A = _load_sring(args.file, max_size)
     if args.action == "pure":
         dec = decompose_pure(A)
@@ -217,6 +208,9 @@ def _cmd_classify(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
 
 
 def _cmd_enumerate(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
+    from .construct import all_subgroups
+    from .sring import cyclotomic
+
     ring = parse_ring_spec(args.spec, max_size=max_size)
     groups = all_subgroups(ring, frozenset(ring.units()))
     if args.action == "subgroups":
@@ -360,7 +354,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         doc, ok = _VERBS[args.command][2](args, max_size)
         _emit(doc, args.format)
-    except (ConstructionError, StructureError, FalsificationError) as err:
+    except CheckFailedError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_FAILED
     except (KeyError, TypeError, ValueError, OSError) as err:

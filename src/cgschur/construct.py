@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from typing import Iterable, NamedTuple, Sequence
 
-from .cgring import CGRing, make_cg_ring
+from .cgring import CGRing, CheckFailedError, make_cg_ring
 from .galois import is_prime, power_exceeds
 from .sring import SRing, _element_set, has_nontrivial_wreath, labels, verify_sring
 
@@ -27,7 +27,7 @@ DEFAULT_MAX_CONSTRUCT_SIZE = 100_000
 ALL_SUBGROUPS_LIMIT = 256  # the largest group all_subgroups enumerates
 
 
-class ConstructionError(RuntimeError):
+class ConstructionError(CheckFailedError):
     """A verified identity failed, contradicting the construction's design."""
 
 

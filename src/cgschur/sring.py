@@ -15,7 +15,8 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .cgring import CGRing, EmptySetError, ideal_ring, label_classes, parse_ring_spec, quotient
+from .cgring import (CGRing, CheckFailedError, EmptySetError, ideal_ring, label_classes,
+                     parse_ring_spec, quotient)
 from .galois import DEFAULT_MAX_RING_SIZE
 
 
@@ -23,7 +24,7 @@ class PartitionError(ValueError):
     """The given classes do not partition the ring."""
 
 
-class StructureError(RuntimeError):
+class StructureError(CheckFailedError):
     """An internal Schur ring law failed; the input partition is broken."""
 
 

@@ -18,8 +18,9 @@ import pytest
 import cgschur
 from cgschur.cli import main
 from cgschur.cgring import parse_ring_spec
-from cgschur.construct import build_nonpure_dense_sring
-from cgschur.sring import SRing, VerifyReport
+from cgschur.classify import FalsificationError
+from cgschur.construct import ConstructionError, build_nonpure_dense_sring
+from cgschur.sring import PartitionError, SRing, StructureError, VerifyReport
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -482,6 +483,43 @@ def test_usage_errors_and_help(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 
 
+def _raises(err: Exception):
+    def raiser(*args, **kwargs):
+        raise err
+    return raiser
+
+
+CONSTRUCT_2231 = ("construct", "t210809a", "--p", "2", "--d", "2", "--q", "3", "--e", "1")
+
+
+@pytest.mark.parametrize("target, argv, err, code", [
+    ("cgschur.sring.verify_sring", ("sring", "verify", "DOC"), StructureError("law"), 1),
+    ("cgschur.construct.build_nonpure_dense_sring", CONSTRUCT_2231,
+     ConstructionError("identity"), 1),
+    ("cgschur.classify.decompose_pure", ("classify", "pure", "DOC"),
+     FalsificationError("step"), 1),
+    ("cgschur.sring.verify_sring", ("sring", "verify", "DOC"), PartitionError("cover"), 2),
+], ids=["structure", "construction", "falsification", "partition"])
+def test_handler_errors_map_to_exit_codes(capsys, monkeypatch, sign_doc, target, argv, err,
+                                          code):
+    # A failed law, identity or decomposition step exits 1 with its message;
+    # malformed input exits 2.  Each handler reads the function from its
+    # home module at call time, so patching it there reaches the CLI.
+    if code == 1:
+        assert isinstance(err, RuntimeError)
+    monkeypatch.setattr(target, _raises(err))
+    argv = [sign_doc if word == "DOC" else word for word in argv]
+    assert run_cli(capsys, *argv) == (code, "", f"error: {err}\n")
+
+
+def test_plain_runtime_error_propagates(monkeypatch, sign_doc):
+    # A RuntimeError that is no failed check is a bug: main must not turn it
+    # into an exit code.
+    monkeypatch.setattr("cgschur.sring.verify_sring", _raises(RuntimeError("bug")))
+    with pytest.raises(RuntimeError, match="bug"):
+        main(["sring", "verify", sign_doc])
+
+
 def run_child(*argv: str, timeout: float | None = None, **env: str) -> subprocess.CompletedProcess:
     """Run the interpreter on the same cgschur as this process, installed or
     not, with env added to the environment; a child still running after
@@ -537,25 +575,78 @@ def test_stdout_does_not_follow_the_hash_seed(tmp_path, sign_doc, units_doc):
 # and hashlib loads OpenSSL for the one dual_of digest.
 HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib"}
 
+# What `python -m cgschur` loads of the package on every call.
+ENTRY_MODULES = {"cgschur", "cgschur.__main__", "cgschur.cli", "cgschur.cgring", "cgschur.galois"}
+
+# One call per verb footprint, and the library modules it loads besides
+# ENTRY_MODULES; "DOC" is replaced by a Schur ring file.
+VERB_MODULES = [
+    (["ring", "info", "GR(9)"], set()),
+    (["sring", "pure", "DOC"], {"sring"}),
+    (["sring", "cyc", "GR(9)", "--group", "8"], {"sring", "construct"}),
+    (["sring", "verify", "DOC"], {"sring", "duality"}),
+    (["classify", "pure", "DOC"], {"sring", "duality", "classify"}),
+    (list(CONSTRUCT_2231), {"sring", "duality", "construct"}),
+]
+
 
 def test_cold_import_footprint(sign_doc):
     # Only modules added after the baseline count, so whatever site loads
-    # at start-up cannot fail the test.
-    proc = run_child("-c", f"""
+    # at start-up cannot fail the test.  Each call runs in its own child.
+    for argv, extra in VERB_MODULES:
+        argv = [sign_doc if word == "DOC" else word for word in argv]
+        proc = run_child("-c", f"""
 import json, sys
 before = set(sys.modules)
-from cgschur.cli import main
-main(["ring", "info", "GR(9)"])
+import cgschur
 print(json.dumps(sorted(set(sys.modules) - before)))
-main(["dual", {sign_doc!r}])
+from cgschur.__main__ import main
+code = main({argv!r})
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+""")
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert json.loads(lines[0]) == ["cgschur"], argv
+        code, added = json.loads(lines[-1])
+        assert code in (0, 1) and len(lines) == 3, (argv, proc.stderr)
+        assert {m for m in added if m.startswith("cgschur")} == (
+            ENTRY_MODULES | {f"cgschur.{m}" for m in extra}), argv
+        assert not HEAVY_MODULES & set(added), argv
+
+
+def test_lazy_namespace_resolves_every_name():
+    # The names the package exported when it imported every module.
+    homes = {
+        "cgring": "CGRing ideal_ring make_cg_ring parse_ring_spec quotient",
+        "classify": "Decomposition FalsificationError check_nondense_structure "
+                    "check_quotient_purity classify_rational decompose_pure reassemble",
+        "construct": "ConstructionError all_subgroups build_nonpure_dense_sring "
+                     "subgroup_generated",
+        "duality": "character_table check_duality dual_sring perp_of_ideal separation_check",
+        "galois": "GaloisRing make_galois_ring",
+        "sring": "PartitionError SRing StructureError cyclotomic is_tensor_over quotient_sring "
+                 "restrict schur_closure sring_from_doc tensor verify_sring wreath_pairs",
+    }
+    names = {name: home for home, text in homes.items() for name in text.split()}
+    assert sorted(cgschur.__all__) == sorted(names)
+    assert set(names) <= set(dir(cgschur))
+    for name, home in names.items():
+        assert getattr(cgschur, name) is getattr(sys.modules[f"cgschur.{home}"], name), name
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        getattr(cgschur, "no_such_name")
+
+
+def test_lazy_namespace_in_a_fresh_process():
+    proc = run_child("-c", """
+import sys
+import cgschur
+assert not [m for m in sys.modules if m.startswith("cgschur.")]
+print(cgschur.sring.__name__, "sring" in dir(cgschur), cgschur.SRing is cgschur.sring.SRing)
+import cgschur.duality
+print(cgschur.duality.dual_sring is cgschur.dual_sring)
 """)
     assert proc.returncode == 0, proc.stderr
-    info, added, dual = proc.stdout.splitlines()
-    assert json.loads(info)["size"] == 9
-    assert not HEAVY_MODULES & set(json.loads(added))
-    source = json.loads(open(sign_doc).read())
-    blob = json.dumps(source, sort_keys=True, separators=(",", ":")).encode()
-    assert json.loads(dual)["dual_of"] == hashlib.sha256(blob).hexdigest()
+    assert proc.stdout.split() == ["cgschur.sring", "True", "True", "True"]
 
 
 # -- golden stdout ---------------------------------------------------------------

@@ -139,25 +139,25 @@ def test_same_named_methods_calling_each_other_are_unreached():
 
 
 def test_bench_tracer_installs():
-    import cgschur  # noqa: F401  (loads every module the tracer spans)
     from cgschur.cgring import CGRing, make_cg_ring
     from cgschur.galois import GaloisRing
-    from cgschur.sring import verify_sring
 
     spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    # `import cgschur` loads no module, so load each one the tracer spans.
+    spanned = [(importlib.import_module(name), fname)
+               for name, fnames in spans.SPANNED.items() for fname in fnames]
     patched = [(GaloisRing, "mul"), (GaloisRing, "add"), (CGRing, "mul"), (CGRing, "add"),
                (CGRing, "neg"), (CGRing, "mul_table")]
-    before = {key: key[0].__dict__[key[1]] for key in patched}
+    before = {key: vars(key[0])[key[1]] for key in patched + spanned}
     tracer = spans.Tracer("t")
     tracer.install()
     try:
-        assert all(cls.__dict__[attr] is not before[cls, attr] for cls, attr in patched)
+        assert all(vars(owner)[attr] is not before[owner, attr] for owner, attr in before)
         make_cg_ring([(2, 2, 2), (3, 2, 1)]).mul(5, 7)
         counts = tracer.snapshot()
         assert counts["cgring.mul_calls"] == counts["cgring.mul_fallthrough_calls"] == 1
     finally:
         tracer.uninstall()
-    assert all(cls.__dict__[attr] is before[cls, attr] for cls, attr in patched)
-    assert cgschur.sring.verify_sring is verify_sring
+    assert all(vars(owner)[attr] is before[owner, attr] for owner, attr in before)

@@ -2,12 +2,18 @@
 Schur rings over finite products of Galois rings of coprime
 characteristics.
 
-Importing the package loads none of its modules: each public name, and
-each submodule such as ``cgschur.sring``, is imported on first use and
-then kept here, so a command line call compiles only what its verb runs.
+Importing the package runs none of its modules, so a command line call
+compiles only what its verb runs.  Each library module is put in
+``sys.modules`` at once, as when the package imported them all, but its
+body runs only on first use (``importlib.util.LazyLoader``); code that
+finds the modules there, such as a tracer that wraps their functions,
+sees every one.  Each public name, and each submodule such as
+``cgschur.sring``, is read on first use and then kept here.
 """
 
+import sys
 from importlib import import_module
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 # home module -> the public names it holds
 _EXPORTS = {
@@ -24,17 +30,25 @@ _EXPORTS = {
               "verify_sring", "wreath_pairs"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = {*_EXPORTS, "cli"}
 
 __all__ = sorted(_HOME)
 
+for _module in _EXPORTS:
+    _spec = find_spec(f"{__name__}.{_module}")
+    _spec.loader = LazyLoader(_spec.loader)
+    sys.modules[_spec.name] = module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_spec.name])
+del _module, _spec
+
 
 def __getattr__(name: str):
-    if name in _SUBMODULES:
-        return import_module(f"{__name__}.{name}")  # the import binds it here
-    if name not in _HOME:
+    if name in _EXPORTS:  # the import runs a lazy module's body
+        value = import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
     return value
 
 

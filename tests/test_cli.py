@@ -505,16 +505,15 @@ def test_handler_errors_map_to_exit_codes(capsys, monkeypatch, sign_doc, target,
     # A failed law, identity or decomposition step exits 1 with its message;
     # malformed input exits 2.  Each handler reads the function from its
     # home module at call time, so patching it there reaches the CLI.
-    if code == 1:
-        assert isinstance(err, RuntimeError)
     monkeypatch.setattr(target, _raises(err))
     argv = [sign_doc if word == "DOC" else word for word in argv]
     assert run_cli(capsys, *argv) == (code, "", f"error: {err}\n")
 
 
 def test_plain_runtime_error_propagates(monkeypatch, sign_doc):
-    # A RuntimeError that is no failed check is a bug: main must not turn it
-    # into an exit code.
+    # The failed checks stay RuntimeErrors, but one that is no failed check
+    # is a bug: main must not turn it into an exit code.
+    assert issubclass(cgschur.cgring.CheckFailedError, RuntimeError)
     monkeypatch.setattr("cgschur.sring.verify_sring", _raises(RuntimeError("bug")))
     with pytest.raises(RuntimeError, match="bug"):
         main(["sring", "verify", sign_doc])
@@ -590,27 +589,40 @@ VERB_MODULES = [
 ]
 
 
+# The library modules `import cgschur` puts in sys.modules without running.
+LIBRARY_MODULES = {f"cgschur.{m}" for m in
+                   ("galois", "cgring", "sring", "duality", "construct", "classify")}
+
+# Child-side: the package modules added since `before` whose body has run;
+# one not yet used is still a lazy subclass of ModuleType, and type() does
+# not run it.
+RAN = """
+import json, sys, types
+before = set(sys.modules)
+def ran():
+    return sorted(m for m in set(sys.modules) - before
+                  if m.startswith("cgschur") and type(sys.modules[m]) is types.ModuleType)
+"""
+
+
 def test_cold_import_footprint(sign_doc):
     # Only modules added after the baseline count, so whatever site loads
     # at start-up cannot fail the test.  Each call runs in its own child.
     for argv, extra in VERB_MODULES:
         argv = [sign_doc if word == "DOC" else word for word in argv]
-        proc = run_child("-c", f"""
-import json, sys
-before = set(sys.modules)
+        proc = run_child("-c", RAN + f"""
 import cgschur
-print(json.dumps(sorted(set(sys.modules) - before)))
+print(json.dumps([sorted(set(sys.modules) - before), ran()]))
 from cgschur.__main__ import main
 code = main({argv!r})
-print(json.dumps([code, sorted(set(sys.modules) - before)]))
+print(json.dumps([code, ran(), sorted(set(sys.modules) - before)]))
 """)
         assert proc.returncode == 0, proc.stderr
         lines = proc.stdout.splitlines()
-        assert json.loads(lines[0]) == ["cgschur"], argv
-        code, added = json.loads(lines[-1])
+        assert json.loads(lines[0]) == [sorted({"cgschur"} | LIBRARY_MODULES), ["cgschur"]], argv
+        code, ran, added = json.loads(lines[-1])
         assert code in (0, 1) and len(lines) == 3, (argv, proc.stderr)
-        assert {m for m in added if m.startswith("cgschur")} == (
-            ENTRY_MODULES | {f"cgschur.{m}" for m in extra}), argv
+        assert set(ran) == ENTRY_MODULES | {f"cgschur.{m}" for m in extra}, argv
         assert not HEAVY_MODULES & set(added), argv
 
 
@@ -637,10 +649,9 @@ def test_lazy_namespace_resolves_every_name():
 
 
 def test_lazy_namespace_in_a_fresh_process():
-    proc = run_child("-c", """
-import sys
+    proc = run_child("-c", RAN + """
 import cgschur
-assert not [m for m in sys.modules if m.startswith("cgschur.")]
+assert ran() == ["cgschur"]
 print(cgschur.sring.__name__, "sring" in dir(cgschur), cgschur.SRing is cgschur.sring.SRing)
 import cgschur.duality
 print(cgschur.duality.dual_sring is cgschur.dual_sring)

@@ -17,9 +17,15 @@ from __future__ import annotations
 
 import ast
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterator
+
+import cgschur
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = sorted((ROOT / "src" / "cgschur").glob("*.py"))
@@ -138,26 +144,57 @@ def test_same_named_methods_calling_each_other_are_unreached():
     assert _unreached([MUTUAL], ["A().f()"]) == set()
 
 
-def test_bench_tracer_installs():
-    from cgschur.cgring import CGRing, make_cg_ring
-    from cgschur.galois import GaloisRing
+# Runs in a fresh child, in the order of bench/worker.py (`import cgschur`)
+# or bench/traced_cli.py (`import cgschur.cli`): first import, then the
+# tracer, then the library modules the run goes on to use.
+TRACER_CHILD = """
+import importlib, json, sys
+first, bench = sys.argv[1:]
+sys.path.insert(0, bench)
+importlib.import_module(first)
+from spans import SPANNED, Tracer
+from cgschur.cgring import CGRing, make_cg_ring
+from cgschur.galois import GaloisRing
 
+def wrapped():
+    return sorted(f"{m}.{f}" for m, names in SPANNED.items() if m in sys.modules
+                  for f in names if hasattr(getattr(sys.modules[m], f), "__wrapped__"))
+
+patched = [(GaloisRing, "mul"), (GaloisRing, "add"), (CGRing, "mul"), (CGRing, "add"),
+           (CGRing, "neg"), (CGRing, "mul_table")]
+before = {key: vars(key[0])[key[1]] for key in patched}
+tracer = Tracer("t")
+tracer.install()
+from cgschur import construct, sring
+assert all(vars(cls)[attr] is not before[cls, attr] for cls, attr in patched)
+assert construct.verify_sring is sring.verify_sring
+make_cg_ring([(2, 2, 2), (3, 2, 1)]).mul(5, 7)
+counts = tracer.snapshot()
+assert counts["cgring.mul_calls"] == counts["cgring.mul_fallthrough_calls"] == 1
+print(json.dumps(wrapped()))
+tracer.uninstall()
+assert all(vars(cls)[attr] is before[cls, attr] for cls, attr in patched)
+print(json.dumps(wrapped()))
+"""
+
+
+def test_bench_tracer_installs():
+    # The tracer wraps the modules it finds in sys.modules at install, so
+    # `import cgschur` must put every library module there, run or not.
     spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    # `import cgschur` loads no module, so load each one the tracer spans.
-    spanned = [(importlib.import_module(name), fname)
-               for name, fnames in spans.SPANNED.items() for fname in fnames]
-    patched = [(GaloisRing, "mul"), (GaloisRing, "add"), (CGRing, "mul"), (CGRing, "add"),
-               (CGRing, "neg"), (CGRing, "mul_table")]
-    before = {key: vars(key[0])[key[1]] for key in patched + spanned}
-    tracer = spans.Tracer("t")
-    tracer.install()
-    try:
-        assert all(vars(owner)[attr] is not before[owner, attr] for owner, attr in before)
-        make_cg_ring([(2, 2, 2), (3, 2, 1)]).mul(5, 7)
-        counts = tracer.snapshot()
-        assert counts["cgring.mul_calls"] == counts["cgring.mul_fallthrough_calls"] == 1
-    finally:
-        tracer.uninstall()
-    assert all(vars(owner)[attr] is before[owner, attr] for owner, attr in before)
+    src = str(Path(cgschur.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for first in ("cgschur", "cgschur.cli"):
+        proc = subprocess.run([sys.executable, "-c", TRACER_CHILD, first, str(ROOT / "bench")],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, (first, proc.stderr)
+        installed, uninstalled = map(json.loads, proc.stdout.splitlines())
+        # cgschur.cli is loaded only by the command line, as before the
+        # package loaded lazily.
+        assert installed == sorted(f"{m}.{f}" for m, names in spans.SPANNED.items()
+                                   if m != "cgschur.cli" or first == "cgschur.cli"
+                                   for f in names), first
+        assert uninstalled == [], first

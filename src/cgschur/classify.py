@@ -76,8 +76,9 @@ def _cert_doc(cert: WreathCert | TensorSplit) -> dict:
     return {"type": "tensor", "primes": sorted(cert.primes)}
 
 
-def _is_field(ring: CGRing) -> bool:
-    return len(ring.components) == 1 and ring.components[0].n == 1
+def _rank2_nonfield(A: SRing) -> bool:
+    """Whether A has rank 2 over a ring that is not a field."""
+    return A.rank == 2 and (len(A.ring.components) > 1 or A.ring.components[0].n > 1)
 
 
 def _rank2_nonfield_split(A: SRing) -> TensorSplit | None:
@@ -88,15 +89,13 @@ def _rank2_nonfield_split(A: SRing) -> TensorSplit | None:
     """
     for Q in proper_prime_splits(A.ring):
         split = is_tensor_over(A, Q)
-        if split.ok and split.left.rank == 2 and not _is_field(split.left.ring):
+        if split.ok and _rank2_nonfield(split.left):
             return split
     return None
 
 
 def _rank2_nonfield_decomposable(A: SRing) -> bool:
-    if A.rank == 2 and not _is_field(A.ring):
-        return True
-    return _rank2_nonfield_split(A) is not None
+    return _rank2_nonfield(A) or _rank2_nonfield_split(A) is not None
 
 
 # -- reassembly ---------------------------------------------------------------
@@ -160,7 +159,7 @@ def decompose_pure(A: SRing) -> Decomposition:
         certs.append(split)
         rest = split.right
 
-    if rest.rank == 2 and not _is_field(rest.ring):
+    if _rank2_nonfield(rest):
         factors.append((frozenset(rest.ring.primes), rest, ROLE_RANK2))
     else:
         state = f"dense={rest.is_dense()}, pure={rest.is_pure()}"
@@ -285,14 +284,13 @@ def check_nondense_structure(A: SRing) -> StructureReport:
     a_divisors = set(A.a_ideal_divisors())
     applicable = any(p not in a_divisors for p in ring.maximal_divisors())
 
-    wreath = None
-    split = None
+    wreath = split = None
     self_rank2 = False
     structure_ok = True
     if applicable:
         wreath = next((c for c in wreath_pairs(A) if c.nontrivial), None)
         if wreath is None:
-            self_rank2 = A.rank == 2 and not _is_field(ring)
+            self_rank2 = _rank2_nonfield(A)
             if not self_rank2:
                 split = _rank2_nonfield_split(A)
         structure_ok = wreath is not None or self_rank2 or split is not None
@@ -304,7 +302,7 @@ def check_nondense_structure(A: SRing) -> StructureReport:
         four_way = (
             not _rank2_nonfield_decomposable(A),
             dual.is_pure() and not _rank2_nonfield_decomposable(dual),
-            all(p in a_divisors for p in ring.maximal_divisors()),
+            not applicable,  # every maximal ideal an A-ideal
             all(ring.char // p in a_divisors for p in ring.primes),
         )
         equivalent = len(set(four_way)) == 1

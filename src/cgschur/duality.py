@@ -22,6 +22,7 @@ from .galois import mixed_radix_sum
 from .sring import (
     SRing,
     StructureError,
+    VerifyReport,
     _element_set,
     is_tensor_over,
     labels,
@@ -210,22 +211,14 @@ def perp_of_ideal(ring: CGRing, m: int, table: CharacterTable | None = None) -> 
 # -- duality laws as a checkable report ----------------------------------------
 
 
-class DualityReport(NamedTuple):
-    ok: bool
-    failures: tuple[str, ...]
-
-    def to_doc(self) -> dict:
-        return {"ok": self.ok, "failures": list(self.failures)}
-
-
-def check_duality(A: SRing) -> DualityReport:
+def check_duality(A: SRing) -> VerifyReport:
     """Verify the duality laws on one Schur ring; failures mean bugs."""
     ring = A.ring
     c = ring.char
     table = character_table(ring)
     B = _dual(table, A)
     if B.rank != A.rank:
-        return DualityReport(False, ("rank not preserved",))
+        return VerifyReport(False, ("rank not preserved",))
     failures: list[str] = []
     if dual_sring(B, table) != A:
         failures.append("dual of the dual differs from the input")
@@ -259,7 +252,7 @@ def check_duality(A: SRing) -> DualityReport:
         if dual_sring(quotient_sring(A, m)) != restrict(B, c // m):
             failures.append(f"dual of the quotient by {m}R is not the restriction to {c // m}R")
 
-    return DualityReport(not failures, tuple(failures))
+    return VerifyReport(not failures, tuple(failures))
 
 
 # -- separation ----------------------------------------------------------------

@@ -20,13 +20,17 @@ from cgschur.classify import (
     KIND_RATIONAL_TENSOR,
     Decomposition,
     FalsificationError,
+    _rank2_nonfield_split,
     check_nondense_structure,
     check_quotient_purity,
     classify_rational,
     decompose_pure,
     reassemble,
 )
-from cgschur.sring import SRing, cyclotomic, tensor
+from cgschur.construct import all_subgroups
+from cgschur.duality import dual_sring
+from cgschur.sring import (SRing, cyclotomic, labels, quotient_sring, tensor, verify_sring,
+                           wreath_pairs)
 
 
 def sign_pair(ring):
@@ -418,6 +422,75 @@ def test_even_quotient_can_lose_purity():
     doubled = z8.scale_set(X, 2)
     assert doubled == frozenset({2, 6})
     assert z8.lower_ideal(doubled) == 4
+
+
+@pytest.mark.parametrize("K", [{1, 7}, {1, 3}], ids=["K=1,7", "K=1,3"])
+def test_even_quotient_of_a_pure_sring_can_be_impure(K):
+    # The same at ring level: over Z_8 the orbits of K are pure and dense,
+    # yet their image in Z_8/4R is not pure, so the theorem needs odd c.
+    A = cyclotomic(make_cg_ring([(2, 3, 1)]), K)
+    assert A.rank == 5 and A.is_pure() and A.is_dense()
+    assert not quotient_sring(A, 4).is_pure()
+    report = check_quotient_purity(A, 4)
+    assert not report.applicable
+    assert report.reasons == ("the characteristic is even",)
+
+
+# -- pure Schur rings outside the odd-characteristic theorem ----------------------
+
+
+def gr82_exceptions() -> list[SRing]:
+    """Pure dense Schur rings of GR(8,2) that are not split by the steps of
+    decompose_pure.  Each takes the orbits of a unit subgroup K everywhere
+    but on 2R - 4R, the one stratum that is neither the units nor the
+    minimal ideal 4R.  Rank 11: K of order 8, whose 3 orbits there merge
+    into one class.  Rank 7: K of order 24, whose one orbit there splits
+    into the orbits of a subgroup K2 of order 8, kept when it verifies."""
+    ring = parse_ring_spec("GR(8,2)")
+    groups = all_subgroups(ring, ring.units())
+    keys = ring.unit_orbit_keys()
+    middle = keys[ring.scale(ring.one, 2)]
+    found = []
+    for K in groups:
+        if len(K) == 8:
+            A = cyclotomic(ring, K)
+            inside = [X for X in A.classes if keys[min(X)] == middle]
+            if len(inside) == 3:
+                outside = [X for X in A.classes if keys[min(X)] != middle]
+                found.append(SRing(ring, outside + [frozenset().union(*inside)]))
+        elif len(K) == 24:
+            outer = ring.orbit_labels(K)
+            for K2 in groups:
+                if len(K2) == 8 and K2 <= K:
+                    inner = ring.orbit_labels(K2)
+                    A = SRing.from_labels(ring, labels(
+                        (key == middle, (inner if key == middle else outer)[x])
+                        for x, key in enumerate(keys)))
+                    if A.rank == 7 and verify_sring(ring, A.classes).ok:
+                        found.append(A)
+    return found
+
+
+def test_gr82_pure_srings_outside_the_odd_theorem():
+    # A dense census of GR(8,2) finds exactly these 8 pure rings on which
+    # the pure decomposition fails without its parity gate: no rank-2
+    # non-field factor splits off, no wreath layering exists, and they are
+    # not the orbits of the class K of 1.
+    found = gr82_exceptions()
+    assert len(set(found)) == len(found)
+    assert sorted(A.rank for A in found) == [7] * 4 + [11] * 4
+    for A in found:
+        ring = A.ring
+        assert verify_sring(ring, A.classes).ok
+        assert A.is_pure() and A.is_dense()
+        assert dual_sring(A) == A
+        assert not any(w.nontrivial for w in wreath_pairs(A))
+        assert _rank2_nonfield_split(A) is None
+        K = A.class_containing(ring.one)
+        assert len(K) == {11: 8, 7: 24}[A.rank]
+        assert cyclotomic(ring, K) != A
+        dec = decompose_pure(A)
+        assert (dec.kind, dec.reason) == (KIND_NOT_APPLICABLE, "the characteristic is even")
 
 
 # -- corpus properties ----------------------------------------------------------

@@ -177,6 +177,18 @@ def test_verify_rejects_malformed_json(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_document_that_is_a_list_exits_2(capsys, tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    assert run_cli(capsys, "sring", "verify", str(path)) == (
+        2, "", "error: the input document must be a JSON object\n")
+
+
+def test_group_that_is_not_integers_exits_2(capsys):
+    assert run_cli(capsys, "sring", "cyc", "GR(9)", "--group", "1,x") == (
+        2, "", "error: expected comma separated integers, got '1,x'\n")
+
+
 def test_verify_rejects_missing_key(capsys, tmp_path):
     path = write_doc(tmp_path, "nokey.json", {"classes": [[0]]})
     code, _, _ = run_cli(capsys, "sring", "verify", path)
@@ -419,6 +431,36 @@ def test_classify_quotient_reports_impure_image(capsys, sign_doc, monkeypatch):
     code, doc = run_json(capsys, "classify", "quotient", sign_doc, "--modulus", "3")
     assert code == 1
     assert doc == {"applicable": True, "reasons": [], "quotient_pure": False, "ok": False}
+
+
+# Not a Schur ring: the unit 3 of GR(3,2) maps the class {1, 2} to {3, 6}.
+H9_DOC = {"ring": "GR(3,2)", "classes": [[0], [1, 2], [3, 4, 5, 6, 7, 8]]}
+
+
+@pytest.mark.parametrize("argv", [("pure",), ("rational",), ("nondense",),
+                                  ("quotient", "--modulus", "3")],
+                         ids=["pure", "rational", "nondense", "quotient"])
+def test_classify_rejects_input_that_is_no_schur_ring(capsys, tmp_path, argv):
+    # the theorems speak of Schur rings only, so any other input is malformed
+    path = write_doc(tmp_path, "h9.json", H9_DOC)
+    code, doc = run_json(capsys, "sring", "verify", path)
+    assert code == 1
+    assert doc["failures"][0] == {"axiom": "unit-invariance", "unit": 3, "class": 1}
+    code, out, err = run_cli(capsys, "classify", argv[0], path, *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == ("error: the input is not a Schur ring; sring verify fails first with"
+                   ' {"axiom":"unit-invariance","class":1,"unit":3}\n')
+
+
+def test_classify_nondense_wreath_certificate(capsys, tmp_path):
+    # over Z_8 the maximal ideal 2R is no A-ideal; 4R is, and the one class
+    # outside it is a union of cosets of 4R
+    path = write_doc(tmp_path, "z8.json",
+                     {"ring": "GR(8)", "classes": [[0], [1, 2, 3, 5, 6, 7], [4]]})
+    code, doc = run_json(capsys, "classify", "nondense", path)
+    assert code == 0
+    assert doc == {"applicable": True, "ok": True,
+                   "certificate": {"type": "wreath", "outer": 4, "inner": 4}}
 
 
 # -- enumerate -----------------------------------------------------------------

@@ -211,6 +211,12 @@ def test_build_rejections():
         build_nonpure_dense_sring(2, 2, 3, 1, max_size=100)
 
 
+def test_build_rejects_p_not_dividing_the_right_teichmuller_order():
+    # q = 2 divides 3^2 - 1, but p = 3 does not divide 2^1 - 1
+    with pytest.raises(ValueError, match=r"^3 does not divide 2\^1 - 1 = 1$"):
+        build_nonpure_dense_sring(3, 2, 2, 1)
+
+
 def test_units_link_recomputed_from_discrete_logs():
     instance, _, _ = build_nonpure_dense_sring(2, 2, 3, 1)
     ring = instance.ring

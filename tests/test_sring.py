@@ -478,6 +478,20 @@ def test_tensor_detection_negative(z36):
     assert "not an A-ideal" in is_tensor_over(rank2(z36), {2}).reason
 
 
+def test_tensor_split_over_a_foreign_prime(z36):
+    split = is_tensor_over(cyclotomic(z36, z36.units()), {5})
+    assert not split.ok
+    assert split.reason == "primes [5] not in the ring"
+
+
+def test_derived_rings_need_an_a_ideal():
+    # 2R = {0, 2, 4, 6} of Z_8 cuts the class {1, 2, 3, 5, 6, 7}
+    A = SRing(make_cg_ring([(2, 3, 1)]), [[0], [1, 2, 3, 5, 6, 7], [4]])
+    for derive in (quotient_sring, restrict):
+        with pytest.raises(ValueError, match="^the ideal 2R is not an A-ideal$"):
+            derive(A, 2)
+
+
 def test_tensor_of_unit_orbits_splits(z36):
     A = cyclotomic(z36, z36.units())
     split = is_tensor_over(A, {2})

@@ -29,7 +29,9 @@ class CheckFailedError(RuntimeError):
 
 def _orbit_labels(size: int, rows: Iterable[Sequence[int]]) -> list[int]:
     """The canonical label vector of the orbits of the unit group generated
-    by the g whose mul_rows are given, over elements 0 .. size-1.
+    by the g whose mul_rows are given, over elements 0 .. size-1; any
+    commuting permutations of 0 .. size-1 will do, such as the class
+    permutations of a unit-invariant partition.
 
     The group H grows one generator g at a time.  Units commute, so
     g*(H*x) = H*(g*x) and g permutes the H-orbits; the orbits of <H, g>

@@ -9,15 +9,20 @@ values are written in the tensor basis built from the prime-power bases
 zeta^j, j < phi(c_i) (Bosma, "Canonical bases for cyclotomic fields",
 1990).  Every value then has digits -1, 0 and 1, and equality of
 character sums is decided exactly on integer digit vectors.
+
+On a unit-invariant partition the dual is found per unit orbit: each
+element is keyed by its sums over one head class per orbit of the class
+permutations, and the dual is the coarsest unit-invariant refinement of
+those head keys (Muzychuk and Ponomarenko, "Schur rings", Eur. J.
+Combin. 30, 2009, for the duality).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-from .cgring import CGRing
+from .cgring import CGRing, _orbit_labels
 from .galois import mixed_radix_sum
 from .sring import (
     SRing,
@@ -134,48 +139,81 @@ def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],
     """The label vector of r by the vector of packed character sums over
     the classes, given perms = class_permutations of their label vector.
 
-    For a unit-invariant partition, the sum over X_k at g*r is the sum
-    over g*X_k at r, so the key of g*r is the key of r with the classes
-    permuted by g.  Then the table's kept packed row of each unit-orbit
-    representative is summed, and the keys spread along the unit
-    generators.  Any other partition (perms None) runs the same loop
-    with every element a representative and no generators.  The packed
-    sums are interned as small ints so keys stay short, and equal keys
-    as one tuple, so the keys held are one per dual class and their
-    identities label the elements.
+    On a unit-invariant partition it rests on two facts.  The sum over
+    X_k at u*r is the sum over u*X_k at r, so key(u*r) = key(r) o pi_u,
+    pi_u being the class permutation of u.  And every class is pi_u of a
+    head, one class per orbit of the class permutations, so x and y
+    share a dual class exactly when u*x and u*y share a class of Q for
+    every unit u, Q being the partition by the sums over the heads
+    alone: the dual is the coarsest unit-invariant refinement of Q.
 
-    Each generator's row g*R is the ring's kept unit row, paired with
-    the itemgetter that permutes a key along it, so a spread key is one
-    C-level call.  itemgetter of one index returns the bare item, so a
-    one-class partition, which every unit fixes, keeps its key as it is.
+    So each element holds a small int, not a rank-length key: the
+    number of its configuration, the head tuple's image under pi_u,
+    spread from each unit-orbit representative along the kept unit rows
+    with one transition list per generator, and then the number of its
+    head key.  The sums of a representative are read from the table's
+    kept packed row for the classes its configurations name, and
+    interned as small ints.  Q is then refined by Q o g for each
+    generator row g until the rank stops growing; units commute, so a
+    refinement invariant under the generators before g stays so.  When
+    every class is a head, every unit fixes every class and Q is the
+    dual.  Any other partition (perms None) runs the same loop with
+    every element a representative and no generators.  A discrete
+    partition has the discrete dual, characters being distinct.
     """
     ring = table.ring
-    steps = []
+    if len(classes) == ring.size:
+        return list(range(ring.size))
     if perms is None:
         reps = ((r, table.packed_row(r)) for r in ring.elements())
+        rows, perms = (), ()
     else:
-        reps = table.representative_rows
-        steps = [(row, itemgetter(*perm) if len(perm) > 1 else tuple)
-                 for row, perm in zip(ring.unit_rows(), perms)]
-    keys: list = [None] * ring.size
+        reps, rows = table.representative_rows, ring.unit_rows()
+    # the class permutations commute, as the units do
+    orbit = _orbit_labels(len(classes), perms)
+    heads = tuple(map(orbit.index, range(max(orbit) + 1)))
+    # the head tuple's images under the class permutations, numbered, and
+    # per generator the number of the image of each
+    configs, number, moves = [heads], {heads: 0}, [[] for _ in perms]
+    for config in configs:
+        for perm, move in zip(perms, moves):
+            image = tuple(map(perm.__getitem__, config))
+            if image not in number:
+                number[image] = len(configs)
+                configs.append(image)
+            move.append(number[image])
+    steps = list(zip(rows, moves))
+    config_of = [-1] * ring.size
+    sums = [0] * len(classes)
     interned: dict[int, int] = {}
-    distinct: dict[tuple, tuple] = {}
+    distinct: dict[tuple, int] = {}
     for r0, packed in reps:
+        config_of[r0] = 0
+        reached = [r0]
+        for r in reached:
+            config = config_of[r]
+            for row, move in steps:
+                s = row[r]
+                if config_of[s] < 0:
+                    config_of[s] = move[config]
+                    reached.append(s)
+        seen = set(map(config_of.__getitem__, reached))
         values = packed.__getitem__
-        key = tuple(interned.setdefault(sum(map(values, X)), len(interned)) for X in classes)
-        keys[r0] = distinct.setdefault(key, key)
-        frontier = [r0]
-        while frontier:
-            r = frontier.pop()
-            key = keys[r]
-            for row_g, move in steps:
-                s = row_g[r]
-                if keys[s] is None:
-                    key_s = move(key)
-                    keys[s] = distinct.setdefault(key_s, key_s)
-                    frontier.append(s)
-    assert None not in keys, "an element received no key"
-    return labels(map(id, keys))
+        for k in set().union(*map(configs.__getitem__, seen)):
+            sums[k] = interned.setdefault(sum(map(values, classes[k])), len(interned))
+        label = {config: distinct.setdefault(tuple(map(sums.__getitem__, configs[config])),
+                                             len(distinct)) for config in seen}
+        for r in reached:
+            config_of[r] = label[config_of[r]]
+    assert -1 not in config_of, "an element received no key"
+    q, rank = config_of, len(distinct)
+    for row in rows if len(heads) < len(classes) else ():
+        while rank < ring.size:
+            q = labels(zip(q, map(q.__getitem__, row)))
+            if max(q) + 1 == rank:
+                break
+            rank = max(q) + 1
+    return labels(q)
 
 
 def _dual(table: CharacterTable, A: SRing) -> SRing:

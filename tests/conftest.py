@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 import pytest
@@ -14,7 +15,7 @@ from cgschur.cgring import CGRing, make_cg_ring, parse_ring_spec
 from cgschur.construct import all_subgroups
 from cgschur.duality import _dual_partition
 from cgschur.galois import GaloisRing, make_galois_ring
-from cgschur.sring import PartitionError, SRing, cyclotomic, schur_closure
+from cgschur.sring import PartitionError, SRing, cyclotomic, labels, schur_closure
 
 
 @lru_cache(maxsize=None)
@@ -548,6 +549,43 @@ def dual_classes(table, classes: Sequence[Iterable[int]]) -> list[list[int]]:
     A = SRing(table.ring, classes)
     D = _dual_partition(table, A.classes, table.ring.class_permutations(A.class_of))
     return [sorted(X) for X in SRing.from_labels(table.ring, D).classes]
+
+
+def spread_dual_oracle(table, classes: Sequence[Iterable[int]],
+                       perms: list[list[int]] | None) -> list[int]:
+    """The character-sum dual's label vector with one rank-length key per
+    element: the packed sums over every class at each unit-orbit
+    representative, spread along the unit rows by key(g*r) = key(r) o pi_g
+    (every element a representative when perms is None).  The sums are
+    interned as small ints and equal keys kept as one tuple, whose
+    identities label the elements."""
+    ring = table.ring
+    steps = []
+    if perms is None:
+        reps = ((r, table.packed_row(r)) for r in ring.elements())
+    else:
+        reps = table.representative_rows
+        steps = [(row, itemgetter(*perm) if len(perm) > 1 else tuple)
+                 for row, perm in zip(ring.unit_rows(), perms)]
+    keys: list = [None] * ring.size
+    interned: dict[int, int] = {}
+    distinct: dict[tuple, tuple] = {}
+    for r0, packed in reps:
+        values = packed.__getitem__
+        key = tuple(interned.setdefault(sum(map(values, X)), len(interned)) for X in classes)
+        keys[r0] = distinct.setdefault(key, key)
+        frontier = [r0]
+        while frontier:
+            r = frontier.pop()
+            key = keys[r]
+            for row_g, move in steps:
+                s = row_g[r]
+                if keys[s] is None:
+                    key_s = move(key)
+                    keys[s] = distinct.setdefault(key_s, key_s)
+                    frontier.append(s)
+    assert None not in keys, "an element received no key"
+    return labels(map(id, keys))
 
 
 def dual_classes_oracle(table, classes: Sequence[Iterable[int]]) -> list[list[int]]:

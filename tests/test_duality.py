@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import gc
 import random
+import tracemalloc
 import weakref
 
 import pytest
 
+from cgschur import duality
 from cgschur.cgring import CGRing, make_cg_ring, parse_ring_spec
 from cgschur.duality import (
+    _dual_partition,
     CharacterTable,
     character_table,
     check_duality,
@@ -24,7 +27,7 @@ from cgschur.duality import (
     perp_of_ideal,
     separation_check,
 )
-from cgschur.construct import subgroup_generated
+from cgschur.construct import all_subgroups, subgroup_generated
 from cgschur.sring import (
     PartitionError,
     SRing,
@@ -53,6 +56,7 @@ from conftest import (
     pack,
     phi_c_remainder,
     random_coarsening,
+    spread_dual_oracle,
     sum_key,
     swap_broken,
 )
@@ -329,6 +333,16 @@ def test_separation_rejects_non_subgroups(z9):
 
 # -- the unit-orbit kernel ------------------------------------------------------
 
+def assert_matches_spread(table, classes) -> list[int]:
+    """The kernel's dual label vector, checked against the rank-length
+    key spreading of spread_dual_oracle on the same class permutations."""
+    A = SRing(table.ring, classes)
+    perms = table.ring.class_permutations(A.class_of)
+    dual = _dual_partition(table, A.classes, perms)
+    assert dual == spread_dual_oracle(table, A.classes, perms)
+    return dual
+
+
 def kernel_inputs(ring, rng: random.Random):
     """Partitions for the kernel: a cyclotomic ring and a closure, their
     unit-invariant coarsenings, and partitions that take the fallback."""
@@ -353,6 +367,7 @@ def test_dual_classes_orbit_kernel_matches_oracle(spec):
     for classes in kernel_inputs(ring, rng):
         seen[ring.class_permutations(SRing(ring, classes).class_of) is not None] += 1
         assert dual_classes(table, classes) == dual_classes_oracle(table, classes)
+        assert_matches_spread(table, classes)
     assert seen[True] and seen[False]  # both the orbit kernel and the fallback ran
 
 
@@ -418,8 +433,8 @@ def test_class_permutations_match_set_oracle(spec):
 
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_one_class_partition_keeps_tuple_keys(spec):
-    # Every unit fixes the one class, so its key spreads unchanged; a bare
-    # sum in place of the 1-tuple would split the dual.
+    # Every unit fixes the one class, its one head, so the head keys, one
+    # sum each, are the dual: {0} and the rest.
     ring = parse_ring_spec(spec)
     table = character_table(ring)
     whole = [list(ring.elements())]
@@ -470,6 +485,7 @@ def test_dual_classes_match_power_basis(spec):
         classes = [sorted(X) for X in classes]
         dual = dual_classes(table, classes)
         assert dual == dual_classes(oracle, classes)
+        assert_matches_spread(table, classes)
         # sampled sums over a class or an ideal: zero and equality decisions
         # against the remainder modulo Phi_c; r2 shares the dual class of r
         # half of the time
@@ -553,3 +569,78 @@ def test_character_table_lives_on_its_ring():
     del first, second, ring, A
     gc.collect()
     assert alive() is None
+
+
+# -- head keys, refinement and the discrete stop ---------------------------------
+
+def test_dual_kernel_matches_spread_oracle_on_large_rings(monkeypatch):
+    # The +-1 and unit-orbit rings of a 1225-element ring, and every
+    # partition the closures of {-1} and of a unit hand to the kernel.
+    ring = parse_ring_spec("GR(25)xGR(49)")
+    table = character_table(ring)
+    for K in (subgroup_generated(ring, [ring.neg(ring.one)]), ring.units()):
+        assert_matches_spread(table, cyclotomic(ring, K).classes)
+    rounds = []
+    real = duality._dual_partition
+    monkeypatch.setattr(duality, "_dual_partition",
+                        lambda table, P, perms: rounds.append(P) or real(table, P, perms))
+    for seed in ([ring.neg(ring.one)], [ring.units()[5]]):
+        schur_closure(ring, [seed])
+    assert len(rounds) >= 6
+    monkeypatch.undo()
+    for P in rounds:
+        assert_matches_spread(table, P)
+
+
+@pytest.mark.parametrize("spec", ("GR(4,2)", "GR(8,2)", "GR(4,2)xGR(9)"))
+def test_dual_kernel_matches_spread_oracle_on_every_cyclotomic_ring(spec):
+    ring = parse_ring_spec(spec)
+    table = character_table(ring)
+    for K in all_subgroups(ring, ring.units()):
+        A = cyclotomic(ring, K)
+        assert assert_matches_spread(table, A.classes) == A.class_of
+
+
+def test_dual_refines_the_head_keys():
+    # The head keys of <3> over GR(4,2) have rank 3; only the refinement
+    # to unit invariance reaches the dual's rank 10.
+    ring = parse_ring_spec("GR(4,2)")
+    table = character_table(ring)
+    A = cyclotomic(ring, subgroup_generated(ring, [3]))
+    assert A.rank == 10
+    assert dual_sring(A).rank == 10
+    assert dual_classes(table, A.classes) == dual_classes_oracle(table, A.classes)
+
+
+def test_discrete_partition_has_the_discrete_dual(monkeypatch):
+    # Characters are distinct, so the discrete dual is returned at once,
+    # without a packed row.
+    ring = parse_ring_spec("GR(4)xGR(9)")
+    discrete = [[x] for x in ring.elements()]
+    ring.unit_generators()
+    table = CharacterTable(ring)
+    calls = []
+    real = CGRing.mul_row
+    monkeypatch.setattr(CGRing, "mul_row", lambda self, r: calls.append(r) or real(self, r))
+    assert dual_classes(table, discrete) == discrete
+    assert calls == [] and "representative_rows" not in vars(table)
+    monkeypatch.undo()
+    assert dual_classes_oracle(table, discrete) == discrete
+
+
+def test_dual_at_3025_elements_keeps_no_rank_length_keys():
+    # One packed sum per class and representative and one small int per
+    # element: a rank-length key per dual class peaked at 22.5 MiB here.
+    ring = parse_ring_spec("GR(121)xGR(25)")
+    A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
+    character_table(ring)
+    tracemalloc.start()
+    try:
+        B = dual_sring(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert B.rank == 1513 and dual_sring(B) == A
+    assert peak < 12 * 2**20
+    assert verify_sring(ring, A.classes).ok
+    assert schur_closure(ring, [[ring.neg(ring.one)]]).rank == ring.size

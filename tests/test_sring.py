@@ -125,7 +125,7 @@ def test_verify_invariant_partitions_match_oracle(spec):
 
 
 def test_verify_computes_class_permutations_once(z36, monkeypatch):
-    # The unit-invariance check and the dual's key spreading share one
+    # The unit-invariance check and the dual share one
     # class_permutations per call, whether the partition passes or fails.
     calls = []
     inner = CGRing.class_permutations

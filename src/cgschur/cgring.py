@@ -417,10 +417,6 @@ class CGRing:
                 return rows
         return None
 
-    def is_subgroup(self, K: frozenset[int]) -> bool:
-        """Whether K is a unit subgroup, at one generate."""
-        return self._subgroup_rows(K) is not None
-
     def orbit_labels(self, K: Iterable[int]) -> list[int]:
         """The canonical label vector of the orbits of a unit subgroup K
         acting by multiplication: orbits numbered by least member.

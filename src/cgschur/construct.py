@@ -17,6 +17,7 @@ and the returned report records every check.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .cgring import CGRing, CheckFailedError, make_cg_ring
@@ -45,40 +46,59 @@ def subgroup_generated(ring: CGRing, gens: Iterable[int]) -> frozenset[int]:
 
 
 def all_subgroups(ring: CGRing, group: Iterable[int]) -> list[frozenset[int]]:
-    """Every subgroup of an abelian unit group, by closure over extensions.
+    """Every subgroup of an abelian unit group G, one Sylow part at a time.
 
-    The closure runs on positions in the group's own product table, one
-    mul_row per member cut to the group: |G|**2 entries, never |G| rows
-    of |R|.  Every g' in H*g gives the same <H, g'>, so H is extended once
-    per coset outside it, by CGRing.extend_subgroup along the row of g.
+    G is the direct product of its Sylow parts G_p, and each subgroup is
+    the product of its own Sylow parts, one subgroup of each G_p.  The
+    p-part of a generator g of order o is g^(o/p^v), for p^v the largest
+    power of p dividing o, read off the walk of g's row from 1; those
+    parts generate G_p.  Inside G_p, each subgroup H is extended once per
+    coset H*g outside it, by CGRing.extend_subgroup along the row of g,
+    one mul_row per member of G_p cut to positions in G: sum |G_p|*|G|
+    entries in all.  The products H*K are read from the rows of K's
+    members.
     """
-    members = frozenset(group)
+    members = _element_set(ring, group, "group member")
     if len(members) > ALL_SUBGROUPS_LIMIT:
         raise ValueError(f"group of order {len(members)} exceeds the limit {ALL_SUBGROUPS_LIMIT}")
-    if not ring.is_subgroup(members):
+    rows = ring._subgroup_rows(members)
+    if rows is None:
         raise ValueError("not a unit subgroup")
-    elements = sorted(members)
+    walks = []  # g^0, g^1, ..., g^(o-1) for each generator g
+    for row in rows:
+        walk = [ring.one]
+        while (x := row[walk[-1]]) != ring.one:
+            walk.append(x)
+        walks.append(walk)
+    order, elements = len(members), sorted(members)
     position = {g: i for i, g in enumerate(elements)}
-    table = [[position[row[h]] for h in elements] for row in map(ring.mul_row, elements)]
     trivial = frozenset({position[ring.one]})
-    found = {trivial}
-    frontier = [trivial]
-    while frontier:
-        H = frontier.pop()
-        done = set(H)
-        for g, row in enumerate(table):
-            if g in done:
-                continue
-            done.update(row[x] for x in H)
-            bigger = ring.extend_subgroup(H, row)
-            if bigger not in found:
-                found.add(bigger)
-                frontier.append(bigger)
-    subgroups = sorted(found, key=lambda H: (len(H), sorted(H)))
-    found.clear()
-    for k, H in enumerate(subgroups):  # positions keep the order of elements
-        subgroups[k] = frozenset(map(elements.__getitem__, H))
-    return subgroups
+    subgroups = [trivial]
+    primes = [p for p in range(2, order + 1) if order % p == 0 and is_prime(p)]
+    for p in primes:
+        # a p-group is its own Sylow part; else the p-parts g^(o/p^v) generate
+        # it, p^v = gcd(o, p^o), and g^o = g^0 when p does not divide o
+        sylow = members if len(primes) == 1 else ring.generate(
+            walk[len(walk) // math.gcd(len(walk), p ** len(walk)) % len(walk)] for walk in walks)[2]
+        table = {position[g]: [position[x] for x in map(ring.mul_row(g).__getitem__, elements)]
+                 for g in sylow}
+        found = {trivial}
+        frontier = [trivial]
+        while frontier:
+            H = frontier.pop()
+            done = set(H)
+            for g, row in table.items():
+                if g in done:
+                    continue
+                done.update(row[x] for x in H)
+                bigger = ring.extend_subgroup(H, row)
+                if bigger not in found:
+                    found.add(bigger)
+                    frontier.append(bigger)
+        subgroups = [frozenset(table[k][h] for k in K for h in H) if len(H) > 1 else K
+                     for H in subgroups for K in found]
+    subgroups.sort(key=lambda H: (len(H), sorted(H)))  # positions keep the order of elements
+    return [frozenset(map(elements.__getitem__, H)) for H in subgroups]
 
 
 # -- component subgroups, embedded globally ------------------------------------

@@ -60,6 +60,31 @@ def enumerate_subgroups(ring: CGRing) -> list[frozenset[int]]:
     return sorted(found, key=lambda K: (len(K), sorted(K)))
 
 
+def all_subgroups_oracle(ring: CGRing, group: Iterable[int]) -> list[frozenset[int]]:
+    """Every subgroup of a unit group G, by closure over extensions across
+    all of G: one mul_row per member cut to a |G|**2 table of positions,
+    each subgroup H extended once per coset H*g outside it."""
+    elements = sorted(group)
+    position = {g: i for i, g in enumerate(elements)}
+    table = [[position[row[h]] for h in elements] for row in map(ring.mul_row, elements)]
+    trivial = frozenset({position[ring.one]})
+    found = {trivial}
+    frontier = [trivial]
+    while frontier:
+        H = frontier.pop()
+        done = set(H)
+        for g, row in enumerate(table):
+            if g in done:
+                continue
+            done.update(row[x] for x in H)
+            bigger = ring.extend_subgroup(H, row)
+            if bigger not in found:
+                found.add(bigger)
+                frontier.append(bigger)
+    subgroups = sorted(found, key=lambda H: (len(H), sorted(H)))
+    return [frozenset(map(elements.__getitem__, H)) for H in subgroups]
+
+
 # Rings for the oracle checks of the unit-group and unit-orbit kernels.
 KERNEL_RINGS = ("GR(9)", "GR(4,2)", "GR(4)xGR(9)", "GR(4,2)xGR(9)",
                 "GR(3)xGR(5)xGR(7)", "GR(27)xGR(4,2)")

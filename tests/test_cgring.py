@@ -294,7 +294,7 @@ def test_subgroup_enumeration_counts(z36, big):
 def test_purity_definitions_agree(z36, big):
     for ring in (make_cg_ring([(3, 2, 1)]), make_cg_ring([(2, 2, 2)]), z36, big):
         for K in enumerate_subgroups(ring):
-            assert ring.is_subgroup(K)
+            assert ring._subgroup_rows(K) is not None
             definitional = ring.lower_ideal(K) == ring.char
             assert ring.is_pure_subgroup(K) == definitional
 
@@ -507,8 +507,8 @@ def test_unit_rows_are_kept_tuples(spec):
 
 def test_is_subgroup_rejects_non_units():
     # Checked first: all_subgroups used to accept {0, 1} and then never return.
-    assert not parse_ring_spec("GR(9)").is_subgroup(frozenset({0, 1}))
-    assert not parse_ring_spec("GR(3)xGR(5)").is_subgroup(frozenset(range(5)))
+    assert parse_ring_spec("GR(9)")._subgroup_rows(frozenset({0, 1})) is None
+    assert parse_ring_spec("GR(3)xGR(5)")._subgroup_rows(frozenset(range(5))) is None
     with pytest.raises(ValueError, match="not a unit subgroup"):
         all_subgroups(parse_ring_spec("GR(9)"), {0, 1})
 
@@ -525,15 +525,16 @@ def test_generate_matches_oracles(spec):
         gens = rng.sample(units, rng.randrange(4))
         assert subgroup_generated(ring, gens) == subgroup_generated_oracle(ring, gens)
     subgroups = kernel_subgroups(spec)
-    assert all(ring.is_subgroup(K) and is_subgroup_oracle(ring, K) for K in subgroups)
+    assert all(ring._subgroup_rows(K) is not None and is_subgroup_oracle(ring, K)
+               for K in subgroups)
     verdicts = set()
     for _ in range(20):
         K = rng.choice(subgroups)
         for S in (frozenset(rng.sample(units, rng.randrange(1, len(units) + 1))),
                   K | {rng.choice(units)},  # K, or K and one more unit
                   K - {rng.choice(units)}):  # K, or K less one unit
-            verdicts.add(ring.is_subgroup(S))
-            assert ring.is_subgroup(S) == is_subgroup_oracle(ring, S)
+            verdicts.add(ring._subgroup_rows(S) is not None)
+            assert (ring._subgroup_rows(S) is not None) == is_subgroup_oracle(ring, S)
     assert verdicts == {True, False}
 
 

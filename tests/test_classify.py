@@ -505,7 +505,7 @@ def test_corpus_class_of_one_is_pure_subgroup(corpus):
             continue
         K = A.class_containing(ring.one)
         assert all(ring.is_unit(k) for k in K), label
-        assert ring.is_subgroup(K), label
+        assert ring._subgroup_rows(K) is not None, label
         assert ring.lower_ideal(K) == ring.char, label
         checked += 1
     assert checked >= 10

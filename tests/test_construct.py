@@ -23,6 +23,7 @@ from cgschur.construct import (
 )
 from cgschur.sring import has_nontrivial_wreath
 from conftest import (
+    all_subgroups_oracle,
     cyclic_log_oracle,
     enumerate_subgroups,
     fiber_product_oracle,
@@ -64,17 +65,52 @@ def test_all_subgroups_counts(z9, z36):
 
 def test_all_subgroups_reads_each_row_once(monkeypatch):
     # all_subgroups once built mul_row(g) per subgroup and coset: 1,031
-    # rows for the 72 units of GR(4,2)xGR(9).
-    ring = parse_ring_spec("GR(4,2)xGR(9)")
-    units = frozenset(ring.units())
-    generator_rows = len(ring.generate(units)[0])  # is_subgroup's one generate
-    calls = []
-    real = ring.mul_row
-    monkeypatch.setattr(ring, "mul_row", lambda r: calls.append(r) or real(r))
+    # rows for the 72 units of GR(4,2)xGR(9); then one row per member of
+    # G, 76 there and 244 on GR(4,4).  By Sylow parts it reads one row
+    # per member of each G_p, 8 + 9 and 16 + 3 + 5, and the generators'.
+    # The brute-force oracle takes about 50 s on GR(4,4), the closure oracle 0.2 s.
+    for spec, bound, count, oracle in (
+            ("GR(4,2)xGR(9)", 30, 96,
+             lambda ring: sorted(enumerate_subgroups(ring), key=lambda H: (len(H), sorted(H)))),
+            ("GR(4,4)", 40, 268, lambda ring: all_subgroups_oracle(ring, ring.units()))):
+        ring = parse_ring_spec(spec)
+        calls = []
+        real = ring.mul_row
+        monkeypatch.setattr(ring, "mul_row", lambda r: calls.append(r) or real(r))
+        found = all_subgroups(ring, ring.units())
+        assert len(calls) <= bound, spec
+        assert found == oracle(ring)
+        assert len(found) == count
+
+
+@pytest.mark.parametrize("spec", ["GR(4,4)", "GR(16,2)", "GR(2,8)", "GR(121)",
+                                  "GR(9)xGR(25)", "GR(8)xGR(9)xGR(5)"])
+def test_all_subgroups_match_the_oracle(spec):
+    # The products of Sylow subgroups are the closure's subgroups, in its
+    # order, for the unit group and for proper subgroups given as group.
+    ring = parse_ring_spec(spec)
     found = all_subgroups(ring, ring.units())
-    assert len(calls) <= len(units) + generator_rows
-    assert found == sorted(enumerate_subgroups(ring), key=lambda H: (len(H), sorted(H)))
-    assert len(found) == 96
+    assert found == all_subgroups_oracle(ring, ring.units())
+    for K in (found[len(found) // 3], found[2 * len(found) // 3], found[-2]):
+        assert all_subgroups(ring, K) == all_subgroups_oracle(ring, K)
+
+
+def test_all_subgroups_closed_form_counts():
+    # GR(4,4): Z15 x Z2^4 has 4 * 67 subgroups (tau(15) times the 67
+    # subspaces of F2^4); the cyclic unit groups of GR(2,8) and GR(121)
+    # have tau(255) = tau(110) = 8; GR(9)xGR(25) has Z2xZ4 x Z3 x Z5,
+    # 8 * 2 * 2 = 32.
+    for spec, count in (("GR(4,4)", 268), ("GR(2,8)", 8), ("GR(121)", 8), ("GR(9)xGR(25)", 32)):
+        ring = parse_ring_spec(spec)
+        assert len(all_subgroups(ring, ring.units())) == count, spec
+
+
+@pytest.mark.parametrize("group, member", [([True], "True"), ([1.0], "1.0"),
+                                           ([1, 8, 8.0], "8.0")])
+def test_all_subgroups_checks_each_member(z9, group, member):
+    # True once passed as 1, 1.0 raised TypeError, and 8.0 hid behind 8.
+    with pytest.raises(ValueError, match=rf"group member {member} is not an element index"):
+        all_subgroups(z9, group)
 
 
 def test_all_subgroups_rejections(z9):

@@ -683,7 +683,7 @@ def test_unit_classes_with_one_are_subgroups(corpus):
             continue
         X = A.class_containing(A.ring.one)
         if X <= units:
-            assert A.ring.is_subgroup(X), label
+            assert A.ring._subgroup_rows(X) is not None, label
 
 
 def test_upper_lower_ideals_are_a_ideals(corpus):

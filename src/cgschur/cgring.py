@@ -242,8 +242,8 @@ class CGRing:
     def orbit_representatives(self) -> list[int]:
         """One element m*1 per unit orbit, in divisor order.
 
-        Each element is a unit times m*1 for the divisor m generating its
-        ideal, so these orbits cover R, one per divisor.
+        Each element x is a unit times m*1 for the divisor m with xR = mR,
+        its unit_orbit_keys entry, so these orbits cover R, one per divisor.
         """
         return [self.scale(self.one, m) for m in self.divisors()]
 
@@ -292,9 +292,6 @@ class CGRing:
                 v += 1
             out.append(v)
         return tuple(out)
-
-    def divisor_from_valuations(self, vals) -> int:
-        return math.prod(c.p**v for c, v in zip(self.components, vals))
 
     def ideal(self, m: int) -> frozenset[int]:
         """The ideal mR as a set of element indices, from the digit rows p_i^v_i*R_i."""
@@ -350,36 +347,21 @@ class CGRing:
         """
         if not X:
             raise EmptySetError("the lower ideal of the empty set is undefined")
-        vals = []
+        m = 1
         for comp in self.components:
             others = self.char // comp.char  # others*R is this component
-            vals.append(next((v for v in range(comp.n)
-                              if self.coset_closed(X, others * comp.p**v)), comp.n))
-        return self.divisor_from_valuations(vals)
+            m *= comp.p ** next((v for v in range(comp.n)
+                                 if self.coset_closed(X, others * comp.p**v)), comp.n)
+        return m
 
     def upper_ideal(self, X: frozenset[int]) -> int:
-        """Divisor of the smallest ideal containing X."""
+        """Divisor of the smallest ideal containing X: the gcd of the kept
+        divisors m with xR = mR over x in X."""
         if not X:
             raise EmptySetError("the upper ideal of the empty set is undefined")
-        g = 0
-        for x in X:
-            content = self.divisor_from_valuations(
-                comp.valuation(i) for comp, i in zip(self.components, self.parts(x))
-            )
-            g = math.gcd(g, content)
-            if g == 1:
-                break
-        return g
+        return math.gcd(*map(self.unit_orbit_keys().__getitem__, X))
 
-    # -- projections and subrings -------------------------------------------
-
-    def projection_row(self, primes: Iterable[int]) -> list[int]:
-        """The projection of every element x onto the components over the
-        given primes (the other parts set to 0), in element order, as a
-        fresh list: _combine of the component rows i (kept) or 0."""
-        keep = set(primes)
-        return self._combine(comp.elements() if comp.p in keep else [0] * comp.size
-                             for comp in self.components)
+    # -- sub-products --------------------------------------------------------
 
     def scale_set(self, X: Iterable[int], k: int) -> frozenset[int]:
         return frozenset(self.scale(a, k) for a in X)
@@ -431,17 +413,17 @@ class CGRing:
         return _orbit_labels(self.size, rows)
 
     def unit_orbit_keys(self) -> tuple[int, ...]:
-        """A key per element, equal exactly on unit orbits, kept once per
-        ring: the component valuations v_i of x in mixed radix n_i + 1,
-        one valuation per component element.  Every x is a unit times m*1
-        for the divisor m with xR = mR, so x and y share a unit orbit
-        exactly when their valuations agree."""
+        """The divisor m with xR = mR for each element x, kept once per
+        ring.  Every x is a unit times m*1, so the keys are equal exactly
+        on unit orbits.  m is the product of the p_i^v_i, v_i the valuation
+        of the part x_i: one row of p_i^v_i per component, multiplied in
+        mixed radix."""
         if self._unit_orbit_keys is None:
-            weight, rows = 1, []
+            keys = [1]
             for comp in self.components:
-                rows.append([comp.valuation(i) * weight for i in comp.elements()])
-                weight *= comp.n + 1
-            self._unit_orbit_keys = tuple(mixed_radix_sum(rows))
+                row = [comp.p ** comp.valuation(i) for i in comp.elements()]
+                keys = [a * b for b in row for a in keys]
+            self._unit_orbit_keys = tuple(keys)
         return self._unit_orbit_keys
 
     def orbit_partition(self, K: Iterable[int]) -> list[frozenset[int]]:
@@ -463,7 +445,9 @@ class CGRing:
 
 class QuotientMap(NamedTuple):
     """Quotient ring R/mR with the natural projection, read from the ring's
-    kept reduction row."""
+    kept reduction row.  With mR the sub-product over the primes outside
+    Q (m = component_divisor(primes - Q)), R/mR is the sub-product over Q
+    and pi is the projection x -> x_Q."""
 
     ring: CGRing
     pi: Callable[[int], int]
@@ -475,16 +459,12 @@ class IdealRingMap(NamedTuple):
     `ring` is the abstract model (a product of smaller Galois rings) and
     `embed` the additive bijection from the model onto mR inside the
     source ring: the lift of coefficients scaled by m, one _recode row per
-    component.  embed(model identity) = m*1.
+    component.  embed(model identity) = m*1.  Projections onto a
+    sub-product are read from quotient maps, not through embed.
     """
 
     ring: CGRing
     embed: Callable[[int], int]
-
-    def section_map(self) -> dict[int, int]:
-        """Inverse of embed, as a dict over mR keyed in model element order."""
-        elements = self.ring.elements()
-        return dict(zip(map(self.embed, elements), elements))
 
 
 def _recode(d: int, source: int, target: int, weight: int, k: int = 1) -> list[int]:

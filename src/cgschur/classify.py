@@ -8,13 +8,20 @@ certified and reassembled exactly.  The splits are guaranteed for valid
 inputs, so a failed step raises FalsificationError instead of returning
 a soft negative: it signals a bug, not a property of the input.  Input
 outside a theorem's scope gives NotApplicable or a report with `ok` false.
+
+Every function here assumes its input is a Schur ring and does not check
+it; the command line runs verify_sring first.  On a partition that is not
+one the results mean nothing: on GR(3,2) the classes {0}, {1, 2},
+{3, ..., 8} are not unit-invariant, yet decompose_pure raises
+FalsificationError and check_nondense_structure and
+check_quotient_purity report `ok` true.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cgring import CGRing, CheckFailedError, ideal_ring
+from .cgring import CGRing, CheckFailedError, quotient
 from .duality import dual_sring
 from .sring import (
     SRing,
@@ -105,31 +112,35 @@ def reassemble(ring: CGRing, factors: tuple[Factor, ...]) -> SRing:
     """Rebuild a Schur ring on `ring` from factors over disjoint prime sets.
 
     Elements are grouped by the tuple of factor classes of their
-    projections, which is the tensor partition in the original component
-    order regardless of the order the factors were split off in.
+    projections x_Q, read from the quotient R/mR with mR the sub-product
+    outside Q, which is the tensor partition in the original component
+    order regardless of the order the factors were split off in.  A
+    factor from restrict reads R_Q scaled by an integer prime to |R_Q|,
+    which permutes the classes of a Schur ring, so the partition is the
+    same.
     """
     if not factors:
         raise ValueError("there are no factors to reassemble")
     seen: set[int] = set()
-    maps = []
+    columns = []
     for Q, F, _role in factors:
+        if not Q:
+            raise ValueError("a factor has an empty prime set")
         if foreign := Q - set(ring.primes):
             raise ValueError(f"primes {sorted(foreign)} are not primes of {ring.spec()}")
         if overlap := seen & Q:
             raise ValueError(f"primes {sorted(overlap)} appear in two factors")
         seen |= Q
-        sub = ideal_ring(ring, ring.component_divisor(Q))
-        if sub.ring != F.ring:
+        to_Q = quotient(ring, ring.component_divisor(set(ring.primes) - Q))
+        if to_Q.ring != F.ring:
             raise ValueError(
                 f"factor ring {F.ring.spec()} does not match the"
                 f" sub-product over {sorted(Q)}"
             )
-        maps.append((Q, F, sub.section_map()))
+        columns.append(map(F.class_of.__getitem__, map(to_Q.pi, ring.elements())))
     missing = set(ring.primes) - seen
     if missing:
         raise ValueError(f"the factors miss primes {sorted(missing)}")
-    columns = [map(F.class_of.__getitem__, map(iota.__getitem__, ring.projection_row(Q)))
-               for Q, F, iota in maps]
     return SRing.from_labels(ring, labels(zip(*columns)))
 
 

@@ -244,13 +244,12 @@ def build_nonpure_dense_sring(
             (left_torsion, left_complement, right_principal, nonunits_link),
             (left_torsion, left_principal, right_torsion, right_principal)))
 
-    # one orbit label vector of R per group; the stratum m*units is named
-    # by its divisor m and holds the elements sharing the key of m*1
+    # one orbit label vector of R per group; the stratum m*units holds the
+    # elements whose unit-orbit key is the divisor m
     keys = ring.unit_orbit_keys()
-    stratum = {m: keys[r] for m, r in zip(ring.divisors(), ring.orbit_representatives())}
     vectors = [ring.orbit_labels(G) for G in (full_group, units_group, nonunits_group)]
     built = SRing.from_labels(ring, labels(
-        (key == stratum[1], u if key == stratum[1] else n) for key, _, u, n in zip(keys, *vectors)))
+        (key == 1, u if key == 1 else n) for key, _, u, n in zip(keys, *vectors)))
 
     checks: list[CheckResult] = []
 
@@ -289,12 +288,12 @@ def build_nonpure_dense_sring(
     meet = units_group & nonunits_group
     check("intersection_order", len(meet) == expected_meet,
           f"got {len(meet)}, expected {expected_meet}")
-    deep = {stratum[m] for m in ring.divisors() if m not in (1, p, q)}
+    deep = set(ring.divisors()) - {1, p, q}
     check("deep_strata_orbits", _orbits_agree(vectors, keys, deep),
           "the three groups induce one orbit partition below the top strata")
-    check("q_stratum_orbits", _orbits_agree(vectors[:2], keys, {stratum[q]}),
+    check("q_stratum_orbits", _orbits_agree(vectors[:2], keys, {q}),
           "full group and units group agree on the stratum of q times units")
-    check("p_stratum_orbits", _orbits_agree(vectors[::2], keys, {stratum[p]}),
+    check("p_stratum_orbits", _orbits_agree(vectors[::2], keys, {p}),
           "full group and nonunits group agree on the stratum of p times units")
 
     instance = ConstructionInstance(

@@ -369,7 +369,8 @@ def is_tensor_over(A: SRing, primes: Iterable[int]) -> TensorSplit:
     for m in (m_left, m_right):
         if not A.is_aset(ring.ideal(m)):
             return TensorSplit(False, f"the ideal {m}R is not an A-ideal", Q, None, None)
-    to_Q, to_Qc = ring.projection_row(Q).__getitem__, ring.projection_row(Qc).__getitem__
+    # x mod m_right*R is x_Q and x mod m_left*R is x_Qc, read in R/mR
+    to_Q, to_Qc = ring.reduction(m_right)[0].__getitem__, ring.reduction(m_left)[0].__getitem__
     for X in A.classes:
         # x -> (x_Q, x_Qc) is injective, so equal sizes make X = XQ + XQc
         if len(set(map(to_Q, X))) * len(set(map(to_Qc, X))) != len(X):

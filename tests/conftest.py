@@ -629,6 +629,12 @@ def lower_ideal_oracle(ring: CGRing, X: frozenset[int]) -> int:
     return max(closed, key=lambda m: len(ring.ideal(m)))
 
 
+def upper_ideal_oracle(ring: CGRing, X: frozenset[int]) -> int:
+    """Divisor of the smallest ideal holding X, by trying every ideal
+    filtered element by element."""
+    return min((m for m in ring.divisors() if X <= ideal_oracle(ring, m)), key=ring.ideal_size)
+
+
 def is_dense_oracle(A: SRing) -> bool:
     """Whether every ideal is an A-set, checked ideal by ideal."""
     return all(A.is_aset(A.ring.ideal(m)) for m in A.ring.divisors())

@@ -22,6 +22,7 @@ from conftest import (
     project_oracle,
     subgroup_generated_oracle,
     truncate_oracle,
+    upper_ideal_oracle,
 )
 
 from cgschur import cgring
@@ -127,8 +128,8 @@ def test_lower_ideal_against_z36_oracle(z36):
 @pytest.mark.parametrize("spec", ["GR(4,2)xGR(9)", "GR(27)xGR(4)", "GR(2)xGR(3)xGR(5)"])
 def test_lower_ideal_against_oracle(spec):
     # Classes and class unions of cyclotomic rings, cosets of every ideal,
-    # and random sets: each lower ideal equals the one found by trying
-    # every ideal.
+    # subsets of every ideal and random sets: each lower and upper ideal
+    # equals the one found by trying every ideal.
     ring = parse_ring_spec(spec)
     rng = random.Random(spec)
     units = ring.units()
@@ -143,8 +144,12 @@ def test_lower_ideal_against_oracle(spec):
         sets.append(frozenset(ring.add(x, i) for i in ring.ideal(m)))
     sets += [frozenset(rng.sample(range(ring.size), rng.randint(1, ring.size)))
              for _ in range(10)]
+    for m in ring.divisors():
+        members = sorted(ring.ideal(m))
+        sets.append(frozenset(rng.sample(members, rng.randint(1, min(4, len(members))))))
     for X in sets:
         assert ring.lower_ideal(X) == lower_ideal_oracle(ring, X)
+        assert ring.upper_ideal(X) == upper_ideal_oracle(ring, X)
 
 
 def test_empty_set_operations(z36):
@@ -197,7 +202,7 @@ def test_ideal_ring_z9():
     assert [sub.embed(y) for y in sub.ring.elements()] == [0, 3, 6]
     units = [sub.embed(y) for y in sub.ring.elements() if sub.ring.is_unit(y)]
     assert units == [3, 6]
-    iota = sub.section_map()
+    iota = {sub.embed(y): y for y in sub.ring.elements()}  # the inverse of embed
     for a in R.elements():
         for b in R.elements():
             # x -> 3x read in the model is a ring epimorphism
@@ -214,7 +219,7 @@ def test_ideal_ring_mixed(big):
     assert sub.ring.spec() == "GR(2,2)xGR(3)"
     image = {sub.embed(y) for y in sub.ring.elements()}
     assert image == set(big.ideal(6))
-    iota = sub.section_map()
+    iota = {sub.embed(y): y for y in sub.ring.elements()}  # the inverse of embed
     rng = random.Random(17)
     for _ in range(300):
         a, b = rng.randrange(144), rng.randrange(144)
@@ -343,11 +348,12 @@ def test_embed_matches_unit_definitions(spec):
 
 
 def test_projections(z36):
+    # the projection onto the 2-part is the quotient by 4R, the 3-part
     phi = z36_iso(z36)
-    row = z36.projection_row({2})
+    assert quotient(z36, 4).ring.spec() == "GR(4)"
+    row, _ = z36.reduction(4)
     for z in range(36):
-        kept = row[phi[z]]
-        assert z36.parts(kept) == (z % 4, 0)
+        assert row[phi[z]] == z % 4
     assert z36.component_divisor({2}) == 9
     assert z36.component_divisor({3}) == 4
     assert z36.component_divisor({2, 3}) == 1
@@ -355,21 +361,21 @@ def test_projections(z36):
 
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_projection_rows_match_oracle(spec):
+    # The projection x -> x_Q is the kept reduction row mod the sub-product
+    # outside Q, read in the model ring over Q: the parts over Q in
+    # component order (the zero ring, index 0, when Q is empty).
     ring = parse_ring_spec(spec)
     for size in range(len(ring.primes) + 1):
         for Q in combinations(ring.primes, size):
-            assert ring.projection_row(Q) == [project_oracle(ring, x, Q) for x in ring.elements()]
-
-
-@pytest.mark.parametrize("spec", KERNEL_RINGS)
-def test_section_map_inverts_embed(spec):
-    # The same pairs, in the same order, as embed over every model element.
-    ring = parse_ring_spec(spec)
-    for m in ring.divisors()[:-1]:
-        sub = ideal_ring(ring, m)
-        expected = {sub.embed(j): j for j in sub.ring.elements()}
-        assert list(sub.section_map().items()) == list(expected.items())
-        assert set(expected) == ring.ideal(m)
+            m = ring.component_divisor(set(ring.primes) - set(Q))
+            kept = [ci for ci, comp in enumerate(ring.components) if comp.p in Q]
+            expected = [0] * ring.size
+            if kept:
+                model = CGRing([ring.components[ci] for ci in kept])
+                assert quotient(ring, m).ring == model
+                expected = [model.from_parts([ring.parts(project_oracle(ring, x, Q))[ci]
+                                              for ci in kept]) for x in ring.elements()]
+            assert list(ring.reduction(m)[0]) == expected
 
 
 # d > 1 with n > 2, a dropped middle component and a prime power base
@@ -398,9 +404,19 @@ def test_map_rows_match_per_element_oracles(spec):
             assert sub.ring == target
             embedded = [ring.scale(lift(j), m) for j in target.elements()]
             assert list(map(sub.embed, target.elements())) == embedded
-            assert list(sub.section_map().items()) == list(zip(embedded, target.elements()))
+            assert set(embedded) == ring.ideal(m)
     for ci in range(len(ring.components)):
         assert ring.embed_principal_units(ci) == principal_units_oracle(ring, ci)
+
+
+@pytest.mark.parametrize("spec", MAP_RINGS)
+def test_unit_orbit_keys_are_divisors(spec):
+    # The key of x is the divisor k with xR = kR, so x lies in mR exactly
+    # when m divides it.
+    ring = parse_ring_spec(spec)
+    keys = ring.unit_orbit_keys()
+    for m in ring.divisors():
+        assert ideal_oracle(ring, m) == frozenset(x for x in ring.elements() if keys[x] % m == 0)
 
 
 @pytest.mark.parametrize("spec", KERNEL_RINGS)

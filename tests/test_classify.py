@@ -29,8 +29,8 @@ from cgschur.classify import (
 )
 from cgschur.construct import all_subgroups
 from cgschur.duality import dual_sring
-from cgschur.sring import (SRing, cyclotomic, labels, quotient_sring, tensor, verify_sring,
-                           wreath_pairs)
+from cgschur.sring import (SRing, cyclotomic, is_tensor_over, labels, proper_prime_splits,
+                           quotient_sring, tensor, verify_sring, wreath_pairs)
 
 
 def sign_pair(ring):
@@ -183,6 +183,43 @@ def test_reassemble_rejects_bad_factor_lists():
         reassemble(A.ring, (left,))
     with pytest.raises(ValueError, match="does not match"):
         reassemble(A.ring, ((frozenset({3}), rank2(z25), "rank2"),))
+
+
+def test_reassemble_rejects_an_empty_prime_set():
+    # A factor over no primes once reached ideal_ring with the whole
+    # characteristic and raised that the zero ideal carries no ring structure.
+    z9 = make_cg_ring([(3, 2, 1)])
+    z25 = make_cg_ring([(5, 2, 1)])
+    A = tensor(rank2(z9), rank2(z25))
+    left = (frozenset({3}), rank2(z9), "rank2")
+    right = (frozenset({5}), rank2(z25), "rank2")
+    empty = (frozenset(), rank2(z9), "rank2")
+    for factors in ((empty, left, right), (left, right, empty), (empty,)):
+        with pytest.raises(ValueError, match="a factor has an empty prime set"):
+            reassemble(A.ring, factors)
+
+
+def test_tensor_split_and_reassemble_read_kept_rows(monkeypatch):
+    # Both read the projections from the kept reduction rows: no mul_row,
+    # and repeated calls keep at most one row per divisor, each built once.
+    ring = parse_ring_spec("GR(4,2)xGR(9)")
+    A = cyclotomic(ring, ring.units())
+    calls = []
+    real = CGRing.mul_row
+    monkeypatch.setattr(CGRing, "mul_row", lambda r, x: calls.append(x) or real(r, x))
+    kept = None
+    for _ in range(3):
+        for Q in proper_prime_splits(ring):
+            split = is_tensor_over(A, Q)
+            assert split.ok
+            factors = ((Q, split.left, "rest"), (frozenset(ring.primes) - Q, split.right, "rest"))
+            assert reassemble(ring, factors) == A
+        rows = {m: row for m, (row, _) in ring._reductions.items()}
+        assert set(rows) <= set(ring.divisors())
+        if kept is not None:
+            assert rows.keys() == kept.keys() and all(rows[m] is kept[m] for m in rows)
+        kept = rows
+    assert calls == []
 
 
 @pytest.mark.parametrize("primes", [({3, 7}, {2}), ({3}, {2, 5})])

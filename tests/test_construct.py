@@ -159,19 +159,22 @@ def test_build_reads_few_rows(args, monkeypatch):
     assert len(calls) <= 60
 
 
-@pytest.mark.parametrize("args", [(2, 2, 3, 1), (3, 1, 2, 2)], ids=["2231", "3122"])
-def test_build_checks_the_pinned_strata(args, monkeypatch):
-    # The unit-orbit key is v_p + 3*v_q.  The deep strata are the cells
-    # with v_p + v_q >= 2; then the stratum of q times units (v_q = 1) and
-    # of p times units (v_p = 1).  On correct inputs every check holds for
-    # other cells too, so only the cells passed can pin them.
+@pytest.mark.parametrize("args, expected", [
+    ((2, 2, 3, 1), [{4, 6, 9, 12, 18, 36}, {3}, {2}]),
+    ((3, 1, 2, 2), [{4, 6, 9, 12, 18, 36}, {2}, {3}]),
+], ids=["2231", "3122"])
+def test_build_checks_the_pinned_strata(args, expected, monkeypatch):
+    # The unit-orbit key is the divisor m with xR = mR.  The deep strata
+    # are the divisors of 36 other than 1, p and q; then the stratum of q
+    # times units and of p times units.  On correct inputs every check
+    # holds for other cells too, so only the cells passed can pin them.
     cells = []
     real = construct._orbits_agree
     monkeypatch.setattr(construct, "_orbits_agree",
                         lambda vectors, keys, c: cells.append(set(c)) or real(vectors, keys, c))
     _instance, _built, report = build_nonpure_dense_sring(*args)
     assert report.ok
-    assert cells == [{2, 4, 5, 6, 7, 8}, {3}, {1}]
+    assert cells == expected
 
 
 CHECK_NAMES = [
@@ -317,9 +320,9 @@ def test_orbits_agree_matches_per_stratum_orbits():
     groups = (instance.full_group, instance.units_group, instance.nonunits_group)
     vectors = [ring.orbit_labels(G) for G in groups]
     verdicts = set()
-    for x in ring.elements():  # both components have n = 2
+    for x in ring.elements():
         a, b = ring.parts(x)
-        assert keys[x] == left.valuation(a) + 3 * right.valuation(b)
+        assert keys[x] == 2**left.valuation(a) * 3**right.valuation(b)
     for cell in sorted(set(keys)):
         carrier = [x for x in ring.elements() if keys[x] == cell]
         orbits = [orbit_partition_oracle(ring, G, carrier) for G in groups]

@@ -11,6 +11,9 @@ unless ``KEEP`` records why it stays.  Likewise each field of a
 package outside its declaration line or in those users, or the class
 reads ``self._fields``; ``KEEP`` exempts a field as ``"Class.field"``.
 The benchmark's tracer must also still find the kernel methods it counts.
+Every backticked ``module.attr`` or ``Class.attr`` reference in README.md
+to a module or class of the package must resolve, so a deleted name
+cannot linger in the documentation.
 """
 
 from __future__ import annotations
@@ -198,3 +201,62 @@ def test_bench_tracer_installs():
                                    if m != "cgschur.cli" or first == "cgschur.cli"
                                    for f in names), first
         assert uninstalled == [], first
+
+
+# A backticked dotted name, perhaps with call arguments, outside code blocks.
+REFERENCE = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)(?:\([^`]*\))?`")
+
+
+def _namespaces() -> dict[str, object]:
+    """cgschur, its modules and its classes by name.  A class is an
+    instance where one is built here, so that attributes set in __init__
+    (SRing.classes, CGRing.size) resolve too."""
+    from cgschur.cgring import CGRing, parse_ring_spec
+    from cgschur.galois import GaloisRing
+    from cgschur.sring import SRing, cyclotomic
+
+    ring = parse_ring_spec("GR(4)xGR(9)")
+    built = {CGRing: ring, GaloisRing: ring.components[0], SRing: cyclotomic(ring, ring.units())}
+    spaces: dict[str, object] = {"cgschur": cgschur}
+    for path in SRC:
+        if path.stem.startswith("__"):
+            continue
+        module = importlib.import_module(f"cgschur.{path.stem}")
+        spaces[path.stem] = module
+        for name, obj in vars(module).items():
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                spaces[name] = built.get(obj, obj)
+    return spaces
+
+
+def _unresolved(text: str, spaces: dict[str, object]) -> tuple[set[str], int]:
+    """The references to a namespace that do not resolve, and the number
+    of references to a namespace checked."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    missing, checked = set(), 0
+    for dotted in REFERENCE.findall(text):
+        head, *attrs = dotted.split(".")
+        if head not in spaces:
+            continue  # ring.one, sys.modules, ...: not a name of the package
+        checked += 1
+        obj = spaces[head]
+        for attr in attrs:
+            if not hasattr(obj, attr):
+                missing.add(dotted)
+                break
+            obj = getattr(obj, attr)
+    return missing, checked
+
+
+def test_readme_references_resolve():
+    missing, checked = _unresolved((ROOT / "README.md").read_text(encoding="utf-8"), _namespaces())
+    assert not missing, f"README.md names what the package does not define: {sorted(missing)}"
+    assert checked >= 20, checked
+
+
+def test_unresolved_readme_references_are_found():
+    spaces = _namespaces()
+    text = ("`CGRing.projection_row(Q)` and `IdealRingMap.section_map`, but `SRing.classes`,"
+            " `cgschur.sring.labels`, `ring.one` and\n```\n`CGRing.gone`\n```\n")
+    assert _unresolved(text, spaces) == (
+        {"CGRing.projection_row", "IdealRingMap.section_map"}, 4)

@@ -7,8 +7,9 @@ compiles only what its verb runs.  Each library module is put in
 ``sys.modules`` at once, as when the package imported them all, but its
 body runs only on first use (``importlib.util.LazyLoader``); code that
 finds the modules there, such as a tracer that wraps their functions,
-sees every one.  Each public name, and each submodule such as
-``cgschur.sring``, is read on first use and then kept here.
+sees every one.  A submodule such as ``cgschur.sring`` is read on first
+use and then kept here; a public name is read from its home module on
+each use, so it is never a stale copy of a name rebound there.
 """
 
 import sys
@@ -43,13 +44,11 @@ del _module, _spec
 
 def __getattr__(name: str):
     if name in _EXPORTS:  # the import runs a lazy module's body
-        value = import_module(f"{__name__}.{name}")
-    elif name in _HOME:
-        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
-    else:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
-    return value
+        globals()[name] = import_module(f"{__name__}.{name}")
+        return globals()[name]
+    if name in _HOME:  # not kept, so a name rebound at home is seen here
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:

@@ -460,7 +460,8 @@ class IdealRingMap(NamedTuple):
     `embed` the additive bijection from the model onto mR inside the
     source ring: the lift of coefficients scaled by m, one _recode row per
     component.  embed(model identity) = m*1.  Projections onto a
-    sub-product are read from quotient maps, not through embed.
+    sub-product are read from quotient maps, and sring.restrict reads mR
+    in index order (coefficients scaled by p_i^v_i), neither through embed.
     """
 
     ring: CGRing
@@ -503,15 +504,8 @@ def ideal_ring(ring: CGRing, m: int) -> IdealRingMap:
 
 
 def make_cg_ring(components, max_size: int = DEFAULT_MAX_RING_SIZE) -> CGRing:
-    """Build a product ring from GaloisRing objects or (p, n, d) tuples."""
-    built = []
-    for comp in components:
-        if isinstance(comp, GaloisRing):
-            built.append(comp)
-        else:
-            p, n, d = comp
-            built.append(make_galois_ring(p, n, d, max_size=max_size))
-    ring = CGRing(built)
+    """Build a product ring from (p, n, d) tuples, one per component GR(p^n, d)."""
+    ring = CGRing([make_galois_ring(p, n, d, max_size=max_size) for p, n, d in components])
     if ring.size > max_size:
         raise ValueError(f"{ring.spec()} exceeds the size limit {max_size}")
     return ring

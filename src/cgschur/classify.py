@@ -3,11 +3,13 @@
 Pure Schur rings over rings of odd characteristic split as tensor
 products of rank-2 pieces over non-field sub-products with a cyclotomic
 remainder; Schur rings whose unit classes are fixed by every unit carry
-a nontrivial wreath layering or a rank-2 tensor factor.  Both splits are
-certified and reassembled exactly.  The splits are guaranteed for valid
-inputs, so a failed step raises FalsificationError instead of returning
-a soft negative: it signals a bug, not a property of the input.  Input
-outside a theorem's scope gives NotApplicable or a report with `ok` false.
+a nontrivial wreath layering or a rank-2 tensor factor.  One search over
+is_tensor_over finds the tensor splits; restrict reads their factors in
+index order, so each decomposition is checked by reassembling it exactly.
+The splits are guaranteed for valid inputs, so a failed step raises
+FalsificationError instead of returning a soft negative: it signals a
+bug, not a property of the input.  Input outside a theorem's scope gives
+NotApplicable or a report with `ok` false.
 
 Every function here assumes its input is a Schur ring and does not check
 it; the command line runs verify_sring first.  On a partition that is not
@@ -88,21 +90,25 @@ def _rank2_nonfield(A: SRing) -> bool:
     return A.rank == 2 and (len(A.ring.components) > 1 or A.ring.components[0].n > 1)
 
 
-def _rank2_nonfield_split(A: SRing) -> TensorSplit | None:
-    """First tensor split whose left factor has rank 2 over a non-field.
-
-    Complement subsets are enumerated too, so a rank-2 factor on either
-    side of some split is found.
-    """
+def _rank2_split(A: SRing, rank2=_rank2_nonfield) -> TensorSplit | None:
+    """First tensor split whose left factor passes rank2.  Complement
+    subsets are enumerated too, so a factor on either side is found."""
     for Q in proper_prime_splits(A.ring):
         split = is_tensor_over(A, Q)
-        if split.ok and _rank2_nonfield(split.left):
+        if split.ok and rank2(split.left):
             return split
     return None
 
 
-def _rank2_nonfield_decomposable(A: SRing) -> bool:
-    return _rank2_nonfield(A) or _rank2_nonfield_split(A) is not None
+def _nontrivial_wreath(A: SRing) -> WreathCert | None:
+    return next((c for c in wreath_pairs(A) if c.nontrivial), None)
+
+
+def _checked(A: SRing, dec: Decomposition) -> Decomposition:
+    """dec, after checking that its factors reassemble to A."""
+    if reassemble(A.ring, dec.factors) != A:
+        raise FalsificationError("the factors do not reassemble to the input")
+    return dec
 
 
 # -- reassembly ---------------------------------------------------------------
@@ -114,10 +120,7 @@ def reassemble(ring: CGRing, factors: tuple[Factor, ...]) -> SRing:
     Elements are grouped by the tuple of factor classes of their
     projections x_Q, read from the quotient R/mR with mR the sub-product
     outside Q, which is the tensor partition in the original component
-    order regardless of the order the factors were split off in.  A
-    factor from restrict reads R_Q scaled by an integer prime to |R_Q|,
-    which permutes the classes of a Schur ring, so the partition is the
-    same.
+    order regardless of the order the factors were split off in.
     """
     if not factors:
         raise ValueError("there are no factors to reassemble")
@@ -165,7 +168,7 @@ def decompose_pure(A: SRing) -> Decomposition:
     factors: list[Factor] = []
     certs: list[TensorSplit] = []
     rest = A
-    while (split := _rank2_nonfield_split(rest)) is not None:
+    while (split := _rank2_split(rest)) is not None:
         factors.append((split.primes, split.left, ROLE_RANK2))
         certs.append(split)
         rest = split.right
@@ -189,10 +192,7 @@ def decompose_pure(A: SRing) -> Decomposition:
             )
         factors.append((frozenset(rest.ring.primes), rest, ROLE_CYCLOTOMIC))
 
-    out = Decomposition(KIND_PURE_TENSOR, tuple(factors), tuple(certs))
-    if reassemble(ring, out.factors) != A:
-        raise FalsificationError("the factors do not reassemble to the input")
-    return out
+    return _checked(A, Decomposition(KIND_PURE_TENSOR, tuple(factors), tuple(certs)))
 
 
 # -- rational classification --------------------------------------------------
@@ -219,30 +219,20 @@ def classify_rational(A: SRing) -> Decomposition:
                     f"the unit {u} moves the class {sorted(X)}; the input is not rational",
                 )
 
-    cert = next((c for c in wreath_pairs(A) if c.nontrivial), None)
-    if cert is not None:
+    if (cert := _nontrivial_wreath(A)) is not None:
         return Decomposition(KIND_RATIONAL_WREATH, (), (cert,))
 
     if A.rank == 2:
         factor = (frozenset(ring.primes), A, ROLE_RANK2)
         return Decomposition(KIND_RATIONAL_TENSOR, (factor,), ())
 
-    for Q in proper_prime_splits(ring):
-        split = is_tensor_over(A, Q)
-        if split.ok and split.left.rank == 2:
-            factors = (
-                (Q, split.left, ROLE_RANK2),
-                (frozenset(ring.primes) - Q, split.right, ROLE_REST),
-            )
-            out = Decomposition(KIND_RATIONAL_TENSOR, factors, (split,))
-            if reassemble(ring, out.factors) != A:
-                raise FalsificationError("the factors do not reassemble to the input")
-            return out
-
-    raise FalsificationError(
-        f"no nontrivial wreath layering and no rank-2 tensor factor"
-        f" over {ring.spec()}"
-    )
+    split = _rank2_split(A, lambda F: F.rank == 2)
+    if split is None:
+        raise FalsificationError("no nontrivial wreath layering and no rank-2"
+                                 f" tensor factor over {ring.spec()}")
+    factors = ((split.primes, split.left, ROLE_RANK2),
+               (frozenset(ring.primes) - split.primes, split.right, ROLE_REST))
+    return _checked(A, Decomposition(KIND_RATIONAL_TENSOR, factors, (split,)))
 
 
 # -- structure of non-dense Schur rings ---------------------------------------
@@ -299,11 +289,11 @@ def check_nondense_structure(A: SRing) -> StructureReport:
     self_rank2 = False
     structure_ok = True
     if applicable:
-        wreath = next((c for c in wreath_pairs(A) if c.nontrivial), None)
+        wreath = _nontrivial_wreath(A)
         if wreath is None:
             self_rank2 = _rank2_nonfield(A)
             if not self_rank2:
-                split = _rank2_nonfield_split(A)
+                split = _rank2_split(A)
         structure_ok = wreath is not None or self_rank2 or split is not None
 
     four_way = None
@@ -311,8 +301,8 @@ def check_nondense_structure(A: SRing) -> StructureReport:
     if A.is_pure():
         dual = dual_sring(A)
         four_way = (
-            not _rank2_nonfield_decomposable(A),
-            dual.is_pure() and not _rank2_nonfield_decomposable(dual),
+            not _rank2_nonfield(A) and _rank2_split(A) is None,
+            dual.is_pure() and not _rank2_nonfield(dual) and _rank2_split(dual) is None,
             not applicable,  # every maximal ideal an A-ideal
             all(ring.char // p in a_divisors for p in ring.primes),
         )

@@ -307,13 +307,15 @@ def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
 
 
 def restrict(A: SRing, m: int) -> SRing:
-    """The Schur ring induced on the ideal mR, read in its model ring."""
+    """The Schur ring induced on the ideal mR, read in its model ring:
+    mR in index order is the model in index order, each coefficient of
+    component i scaled by p_i^v_i, so the sorted members are an exact
+    section (not ideal_ring's embed, which scales by m)."""
     members = A.ring.ideal(m)
     if not A.is_aset(members):
         raise ValueError(f"the ideal {m}R is not an A-ideal")
-    sub = ideal_ring(A.ring, m)
-    return SRing.from_labels(sub.ring, labels(map(A.class_of.__getitem__,
-                                                  map(sub.embed, sub.ring.elements()))))
+    return SRing.from_labels(ideal_ring(A.ring, m).ring,
+                             labels(map(A.class_of.__getitem__, sorted(members))))
 
 
 def quotient_sring(A: SRing, m: int) -> SRing:
@@ -356,7 +358,8 @@ def is_tensor_over(A: SRing, primes: Iterable[int]) -> TensorSplit:
 
     Succeeds iff both component ideals are A-ideals and every class is
     the product of its two projections; the factors are returned as
-    Schur rings over the component rings.
+    Schur rings over the component rings, read by restrict in index
+    order, so reassembling them gives back any tensor product of partitions.
     """
     ring = A.ring
     Q = frozenset(primes)

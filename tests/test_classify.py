@@ -20,7 +20,7 @@ from cgschur.classify import (
     KIND_RATIONAL_TENSOR,
     Decomposition,
     FalsificationError,
-    _rank2_nonfield_split,
+    _rank2_split,
     check_nondense_structure,
     check_quotient_purity,
     classify_rational,
@@ -183,6 +183,22 @@ def test_reassemble_rejects_bad_factor_lists():
         reassemble(A.ring, (left,))
     with pytest.raises(ValueError, match="does not match"):
         reassemble(A.ring, ((frozenset({3}), rank2(z25), "rank2"),))
+
+
+def test_tensor_split_of_a_product_partition_reassembles():
+    # restrict once read R_Q through ideal_ring's embed, which scales by the
+    # other characteristic 4.  On this product partition, which is not a
+    # Schur ring, the left factor came out as {0}, {1..6, 8}, {7} and the
+    # factors did not reassemble to A.
+    A1 = SRing(make_cg_ring([(3, 2, 1)]), [{0}, {1}, set(range(2, 9))])
+    A2 = cyclotomic(make_cg_ring([(2, 2, 1)]), [1])
+    A = tensor(A1, A2)
+    split = is_tensor_over(A, {3})
+    assert split.ok
+    assert sorted(map(sorted, split.left.classes)) == [[0], [1], list(range(2, 9))]
+    assert (split.left, split.right) == (A1, A2)
+    factors = ((frozenset({3}), split.left, "rest"), (frozenset({2}), split.right, "rest"))
+    assert reassemble(A.ring, factors) == A
 
 
 def test_reassemble_rejects_an_empty_prime_set():
@@ -522,7 +538,7 @@ def test_gr82_pure_srings_outside_the_odd_theorem():
         assert A.is_pure() and A.is_dense()
         assert dual_sring(A) == A
         assert not any(w.nontrivial for w in wreath_pairs(A))
-        assert _rank2_nonfield_split(A) is None
+        assert _rank2_split(A) is None
         K = A.class_containing(ring.one)
         assert len(K) == {11: 8, 7: 24}[A.rank]
         assert cyclotomic(ring, K) != A

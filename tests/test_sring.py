@@ -29,7 +29,7 @@ from conftest import (
 )
 
 from cgschur import cli, duality
-from cgschur.cgring import CGRing, make_cg_ring, parse_ring_spec
+from cgschur.cgring import CGRing, ideal_ring, make_cg_ring, parse_ring_spec
 from cgschur.construct import subgroup_generated
 from cgschur.cgring import quotient as ring_quotient
 from cgschur.sring import (
@@ -452,6 +452,23 @@ def test_restriction_matches_ideal_model(z36):
     assert sub.ring.char == 6
     assert verify_sring(sub.ring, sub.classes).ok
     assert sub == cyclotomic(sub.ring, sub.ring.units())
+
+
+def test_restrict_matches_the_embed_reading(corpus):
+    # restrict reads mR in index order.  The reading it replaced went through
+    # ideal_ring's embed, which scales each coefficient by m instead of
+    # p_i^v_i; the two differ by an integer unit, so on a Schur ring they
+    # must give one partition.
+    checked = 0
+    for label, A in corpus:
+        for m in A.a_ideal_divisors():
+            if m == A.ring.char:
+                continue
+            sub = ideal_ring(A.ring, m)
+            embedded = labels(A.class_of[sub.embed(y)] for y in sub.ring.elements())
+            assert restrict(A, m) == SRing.from_labels(sub.ring, embedded), (label, m)
+            checked += 1
+    assert checked >= 100, checked
 
 
 def test_tensor_and_detection(z9):

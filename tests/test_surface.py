@@ -181,18 +181,37 @@ print(json.dumps(wrapped()))
 """
 
 
+# A public name read from the package while the tracer is installed.
+STALE_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import cgschur
+from spans import Tracer
+tracer = Tracer("t")
+tracer.install()
+assert hasattr(cgschur.verify_sring, "__wrapped__")
+tracer.uninstall()
+assert cgschur.verify_sring is cgschur.sring.verify_sring
+assert not hasattr(cgschur.verify_sring, "__wrapped__")
+"""
+
+
+def _run_child(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run a script in a fresh interpreter that imports this package."""
+    src = str(Path(cgschur.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", script, *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_bench_tracer_installs():
     # The tracer wraps the modules it finds in sys.modules at install, so
     # `import cgschur` must put every library module there, run or not.
     spec = importlib.util.spec_from_file_location("spans", ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    src = str(Path(cgschur.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for first in ("cgschur", "cgschur.cli"):
-        proc = subprocess.run([sys.executable, "-c", TRACER_CHILD, first, str(ROOT / "bench")],
-                              capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+        proc = _run_child(TRACER_CHILD, first, str(ROOT / "bench"))
         assert proc.returncode == 0, (first, proc.stderr)
         installed, uninstalled = map(json.loads, proc.stdout.splitlines())
         # cgschur.cli is loaded only by the command line, as before the
@@ -201,6 +220,14 @@ def test_bench_tracer_installs():
                                    if m != "cgschur.cli" or first == "cgschur.cli"
                                    for f in names), first
         assert uninstalled == [], first
+
+
+def test_package_names_are_not_kept_from_a_traced_pass():
+    # The package once kept each public name on first read, so a name read
+    # while the tracer was installed stayed the traced wrapper after it was
+    # uninstalled.
+    proc = _run_child(STALE_CHILD, str(ROOT / "bench"))
+    assert proc.returncode == 0, proc.stderr
 
 
 # A backticked dotted name, perhaps with call arguments, outside code blocks.

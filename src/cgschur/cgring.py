@@ -14,8 +14,8 @@ import math
 import re
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .galois import (DEFAULT_MAX_RING_SIZE, GaloisRing, is_prime, make_galois_ring,
-                     mixed_radix_sum, power_exceeds)
+from .galois import (DEFAULT_MAX_RING_SIZE, TABLE_LIMIT, GaloisRing, is_prime,
+                     make_galois_ring, mixed_radix_sum, power_exceeds)
 
 
 class EmptySetError(ValueError):
@@ -156,15 +156,17 @@ class CGRing:
 
     def mul_row(self, r: int) -> list[int]:
         """The products r*x over all elements x, in element order, as a
-        fresh list the caller owns: the component rows r_i*R_i, combined
-        at |R| additions instead of |R| calls to mul."""
+        fresh list the caller owns: the component rows r_i*R_i (kept by
+        each component of at most TABLE_LIMIT elements), combined at |R|
+        additions instead of |R| calls to mul."""
         return self._combine(comp.mul_row(ri) for comp, ri in zip(self.components, self.parts(r)))
 
-    TABLE_LIMIT = 700  # the largest ring mul_table tabulates
+    TABLE_LIMIT = TABLE_LIMIT  # galois's one size rule, read by callers as CGRing.TABLE_LIMIT
 
     def mul_table(self) -> list[list[int]]:
         """Dense multiplication table, one mul_row per element and not kept;
-        only for rings up to TABLE_LIMIT."""
+        only for rings up to the TABLE_LIMIT that also bounds which
+        component rows are kept."""
         if self.size > self.TABLE_LIMIT:
             raise ValueError(f"ring of size {self.size} is too large to tabulate")
         return [self.mul_row(a) for a in self.elements()]
@@ -341,17 +343,22 @@ class CGRing:
         """Divisor of the largest ideal I with X + I = X.
 
         Such ideals are closed under sums, so the largest is the sum of
-        the largest one inside each component, found by coset_closed on
-        the ideals p_i^v R_i in turn, v = 0 first.  The zero ideal, v = n_i,
-        closes every X and is never tested.
+        the largest one inside each component.  They are also closed
+        downward (X + J = X gives X + I = X for I inside J), so the ideals
+        p_i^v R_i are tried by coset_closed from the minimal one, v = n_i - 1,
+        upward, and the search stops at the first that fails: one test per
+        component for a pure X.  The zero ideal, v = n_i, closes every X
+        and is never tested.
         """
         if not X:
             raise EmptySetError("the lower ideal of the empty set is undefined")
         m = 1
         for comp in self.components:
             others = self.char // comp.char  # others*R is this component
-            m *= comp.p ** next((v for v in range(comp.n)
-                                 if self.coset_closed(X, others * comp.p**v)), comp.n)
+            v = comp.n
+            while v and self.coset_closed(X, others * comp.p**(v - 1)):
+                v -= 1
+            m *= comp.p**v
         return m
 
     def upper_ideal(self, X: frozenset[int]) -> int:
@@ -491,16 +498,22 @@ def quotient(ring: CGRing, m: int) -> QuotientMap:
     return QuotientMap(_truncate(ring, vals), ring.reduction(m)[0].__getitem__)
 
 
-def ideal_ring(ring: CGRing, m: int) -> IdealRingMap:
-    """Ring structure on mR, for a proper divisor m of the characteristic:
-    its embed row is the lift of coefficients scaled by the integer m."""
-    vals = ring.valuations(m)
+def ideal_model(ring: CGRing, m: int) -> CGRing:
+    """The model ring of mR, for a proper divisor m of the characteristic:
+    component i mod p_i^(n_i - v_i), dropped where mR has no part."""
     if m == ring.char:
         raise ValueError("the zero ideal does not carry a ring structure")
-    exponents = [comp.n - v for comp, v in zip(ring.components, vals)]
-    embed = mixed_radix_sum(_recode(comp.d, comp.p**e, comp.char, shift, m)
-                            for comp, e, shift in zip(ring.components, exponents, ring.shifts) if e)
-    return IdealRingMap(_truncate(ring, exponents), embed.__getitem__)
+    return _truncate(ring, [comp.n - v for comp, v in zip(ring.components, ring.valuations(m))])
+
+
+def ideal_ring(ring: CGRing, m: int) -> IdealRingMap:
+    """Ring structure on mR: ideal_model, and the embed row, the lift of
+    coefficients scaled by the integer m."""
+    model, vals = ideal_model(ring, m), ring.valuations(m)
+    embed = mixed_radix_sum(_recode(comp.d, comp.p**(comp.n - v), comp.char, shift, m)
+                            for comp, v, shift in zip(ring.components, vals, ring.shifts)
+                            if v < comp.n)
+    return IdealRingMap(model, embed.__getitem__)
 
 
 def make_cg_ring(components, max_size: int = DEFAULT_MAX_RING_SIZE) -> CGRing:

@@ -16,6 +16,7 @@ from operator import add
 from typing import Iterable, Sequence
 
 DEFAULT_MAX_RING_SIZE = 1 << 20
+TABLE_LIMIT = 700  # the largest ring whose multiplication rows are kept or tabulated
 
 
 def power_exceeds(base: int, exp: int, limit: int) -> bool:
@@ -104,6 +105,7 @@ class GaloisRing:
         self.size = self.char**d
         self.residue_size = p**d
         self.unit_count = (self.residue_size - 1) * p ** ((n - 1) * d)
+        self._rows: dict[int, tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
         return f"GaloisRing({self.spec()})"
@@ -191,19 +193,26 @@ class GaloisRing:
         return images
 
     def mul_row(self, r: int) -> list[int]:
-        """The products r*y over all elements y, in element order.  y -> r*y
-        is Z_{p^n}-linear, so coefficient i of r*y is the sum over j of
-        y_j * b_j[i] mod char, b_j = r*x^j: one mixed_radix_sum per i."""
+        """The products r*y over all elements y, in element order, as a
+        fresh list the caller owns; a ring of at most TABLE_LIMIT elements
+        keeps each row it builds as a tuple and hands out copies.
+        y -> r*y is Z_{p^n}-linear, so coefficient i of r*y is the sum over
+        j of y_j * b_j[i] mod char, b_j = r*x^j: one mixed_radix_sum per i."""
+        kept = self._rows.get(r)
+        if kept is not None:
+            return list(kept)
         char, d = self.char, self.d
         if d == 1:
-            return [r * y % char for y in range(char)]
-        images = self._basis_images(r)
-        row = None
-        for i in range(d):
-            coeff = mixed_radix_sum([t * b[i] % char for t in range(char)] for b in images)
-            weighted = [v % char * char**i for v in range(d * char)]  # coeff < d*char
-            column = map(weighted.__getitem__, coeff)
-            row = list(column) if row is None else list(map(add, row, column))
+            row = [r * y % char for y in range(char)]
+        else:
+            images = self._basis_images(r)
+            for i in range(d):
+                coeff = mixed_radix_sum([t * b[i] % char for t in range(char)] for b in images)
+                weighted = [v % char * char**i for v in range(d * char)]  # coeff < d*char
+                column = map(weighted.__getitem__, coeff)
+                row = list(column) if i == 0 else list(map(add, row, column))
+        if self.size <= TABLE_LIMIT:
+            self._rows[r] = tuple(row)
         return row
 
     def pow(self, a: int, k: int) -> int:

@@ -15,7 +15,7 @@ from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .cgring import (CGRing, CheckFailedError, EmptySetError, ideal_ring, label_classes,
+from .cgring import (CGRing, CheckFailedError, EmptySetError, ideal_model, label_classes,
                      parse_ring_spec, quotient)
 from .galois import DEFAULT_MAX_RING_SIZE
 
@@ -310,11 +310,12 @@ def restrict(A: SRing, m: int) -> SRing:
     """The Schur ring induced on the ideal mR, read in its model ring:
     mR in index order is the model in index order, each coefficient of
     component i scaled by p_i^v_i, so the sorted members are an exact
-    section (not ideal_ring's embed, which scales by m)."""
+    section (not ideal_ring's embed, which scales by m); only the
+    model ring is built."""
     members = A.ring.ideal(m)
     if not A.is_aset(members):
         raise ValueError(f"the ideal {m}R is not an A-ideal")
-    return SRing.from_labels(ideal_ring(A.ring, m).ring,
+    return SRing.from_labels(ideal_model(A.ring, m),
                              labels(map(A.class_of.__getitem__, sorted(members))))
 
 

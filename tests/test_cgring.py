@@ -37,7 +37,7 @@ from cgschur.cgring import (
 )
 from cgschur.construct import all_subgroups, subgroup_generated
 from cgschur.galois import make_galois_ring
-from cgschur.sring import labels
+from cgschur.sring import cyclotomic, labels
 
 
 def z36_iso(ring: CGRing):
@@ -125,23 +125,41 @@ def test_lower_ideal_against_z36_oracle(z36):
         assert z36.upper_ideal(mapped) == g
 
 
-@pytest.mark.parametrize("spec", ["GR(4,2)xGR(9)", "GR(27)xGR(4)", "GR(2)xGR(3)xGR(5)"])
+@pytest.mark.parametrize("spec", ["GR(4,2)xGR(9)", "GR(27)xGR(4)", "GR(2)xGR(3)xGR(5)",
+                                  "GR(4)xGR(9)xGR(5)"])
 def test_lower_ideal_against_oracle(spec):
-    # Classes and class unions of cyclotomic rings, cosets of every ideal,
-    # subsets of every ideal and random sets: each lower and upper ideal
-    # equals the one found by trying every ideal.
+    # Classes and class unions of cyclotomic rings, cosets and unions of
+    # 2-3 cosets of every ideal, subsets of every ideal and random sets:
+    # each lower and upper ideal equals the one found by trying every
+    # ideal, and so does each unit class's kept lower ideal.  lower_ideal
+    # tries a component's ideals from the minimal one upward, so the sets
+    # closed under p^v R_i but not under p^(v-1) R_i, one per level of
+    # every component, make the search go past the minimal ideal.
     ring = parse_ring_spec(spec)
     rng = random.Random(spec)
     units = ring.units()
     sets = []
     for gens in ([ring.one], [ring.neg(ring.one)], [rng.choice(units)], units):
-        classes = ring.orbit_partition(subgroup_generated(ring, gens))
+        A = cyclotomic(ring, subgroup_generated(ring, gens))
+        assert A.unit_lower_ideals == {k: lower_ideal_oracle(ring, A.classes[k])
+                                       for k in A.unit_class_indices()}
+        classes = A.classes
         sets += classes[:6]
         sets += [frozenset().union(*rng.sample(classes, rng.randint(1, len(classes))))
                  for _ in range(3)]
     for m in ring.divisors():
-        x = rng.randrange(ring.size)
-        sets.append(frozenset(ring.add(x, i) for i in ring.ideal(m)))
+        for count in (1, 2, 3):
+            sets.append(frozenset(ring.add(x, i) for x in rng.sample(range(ring.size), count)
+                                  for i in ring.ideal(m)))
+    for comp in ring.components:
+        others = ring.char // comp.char
+        for v in range(1, comp.n):  # p^v R_i closes the set, p^(v-1) R_i does not
+            x = rng.randrange(ring.size)
+            outer = {ring.add(x, i) for i in ring.ideal(others * comp.p**(v - 1))}
+            X = frozenset(outer - {ring.add(x, i) for i in ring.ideal(others * comp.p**v)})
+            assert ring.coset_closed(X, others * comp.p**v)
+            assert not ring.coset_closed(X, others * comp.p**(v - 1))
+            sets.append(X)
     sets += [frozenset(rng.sample(range(ring.size), rng.randint(1, ring.size)))
              for _ in range(10)]
     for m in ring.divisors():

@@ -9,7 +9,10 @@ import pytest
 
 from conftest import frobenius, teichmuller_lift, trace_oracle
 
+from cgschur import galois
+from cgschur.cgring import parse_ring_spec
 from cgschur.galois import (
+    TABLE_LIMIT,
     GaloisRing,
     canonical_modulus,
     is_prime,
@@ -147,6 +150,50 @@ def test_rows_match_mul_and_add(p, n, d):
         for y in rng.sample(R.elements(), 8):
             expected = poly_mul_mod(list(R.coeffs(r)), list(R.coeffs(y)), R.modulus, R.char)
             assert R.coeffs(row[y]) == tuple(expected)
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 2, 2), (3, 2, 2), (5, 2, 1), (5, 1, 4)])
+def test_rows_up_to_the_table_limit_are_built_once(p, n, d, monkeypatch):
+    # GR(4,2), GR(9,2), GR(25) and GR(5,4) (625 elements), all under
+    # TABLE_LIMIT: a second pass over every row builds nothing and hands
+    # out copies equal to the kept rows.
+    R = make_galois_ring(p, n, d)
+    assert R.size <= TABLE_LIMIT
+    first = [R.mul_row(r) for r in R.elements()]
+    kept = dict(R._rows)
+    assert kept == {r: tuple(row) for r, row in enumerate(first)}
+    monkeypatch.setattr(galois, "mixed_radix_sum", None)  # any d > 1 build would fail
+    again = [R.mul_row(r) for r in R.elements()]
+    assert again == first
+    assert all(R._rows[r] is kept[r] for r in R.elements())  # a build keeps a new tuple
+    assert all(a is not b for a, b in zip(again, first))
+
+
+def test_rows_over_the_table_limit_are_not_kept(monkeypatch):
+    # GR(2,10) has 1024 elements: every call builds its row afresh.
+    R = make_galois_ring(2, 1, 10)
+    assert R.size > TABLE_LIMIT
+    sums = []
+    real = galois.mixed_radix_sum
+    monkeypatch.setattr(galois, "mixed_radix_sum", lambda rows: sums.append(1) or real(rows))
+    for r in (5, 5, 700):
+        assert R.mul_row(r) == [R.mul(r, y) for y in R.elements()]
+    assert len(sums) == 3 * R.d and R._rows == {}
+
+
+@pytest.mark.parametrize("spec", ["GR(4,2)", "GR(25)", "GR(4,2)xGR(9)", "GR(25)xGR(8)"])
+def test_kept_rows_are_not_changed_by_callers(spec):
+    # A row handed out is the caller's: writing to it leaves the kept row,
+    # and every row handed out after it, as it was.
+    ring = parse_ring_spec(spec)
+    for R in (ring, *ring.components):
+        expected = [R.mul(5, y) for y in R.elements()]
+        for _ in range(2):
+            row = R.mul_row(5)
+            assert row == expected
+            row[7] = -1
+            row.append(0)
+        assert R.mul_row(5) == expected
 
 
 def test_index_coeff_roundtrip():

@@ -28,8 +28,8 @@ from conftest import (
     verify_sring_oracle,
 )
 
-from cgschur import cli, duality
-from cgschur.cgring import CGRing, ideal_ring, make_cg_ring, parse_ring_spec
+from cgschur import cgring, cli, duality
+from cgschur.cgring import CGRing, ideal_model, ideal_ring, make_cg_ring, parse_ring_spec
 from cgschur.construct import subgroup_generated
 from cgschur.cgring import quotient as ring_quotient
 from cgschur.sring import (
@@ -469,6 +469,22 @@ def test_restrict_matches_the_embed_reading(corpus):
             assert restrict(A, m) == SRing.from_labels(sub.ring, embedded), (label, m)
             checked += 1
     assert checked >= 100, checked
+
+
+def test_restrict_builds_no_digit_row(monkeypatch):
+    # restrict once took its model ring from ideal_ring, whose embed row (a
+    # _recode row per component) it never read; with mR listed, it builds
+    # no digit row at all, and the model is ideal_ring's.
+    ring = parse_ring_spec("GR(121)xGR(81)")
+    A = cyclotomic(ring, ring.units())
+    for m in (3, 11, 81, 121, ring.char):
+        ring.ideal(m)
+    monkeypatch.setattr(cgring, "_recode", None)
+    for m in (3, 11, 81, 121):
+        sub = restrict(A, m)
+        assert sub.ring == ideal_model(ring, m) and sub.ring.size == len(ring.ideal(m))
+    with pytest.raises(ValueError, match="zero ideal"):
+        restrict(A, ring.char)
 
 
 def test_tensor_and_detection(z9):

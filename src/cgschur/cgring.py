@@ -191,9 +191,9 @@ class CGRing:
         self.units()
         return self._unit_set
 
-    def extend_subgroup(self, H: frozenset[int], row: list[int]) -> frozenset[int]:
-        """The unit group <H, g>, where row = mul_row(g), as the union of
-        the cosets H*g^k.
+    def extend_subgroup(self, H: frozenset[int], row: Sequence[int] | dict[int, int]) -> frozenset[int]:
+        """The unit group <H, g>, where row[x] = g*x on <H, g> (mul_row(g)
+        or a cut of it), as the union of the cosets H*g^k.
 
         Precondition: H is a unit subgroup and g a unit; otherwise no g^k
         need lie in H and the loop never ends.  Units commute, so
@@ -211,10 +211,14 @@ class CGRing:
 
     def grow(self, elements: Iterable[int]) -> Iterator[tuple[int, list[int], frozenset[int]]]:
         """Yield (g, mul_row(g), the group so far) for each given unit g
-        outside the group grown by cosets from the units before it."""
-        group = frozenset({self.one})
+        outside the group grown by cosets from the units before it; one
+        outside it that is not a unit raises ValueError, as no power of
+        it would return to the group and close the coset walk."""
+        group, units = frozenset({self.one}), self.unit_set()
         for g in elements:
             if g not in group:
+                if g not in units:
+                    raise ValueError(f"element {g} is not a unit")
                 row = self.mul_row(g)
                 group = self.extend_subgroup(group, row)
                 yield g, row, group
@@ -308,9 +312,6 @@ class CGRing:
         return math.prod(
             c.p ** ((c.n - v) * c.d) for c, v in zip(self.components, vals)
         )
-
-    def maximal_divisors(self) -> list[int]:
-        return sorted(self.primes)
 
     def ideal_generators(self, m: int) -> tuple[int, ...]:
         """Additive generators p_i^v_i * x^j of mR, one per coefficient slot per component."""
@@ -442,10 +443,10 @@ class CGRing:
     # -- purity ------------------------------------------------------------
 
     def is_pure_set(self, X: frozenset[int]) -> bool:
-        """No nonzero ideal I with X + I = X: every nonzero ideal holds a
-        minimal one (c/p)R, and X + J = X gives X + I = X for I inside J.
-        On a unit subgroup K, K + I = K exactly when 1 + I lies in K."""
-        return not any(self.coset_closed(X, self.char // p) for p in self.primes)
+        """No nonzero ideal I with X + I = X: X is not empty and its lower
+        ideal is the zero ideal.  On a unit subgroup K, K + I = K exactly
+        when 1 + I lies in K."""
+        return bool(X) and self.lower_ideal(X) == self.char
 
     is_pure_subgroup = is_pure_set
 

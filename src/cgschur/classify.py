@@ -283,7 +283,7 @@ def check_nondense_structure(A: SRing) -> StructureReport:
     """
     ring = A.ring
     a_divisors = set(A.a_ideal_divisors())
-    applicable = any(p not in a_divisors for p in ring.maximal_divisors())
+    applicable = any(p not in a_divisors for p in sorted(ring.primes))
 
     wreath = split = None
     self_rank2 = False
@@ -354,7 +354,7 @@ def check_quotient_purity(A: SRing, m: int) -> QuotientPurityReport:
     if not A.is_pure():
         reasons.append("the input is not pure")
     a_divisors = set(A.a_ideal_divisors())
-    for p in ring.maximal_divisors():
+    for p in sorted(ring.primes):
         if p not in a_divisors:
             reasons.append(f"the maximal ideal {p}R is not an A-ideal")
     if m not in a_divisors:

@@ -20,12 +20,12 @@ import json
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .cgring import CGRing, CheckFailedError, make_cg_ring
+from .cgring import CGRing, CheckFailedError, _orbit_labels, make_cg_ring
 from .galois import is_prime, power_exceeds
 from .sring import SRing, _element_set, has_nontrivial_wreath, labels, verify_sring
 
 DEFAULT_MAX_CONSTRUCT_SIZE = 100_000
-ALL_SUBGROUPS_LIMIT = 256  # the largest group all_subgroups enumerates
+ALL_SUBGROUPS_LIMIT = 256  # the largest order of G in all_subgroups, not a subgroup count
 
 
 class ConstructionError(CheckFailedError):
@@ -36,12 +36,10 @@ class ConstructionError(CheckFailedError):
 
 
 def subgroup_generated(ring: CGRing, gens: Iterable[int]) -> frozenset[int]:
-    """The unit group the generators generate, grown by CGRing.generate."""
+    """The unit group the generators generate, grown by CGRing.generate,
+    which raises ValueError at the first generator that is not a unit."""
     gens = list(gens)
     _element_set(ring, gens, "generator")
-    for g in gens:
-        if not ring.is_unit(g):
-            raise ValueError(f"element {g} is not a unit")
     return ring.generate(gens)[2]
 
 
@@ -52,11 +50,12 @@ def all_subgroups(ring: CGRing, group: Iterable[int]) -> list[frozenset[int]]:
     the product of its own Sylow parts, one subgroup of each G_p.  The
     p-part of a generator g of order o is g^(o/p^v), for p^v the largest
     power of p dividing o, read off the walk of g's row from 1; those
-    parts generate G_p.  Inside G_p, each subgroup H is extended once per
-    coset H*g outside it, by CGRing.extend_subgroup along the row of g,
-    one mul_row per member of G_p cut to positions in G: sum |G_p|*|G|
-    entries in all.  The products H*K are read from the rows of K's
-    members.
+    parts generate G_p (all of G when G is a p-group).  Inside G_p, each
+    subgroup H is extended once per coset H*g outside it, by
+    CGRing.extend_subgroup along the row of g: one mul_row per member of
+    G_p, kept only at the members of G and keyed by element (sum |G_p|*|G|
+    entries in all), so subgroups are sets of elements throughout.  The
+    products H*K are read from the rows of K's members.
     """
     members = _element_set(ring, group, "group member")
     if len(members) > ALL_SUBGROUPS_LIMIT:
@@ -70,18 +69,15 @@ def all_subgroups(ring: CGRing, group: Iterable[int]) -> list[frozenset[int]]:
         while (x := row[walk[-1]]) != ring.one:
             walk.append(x)
         walks.append(walk)
-    order, elements = len(members), sorted(members)
-    position = {g: i for i, g in enumerate(elements)}
-    trivial = frozenset({position[ring.one]})
+    order = len(members)
+    trivial = frozenset({ring.one})
     subgroups = [trivial]
-    primes = [p for p in range(2, order + 1) if order % p == 0 and is_prime(p)]
-    for p in primes:
-        # a p-group is its own Sylow part; else the p-parts g^(o/p^v) generate
-        # it, p^v = gcd(o, p^o), and g^o = g^0 when p does not divide o
-        sylow = members if len(primes) == 1 else ring.generate(
+    for p in (p for p in range(2, order + 1) if order % p == 0 and is_prime(p)):
+        # the p-parts g^(o/p^v) generate G_p, p^v = gcd(o, p^o), and
+        # g^o = g^0 when p does not divide o
+        sylow = ring.generate(
             walk[len(walk) // math.gcd(len(walk), p ** len(walk)) % len(walk)] for walk in walks)[2]
-        table = {position[g]: [position[x] for x in map(ring.mul_row(g).__getitem__, elements)]
-                 for g in sylow}
+        table = {g: dict(zip(members, map(ring.mul_row(g).__getitem__, members))) for g in sylow}
         found = {trivial}
         frontier = [trivial]
         while frontier:
@@ -97,8 +93,8 @@ def all_subgroups(ring: CGRing, group: Iterable[int]) -> list[frozenset[int]]:
                     frontier.append(bigger)
         subgroups = [frozenset(table[k][h] for k in K for h in H) if len(H) > 1 else K
                      for H in subgroups for K in found]
-    subgroups.sort(key=lambda H: (len(H), sorted(H)))  # positions keep the order of elements
-    return [frozenset(map(elements.__getitem__, H)) for H in subgroups]
+    subgroups.sort(key=lambda H: (len(H), sorted(H)))
+    return subgroups
 
 
 # -- component subgroups, embedded globally ------------------------------------
@@ -123,11 +119,13 @@ def _principal_decomposition(
     abelian group, so every cyclic factor has order p; the generator is
     the least nontrivial element, and the complement is generated by the
     units grow keeps after it, in the same order, which makes the output
-    deterministic.
+    deterministic; it is {1} extended by the rows grow yielded for them.
     """
     principal = ring.embed_principal_units(ci)
     (gen, _, cyclic), *rest = ring.grow(principal)
-    complement = ring.generate(g for g, _, _ in rest)[2]
+    complement = frozenset({ring.one})
+    for _, row, _ in rest:
+        complement = ring.extend_subgroup(complement, row)
     if len(cyclic) * len(complement) != len(principal) or (cyclic & complement) != {ring.one}:
         raise ConstructionError("principal unit decomposition is not direct")
     return cyclic, complement, gen
@@ -238,16 +236,15 @@ def build_nonpure_dense_sring(
     if len(units_link) != q or len(nonunits_link) != p:
         raise ConstructionError("a link is not cyclic of its prime order")
 
-    units_group, nonunits_group, full_group = (
-        subgroup_generated(ring, set().union(*parts)) for parts in (
+    # each group grown once, its rows giving its orbit label vector of R;
+    # the stratum m*units holds the elements whose unit-orbit key is m
+    ((_, units_rows, units_group), (_, nonunits_rows, nonunits_group),
+     (_, full_rows, full_group)) = (ring.generate(set().union(*parts)) for parts in (
             (left_principal, right_torsion, right_complement, units_link),
             (left_torsion, left_complement, right_principal, nonunits_link),
             (left_torsion, left_principal, right_torsion, right_principal)))
-
-    # one orbit label vector of R per group; the stratum m*units holds the
-    # elements whose unit-orbit key is the divisor m
     keys = ring.unit_orbit_keys()
-    vectors = [ring.orbit_labels(G) for G in (full_group, units_group, nonunits_group)]
+    vectors = [_orbit_labels(ring.size, rows) for rows in (full_rows, units_rows, nonunits_rows)]
     built = SRing.from_labels(ring, labels(
         (key == 1, u if key == 1 else n) for key, _, u, n in zip(keys, *vectors)))
 
@@ -278,7 +275,7 @@ def build_nonpure_dense_sring(
     # units commute, so the product set of the two groups is the group they
     # generate: nonunits_group grown by the generator rows of units_group
     product = nonunits_group
-    for row in ring.generate(units_group)[1]:
+    for row in units_rows:
         product = ring.extend_subgroup(product, row)
     check("group_product", product == full_group,
           f"product of orders {len(units_group)} and {len(nonunits_group)} "

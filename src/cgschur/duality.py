@@ -155,11 +155,10 @@ def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],
     kept packed row for the classes its configurations name, and
     interned as small ints.  Q is then refined by Q o g for each
     generator row g until the rank stops growing; units commute, so a
-    refinement invariant under the generators before g stays so.  When
-    every class is a head, every unit fixes every class and Q is the
-    dual.  Any other partition (perms None) runs the same loop with
-    every element a representative and no generators.  A discrete
-    partition has the discrete dual, characters being distinct.
+    refinement invariant under the generators before g stays so.  Any
+    other partition (perms None) runs the same loop with every element
+    a representative and no generators.  A discrete partition has the
+    discrete dual, characters being distinct.
     """
     ring = table.ring
     if len(classes) == ring.size:
@@ -207,7 +206,7 @@ def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],
             config_of[r] = label[config_of[r]]
     assert -1 not in config_of, "an element received no key"
     q, rank = config_of, len(distinct)
-    for row in rows if len(heads) < len(classes) else ():
+    for row in rows:
         while rank < ring.size:
             q = labels(zip(q, map(q.__getitem__, row)))
             if max(q) + 1 == rank:

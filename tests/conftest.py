@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -11,11 +14,22 @@ from typing import Callable, Iterable, Sequence
 
 import pytest
 
+import cgschur
 from cgschur.cgring import CGRing, make_cg_ring, parse_ring_spec
 from cgschur.construct import all_subgroups
 from cgschur.duality import _dual_partition
 from cgschur.galois import GaloisRing, make_galois_ring
 from cgschur.sring import PartitionError, SRing, cyclotomic, labels, schur_closure
+
+
+def run_child(*argv: str, timeout: float | None = None, **env: str) -> subprocess.CompletedProcess:
+    """Run the interpreter on the same cgschur as this process, installed or
+    not, with env added to the environment; a child still running after
+    timeout seconds is killed and raises subprocess.TimeoutExpired."""
+    src = os.path.dirname(os.path.dirname(cgschur.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                          env={**os.environ, **env, "PYTHONPATH": path}, timeout=timeout)
 
 
 @lru_cache(maxsize=None)
@@ -627,6 +641,13 @@ def lower_ideal_oracle(ring: CGRing, X: frozenset[int]) -> int:
     closed = [m for m in ring.divisors()
               if all(ring.add(x, i) in X for x in X for i in ring.ideal(m))]
     return max(closed, key=lambda m: len(ring.ideal(m)))
+
+
+def is_pure_set_oracle(ring: CGRing, X: frozenset[int]) -> bool:
+    """No minimal ideal (c/p)R with X + (c/p)R = X, one coset test per
+    prime: every nonzero ideal holds a minimal one, and X + J = X gives
+    X + I = X for I inside J.  The empty set is closed under every ideal."""
+    return not any(ring.coset_closed(X, ring.char // p) for p in ring.primes)
 
 
 def upper_ideal_oracle(ring: CGRing, X: frozenset[int]) -> int:

@@ -13,6 +13,7 @@ from conftest import (
     enumerate_subgroups,
     ideal_generators_oracle,
     ideal_oracle,
+    is_pure_set_oracle,
     is_subgroup_oracle,
     kernel_subgroups,
     lower_ideal_oracle,
@@ -20,6 +21,7 @@ from conftest import (
     orbit_partition_oracle,
     principal_units_oracle,
     project_oracle,
+    run_child,
     subgroup_generated_oracle,
     truncate_oracle,
     upper_ideal_oracle,
@@ -82,7 +84,7 @@ def test_frozen_counts_gr42_gr9(big):
     assert big.unit_count == 72
     assert len(big.units()) == 72
     assert len(big.divisors()) == 9
-    assert big.maximal_divisors() == [2, 3]
+    assert sorted(big.primes) == [2, 3]
     assert big.spec() == "GR(4,2)xGR(9)"
     for m in big.divisors():
         assert len(big.ideal(m)) == big.ideal_size(m)
@@ -262,7 +264,7 @@ def test_orbit_partitions_z9():
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_orbit_partition_matches_orbit_oracle(spec):
     ring = parse_ring_spec(spec)
-    p = ring.maximal_divisors()[0]
+    p = sorted(ring.primes)[0]
     strata = (ring.units(),  # the elements x with upper ideal 1, then p
               [x for x in ring.elements() if x and ring.upper_ideal(frozenset({x})) == p])
 
@@ -318,8 +320,25 @@ def test_purity_definitions_agree(z36, big):
     for ring in (make_cg_ring([(3, 2, 1)]), make_cg_ring([(2, 2, 2)]), z36, big):
         for K in enumerate_subgroups(ring):
             assert ring._subgroup_rows(K) is not None
-            definitional = ring.lower_ideal(K) == ring.char
-            assert ring.is_pure_subgroup(K) == definitional
+            assert ring.is_pure_subgroup(K) == is_pure_set_oracle(ring, K)
+
+
+@pytest.mark.parametrize("spec", KERNEL_RINGS)
+def test_purity_matches_the_minimal_ideal_oracle(spec):
+    # is_pure_set reads the lower ideal; the oracle tests the minimal
+    # ideals (c/p)R alone.  Every subgroup of the units, random sets, the
+    # same sets closed under one minimal ideal, and the empty set.
+    ring = parse_ring_spec(spec)
+    rng = random.Random(spec)
+    sets = list(kernel_subgroups(spec))
+    for _ in range(20):
+        X = frozenset(rng.sample(range(ring.size), rng.randint(1, ring.size)))
+        I = ring.ideal(ring.char // rng.choice(ring.primes))
+        sets += [X, frozenset(ring.add(x, i) for x in X for i in I)]
+    verdicts = [ring.is_pure_set(X) for X in sets]
+    assert verdicts == [is_pure_set_oracle(ring, X) for X in sets]
+    assert set(verdicts) == {False, True}
+    assert not ring.is_pure_set(frozenset()) and not is_pure_set_oracle(ring, frozenset())
 
 
 def test_purity_z9_cases():
@@ -547,6 +566,24 @@ def test_is_subgroup_rejects_non_units():
         all_subgroups(parse_ring_spec("GR(9)"), {0, 1})
 
 
+@pytest.mark.parametrize("call, element", [
+    ("parse_ring_spec('GR(4)').generate([2])", 2),
+    ("parse_ring_spec('GR(4)xGR(9)').generate([35, 5, 3, 0])", 3),
+    ("subgroup_generated(parse_ring_spec('GR(4)'), [0])", 0),
+    ("subgroup_generated(parse_ring_spec('GR(4)xGR(9)'), [35, 6])", 6),
+])
+def test_growth_refuses_a_non_unit(call, element):
+    # generate([2]) on GR(4) never returned: the coset walk of a non-unit
+    # never comes back to the group.  grow refuses the first new element
+    # that is not a unit.  The calls run in a child process with a
+    # timeout, so that a regression fails here instead of hanging.
+    script = ("from cgschur.cgring import parse_ring_spec\n"
+              "from cgschur.construct import subgroup_generated\n"
+              f"try:\n    {call}\nexcept ValueError as exc:\n    print(exc)\n")
+    child = run_child("-c", script, timeout=60)
+    assert child.stdout == f"element {element} is not a unit\n", child.stderr
+
+
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_generate_matches_oracles(spec):
     ring = parse_ring_spec(spec)
@@ -617,7 +654,7 @@ def test_coset_closed_matches_add_oracle(spec):
                   if all(ring.add(x, i) in X for x in X for i in ring.ideal(m))]
         assert [m for m in ring.divisors() if ring.coset_closed(X, m)] == closed
         assert ring.lower_ideal(X) == max(closed, key=lambda m: len(ring.ideal(m)))
-        assert ring.is_pure_set(X) == (ring.lower_ideal(X) == ring.char)
+        assert ring.is_pure_set(X) == is_pure_set_oracle(ring, X)
     # at most one kept reduction per divisor
     assert set(ring._reductions) <= set(ring.divisors())
 

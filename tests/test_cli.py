@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import subprocess
 import sys
 
 import pytest
@@ -21,6 +19,7 @@ from cgschur.cgring import parse_ring_spec
 from cgschur.classify import FalsificationError
 from cgschur.construct import ConstructionError, build_nonpure_dense_sring
 from cgschur.sring import PartitionError, SRing, StructureError, VerifyReport
+from conftest import run_child
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -559,16 +558,6 @@ def test_plain_runtime_error_propagates(monkeypatch, sign_doc):
     monkeypatch.setattr("cgschur.sring.verify_sring", _raises(RuntimeError("bug")))
     with pytest.raises(RuntimeError, match="bug"):
         main(["sring", "verify", sign_doc])
-
-
-def run_child(*argv: str, timeout: float | None = None, **env: str) -> subprocess.CompletedProcess:
-    """Run the interpreter on the same cgschur as this process, installed or
-    not, with env added to the environment; a child still running after
-    timeout seconds is killed and raises subprocess.TimeoutExpired."""
-    src = os.path.dirname(os.path.dirname(cgschur.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
-                          env={**os.environ, **env, "PYTHONPATH": path}, timeout=timeout)
 
 
 @pytest.mark.parametrize("argv", [

@@ -309,6 +309,33 @@ def test_principal_decomposition_matches_linear_algebra(spec):
         assert list(ring.generate([gen, *ring.embed_principal_units(ci)])[0]) == [gen, *picks]
 
 
+def test_build_grows_each_group_once(monkeypatch):
+    # The three groups were grown by subgroup_generated, again by
+    # orbit_labels for their orbit vectors, and the units group a third
+    # time for its generator rows in the group_product check.
+    def refuse(*args):
+        raise AssertionError("a group was grown again")
+
+    monkeypatch.setattr(construct, "subgroup_generated", refuse)
+    monkeypatch.setattr(CGRing, "orbit_labels", refuse)
+    grown, real = [], CGRing.generate
+
+    def generate(ring, elements):
+        out = real(ring, elements)
+        if elements is not ring.units():  # not the ring's own unit_generators
+            grown.append(out[2])
+        return out
+
+    monkeypatch.setattr(CGRing, "generate", generate)
+    instance, built, report = build_nonpure_dense_sring(2, 2, 3, 1)
+    assert report.ok, report.to_doc()
+    assert built.rank == 12
+    assert len(grown) == len(set(grown))
+    for G in (instance.units_group, instance.nonunits_group, instance.full_group,
+              instance.units_link, instance.nonunits_link):
+        assert grown.count(G) == 1
+
+
 def test_orbits_agree_matches_per_stratum_orbits():
     # The stratum checks cut one orbit label vector of R per group; the
     # oracle takes the orbits of each stratum separately, as the checks

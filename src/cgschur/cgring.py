@@ -39,11 +39,13 @@ def _orbit_labels(size: int, rows: Iterable[Sequence[int]]) -> list[int]:
     H-orbit (the least) with one C-level map, its cycles are walked over
     the orbits alone, and every label is renamed with one more map.
     Cycles are numbered in the order of their least orbit, which is the
-    order of their least member, so the vector stays canonical.
+    order of their least member, so the vector stays canonical.  The
+    first H is trivial, its orbits are the elements, and the first row
+    is its own permutation, read with no map.
     """
-    labels, reps = list(range(size)), range(size)
+    labels, reps = None, range(size)
     for row in rows:
-        perm = list(map(labels.__getitem__, map(row.__getitem__, reps)))
+        perm = row if labels is None else list(map(labels.__getitem__, map(row.__getitem__, reps)))
         rename, starts = [-1] * len(perm), []
         for k in range(len(perm)):
             if rename[k] < 0:
@@ -52,16 +54,22 @@ def _orbit_labels(size: int, rows: Iterable[Sequence[int]]) -> list[int]:
                 while rename[j] < 0:
                     rename[j] = label
                     j = perm[j]
-        labels, reps = list(map(rename.__getitem__, labels)), starts
-    return labels
+        labels = rename if labels is None else list(map(rename.__getitem__, labels))
+        reps = starts
+    return list(range(size)) if labels is None else labels
 
 
 def label_classes(class_of: Sequence[int]) -> list[frozenset[int]]:
     """The classes of a canonical label vector, in label order: class k
-    holds the x with class_of[x] = k."""
-    members: list[list[int]] = [[] for _ in range(max(class_of) + 1)]
+    holds the x with class_of[x] = k.  Labels are numbered by first
+    appearance, so a label not met before opens the next class, and the
+    count needs no pass of its own."""
+    members: list[list[int]] = []
     for x, k in enumerate(class_of):
-        members[k].append(x)
+        if k < len(members):
+            members[k].append(x)
+        else:
+            members.append([x])
     return list(map(frozenset, members))
 
 
@@ -195,19 +203,21 @@ class CGRing:
         """The unit group <H, g>, where row[x] = g*x on <H, g> (mul_row(g)
         or a cut of it), as the union of the cosets H*g^k.
 
-        Precondition: H is a unit subgroup and g a unit; otherwise no g^k
-        need lie in H and the loop never ends.  Units commute, so
-        H*g^j * H*g^k = H*g^(j+k), and the union is closed under products.
-        Two cosets are equal or disjoint, so the first one that meets H is
-        H and the loop stops there.  The cosets are read from the row, at
-        |<H, g>| lookups.
+        H is a unit subgroup.  Units commute, so H*g^j * H*g^k = H*g^(j+k),
+        and the union is closed under products.  Two cosets are equal or
+        disjoint, so the first one that meets H is H and the walk stops
+        there.  The cosets are read from the row, at |<H, g>| lookups.  The
+        order of a unit g modulo H is at most |R|/|H|; no power of a
+        non-unit lies in H, so a walk that has not returned after that
+        many steps raises ValueError.
         """
         union, coset = list(H), list(H)
-        while True:
+        for _ in range(self.size // len(H)):
             coset = [row[x] for x in coset]
             if coset[0] in H:
                 return frozenset(union)
             union += coset
+        raise ValueError("the row is not that of a unit: its coset walk does not return to H")
 
     def grow(self, elements: Iterable[int]) -> Iterator[tuple[int, list[int], frozenset[int]]]:
         """Yield (g, mul_row(g), the group so far) for each given unit g

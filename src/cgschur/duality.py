@@ -322,7 +322,8 @@ def separation_check(ring: CGRing, K: Iterable[int], S: Iterable[int],
     some unit character has nonzero sum on a nonempty S; both witnesses
     are reported, or left None as a refutation on non-pure orbits.  The
     orbit is read from orbit_partition(K), which raises ValueError unless
-    K is a unit subgroup.
+    K is a unit subgroup.  Each sum reads the packed value of chi(r*x) at
+    the members x of S and S2 alone, one product each.
     """
     S, S2 = _element_set(ring, S, "S member"), _element_set(ring, S2, "S2 member")
     if not S:
@@ -331,15 +332,14 @@ def separation_check(ring: CGRing, K: Iterable[int], S: Iterable[int],
     orbit = next((O for O in ring.orbit_partition(K) if x in O), frozenset())
     if not (S | S2) <= orbit:
         raise ValueError("S and S2 must lie in a single K-orbit")
-    table = character_table(ring)
+    values, mul = character_table(ring)._packed_exponent, ring.mul
     separator = None
     nonzero = None
     for r in ring.units():
-        values = table.packed_row(r).__getitem__
-        key = sum(map(values, S))
+        key = sum(values[mul(r, x)] for x in S)
         if nonzero is None and key:
             nonzero = r
-        if separator is None and S != S2 and key != sum(map(values, S2)):
+        if separator is None and S != S2 and key != sum(values[mul(r, x)] for x in S2):
             separator = r
         if nonzero is not None and (separator is not None or S == S2):
             break

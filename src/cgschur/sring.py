@@ -51,7 +51,14 @@ class SRing:
     class_of[x] is the number of the class of x, so classes are numbered
     by first appearance in element order: the canonical label vector,
     which two SRings over one ring share exactly when they are equal.
+    The label vector is the ring's one stored form; the classes are
+    built from it on first read, unless the checked constructor, which
+    holds them already, set them.  A ring from cyclotomic also keeps the
+    checked unit subgroup K whose orbits are its classes, and answers
+    its lower ideals and density from K.
     """
+
+    _subgroup: frozenset[int] | None = None  # K, on a ring from cyclotomic
 
     def __init__(self, ring: CGRing, classes: Iterable[Iterable[int]]):
         """The checked constructor: each member is checked as given, before
@@ -77,14 +84,23 @@ class SRing:
     @classmethod
     def from_labels(cls, ring: CGRing, class_of: list[int]) -> SRing:
         """The partition of a canonical label vector, unchecked: the caller
-        owns that class_of numbers |R| elements by first appearance."""
+        owns that class_of numbers |R| elements by first appearance.  Only
+        the vector is stored; classes and rank are read from it when asked."""
         A = cls.__new__(cls)
-        A.ring, A.classes, A.class_of = ring, tuple(label_classes(class_of)), class_of
+        A.ring, A.class_of = ring, class_of
         return A
 
-    @property
+    @cached_property
+    def classes(self) -> tuple[frozenset[int], ...]:
+        """The classes in label order, built from class_of on first read."""
+        return tuple(label_classes(self.class_of))
+
+    @cached_property
     def rank(self) -> int:
-        return len(self.classes)
+        """The number of classes: counted from the classes when they are
+        built, else the largest label plus one."""
+        classes = self.__dict__.get("classes")
+        return len(classes) if classes is not None else max(self.class_of) + 1
 
     def __repr__(self) -> str:
         return f"SRing({self.ring.spec()}, rank {self.rank})"
@@ -123,19 +139,32 @@ class SRing:
         The ideals are unions of the unit orbits, each the set where xR is
         constant, and each orbit is a difference of ideals; so A is dense
         exactly when no class meets two orbits, read against the ring's
-        kept unit-orbit keys with no ideal built.
+        kept unit-orbit keys with no ideal built.  The orbits of a unit
+        subgroup K lie inside unit orbits, so a ring from cyclotomic is
+        dense with no pass at all.
         """
+        if self._subgroup is not None:
+            return True
         pairs = set(zip(self.class_of, self.ring.unit_orbit_keys()))
         return len(pairs) == self.rank
 
     def unit_class_indices(self) -> list[int]:
-        units = self.ring.unit_set()
-        return [k for k, X in enumerate(self.classes) if not X.isdisjoint(units)]
+        """The numbers of the classes that meet the units, read from the
+        labels at the units, in increasing order."""
+        return sorted(set(map(self.class_of.__getitem__, self.ring.units())))
 
     @cached_property
     def unit_lower_ideals(self) -> dict[int, int]:
         """The lower ideal of each class that meets the units, keyed by class
-        number in unit_class_indices order, found once per SRing."""
+        number in unit_class_indices order, found once per SRing.
+
+        On a ring from cyclotomic every unit class is u*K, and
+        multiplying by a unit maps cosets of an ideal to cosets of the
+        same ideal, so all of them share the one lower ideal of K.
+        """
+        if self._subgroup is not None:
+            m = self.ring.lower_ideal(self._subgroup)
+            return dict.fromkeys(self.unit_class_indices(), m)
         return {k: self.ring.lower_ideal(self.classes[k]) for k in self.unit_class_indices()}
 
     def lower_ideal(self) -> int:
@@ -258,9 +287,13 @@ def cyclotomic(ring: CGRing, K: Iterable[int]) -> SRing:
 
     orbit_labels checks, at its one generate, that K is a unit subgroup,
     and returns a canonical label vector, so the partition needs no
-    second check by the SRing constructor.
+    second check by the SRing constructor.  The ring keeps the checked
+    K, from which it reads its lower ideals and density.
     """
-    return SRing.from_labels(ring, ring.orbit_labels(_element_set(ring, K, "unit")))
+    K = _element_set(ring, K, "unit")
+    A = SRing.from_labels(ring, ring.orbit_labels(K))
+    A._subgroup = K
+    return A
 
 
 def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:

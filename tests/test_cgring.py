@@ -584,6 +584,21 @@ def test_growth_refuses_a_non_unit(call, element):
     assert child.stdout == f"element {element} is not a unit\n", child.stderr
 
 
+def test_extend_subgroup_refuses_a_non_unit_row():
+    # The coset walk of a non-unit never returns to the group; it stops
+    # after |R|/|H| steps, more than the order of any unit modulo H.
+    script = ("from cgschur.cgring import parse_ring_spec\n"
+              "ring = parse_ring_spec('GR(4)')\n"
+              "try:\n    ring.extend_subgroup(frozenset({1}), ring.mul_row(2))\n"
+              "except ValueError as exc:\n    print(exc)\n")
+    child = run_child("-c", script, timeout=60)
+    assert "not that of a unit" in child.stdout, child.stderr
+    ring = parse_ring_spec("GR(4)xGR(9)")
+    for g in ring.units():
+        H = ring.extend_subgroup(frozenset({ring.one}), ring.mul_row(g))
+        assert H == subgroup_generated_oracle(ring, [g])
+
+
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_generate_matches_oracles(spec):
     ring = parse_ring_spec(spec)

@@ -301,6 +301,23 @@ def test_separation_on_pure_orbit(z9):
     assert rep.pure and rep.separated
 
 
+def test_separation_matches_character_sums_on_a_product():
+    # Each key is read at the members of S and S2 alone; on GR(9)xGR(25)
+    # the witnesses are the first units whose exact sums differ or are nonzero.
+    ring = parse_ring_spec("GR(9)xGR(25)")
+    table = character_table(ring)
+    for K in [K for K in all_subgroups(ring, ring.units()) if len(K) in (2, 4, 12)]:
+        orbit = sorted(K)
+        for S, S2 in ((orbit[:1], orbit[1:2]), (orbit[:2], orbit[-1:]), (orbit, [])):
+            report = separation_check(ring, K, S, S2)
+            sums = [(char_sum(table, r, S), char_sum(table, r, S2)) for r in ring.units()]
+            assert report.orbit == K and report.pure == ring.is_pure_set(K)
+            assert report.nonzero == next((r for r, (a, _) in zip(ring.units(), sums)
+                                           if not a.is_zero()), None)
+            assert report.separator == next((r for r, (a, b) in zip(ring.units(), sums)
+                                             if a != b), None)
+
+
 def test_separation_refuted_on_nonpure_orbit(z9):
     report = separation_check(z9, {1, 4, 7}, {1, 4, 7}, set())
     assert not report.pure

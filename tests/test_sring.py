@@ -30,7 +30,8 @@ from conftest import (
 
 from cgschur import cgring, cli, duality
 from cgschur.cgring import CGRing, ideal_model, ideal_ring, make_cg_ring, parse_ring_spec
-from cgschur.construct import subgroup_generated
+from cgschur.classify import reassemble
+from cgschur.construct import all_subgroups, subgroup_generated
 from cgschur.cgring import quotient as ring_quotient
 from cgschur.sring import (
     SRing,
@@ -350,6 +351,46 @@ def test_cyclotomic_matches_checked_orbit_partition(spec):
         A = cyclotomic(ring, K)
         B = SRing(ring, orbit_partition_oracle(ring, K, ring.elements()))
         assert A == B and A.classes == B.classes
+
+
+@pytest.mark.parametrize("spec", ["GR(4,2)xGR(9)", "GR(9)xGR(25)", "GR(8,2)"])
+def test_cyclotomic_answers_from_K_match_the_checked_partition(spec):
+    # A ring from cyclotomic keeps K and reads its unit lower ideals and
+    # density from it; the checked constructor on the same orbits takes the
+    # per-class path.  Rank and unit classes are read before the classes,
+    # which the label-first ring builds only when asked.
+    ring = parse_ring_spec(spec)
+    for K in all_subgroups(ring, ring.units()):
+        A, B = cyclotomic(ring, K), SRing(ring, ring.orbit_partition(K))
+        assert (A.rank, A.unit_class_indices(), A.unit_lower_ideals) == (
+            B.rank, B.unit_class_indices(), B.unit_lower_ideals)
+        assert (A.lower_ideal(), A.is_pure(), A.is_dense()) == (
+            B.lower_ideal(), B.is_pure(), B.is_dense())
+        assert "classes" not in vars(A)
+        assert A.classes == B.classes and A.rank == len(A.classes)
+        assert A.is_dense() and set(A.unit_lower_ideals.values()) == {ring.lower_ideal(K)}
+
+
+def test_rank_counts_the_classes_of_unchecked_rings(z9):
+    # Rings built from label vectors count their rank from the labels
+    # before any class is built.
+    ring = parse_ring_spec("GR(9)xGR(25)")
+    A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
+    T = tensor(cyclotomic(z9, [1, 8]), rank2(parse_ring_spec("GR(25)")))
+    split = is_tensor_over(T, {3})
+    built = {
+        "dual": lambda: duality.dual_sring(A),
+        "closure": lambda: schur_closure(ring, [[3]]),
+        "restrict": lambda: restrict(A, 3),
+        "tensor": lambda: tensor(cyclotomic(z9, [1, 8]), rank2(parse_ring_spec("GR(25)"))),
+        "reassemble": lambda: reassemble(ring, ((frozenset({3}), split.left, "left"),
+                                                (frozenset({5}), split.right, "right"))),
+    }
+    for name, build in built.items():
+        B = build()
+        rank = B.rank
+        assert rank == len(B.classes) == len(set(B.class_of)), name
+    assert split.ok and built["reassemble"]() == T
 
 
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
@@ -779,14 +820,19 @@ def test_sring_lower_ideal_is_found_once(z9, monkeypatch):
     calls = []
     real = z9.lower_ideal
     monkeypatch.setattr(z9, "lower_ideal", lambda X: calls.append(X) or real(X))
+    # a cyclotomic ring reads the lower ideal of every unit class u*K from K
     assert [A.lower_ideal(), A.is_pure(), A.lower_ideal()] == [3, False, 3]
-    assert len(calls) == len(A.unit_class_indices()) == 2
+    assert calls == [frozenset({1, 4, 7})] and A.unit_class_indices() == [1, 2]
+    # a document-loaded ring finds one per unit class, once
+    D = SRing(z9, A.to_doc()["classes"])
+    assert [D.lower_ideal(), D.is_pure(), D.lower_ideal()] == [3, False, 3]
+    assert len(calls) - 1 == len(D.unit_class_indices()) == 2
     # the pure document reads the kept per-class values: no further call
-    monkeypatch.setattr(cli, "_load_sring", lambda path, max_size: A)
+    monkeypatch.setattr(cli, "_load_sring", lambda path, max_size: D)
     doc, ok = cli._cmd_sring(argparse.Namespace(action="pure", file=None), z9.size)
     assert ok and doc["unit_classes"] == [{"class": 1, "lower_ideal": 3},
                                           {"class": 2, "lower_ideal": 3}]
-    assert len(calls) == 2
+    assert len(calls) == 3
     # unit classes {1, 4, 7} (lower ideal 3) and {2} (9) disagree, on every call
     broken = SRing(z9, [{0}, {1, 4, 7}, {2}, {3}, {5}, {6}, {8}])
     for _ in range(2):

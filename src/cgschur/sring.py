@@ -163,8 +163,7 @@ class SRing:
         same ideal, so all of them share the one lower ideal of K.
         """
         if self._subgroup is not None:
-            m = self.ring.lower_ideal(self._subgroup)
-            return dict.fromkeys(self.unit_class_indices(), m)
+            return dict.fromkeys(self.unit_class_indices(), self.ring.lower_ideal(self._subgroup))
         return {k: self.ring.lower_ideal(self.classes[k]) for k in self.unit_class_indices()}
 
     def lower_ideal(self) -> int:

@@ -14,7 +14,9 @@ On a unit-invariant partition the dual is found per unit orbit: each
 element is keyed by its sums over one head class per orbit of the class
 permutations, and the dual is the coarsest unit-invariant refinement of
 those head keys (Muzychuk and Ponomarenko, "Schur rings", Eur. J.
-Combin. 30, 2009, for the duality).
+Combin. 30, 2009, for the duality).  dual_sring answers a partition into
+the orbits of a unit subgroup with no character sums, as its own dual;
+check_duality runs the kernel on every input.
 """
 
 from __future__ import annotations
@@ -222,11 +224,31 @@ def _dual(table: CharacterTable, A: SRing) -> SRing:
     return SRing.from_labels(A.ring, _dual_partition(table, A.classes, perms))
 
 
-def dual_sring(A: SRing, table: CharacterTable | None = None) -> SRing:
-    """The dual Schur ring, with the rank checked."""
+def _kernel_dual(A: SRing, table: CharacterTable | None = None) -> SRing:
+    """The character-sum dual of A from the kernel, with the rank checked."""
     B = _dual(table or character_table(A.ring), A)
     if B.rank != A.rank:
         raise StructureError(f"dual rank {B.rank} differs from rank {A.rank}")
+    return B
+
+
+def dual_sring(A: SRing, table: CharacterTable | None = None) -> SRing:
+    """The dual Schur ring, with the rank checked.
+
+    The character table is read first either way, built on first use,
+    so its faithfulness check runs on every dual.  A partition into the orbits
+    of a unit subgroup K (A.orbit_subgroup()) is its own dual: chi(r*kx)
+    = chi(kr*x), so the K-orbits of characters lie inside dual classes,
+    and the ranks agree.  Its dual is its own label vector, keeping K, so
+    the dual of the dual is immediate.  Any other partition runs the
+    character-sum kernel.
+    """
+    table = table or character_table(A.ring)
+    K = A.orbit_subgroup()
+    if K is None:
+        return _kernel_dual(A, table)
+    B = SRing.from_labels(A.ring, A.class_of)
+    B._subgroup = K
     return B
 
 
@@ -249,7 +271,12 @@ def perp_of_ideal(ring: CGRing, m: int, table: CharacterTable | None = None) -> 
 
 
 def check_duality(A: SRing) -> VerifyReport:
-    """Verify the duality laws on one Schur ring; failures mean bugs."""
+    """Verify the duality laws on one Schur ring; failures mean bugs.
+
+    Every dual here, of A, of its dual and of its tensor factors and
+    quotients, runs the character-sum kernel, orbit rings too, so the
+    laws test the kernel rather than the orbit-ring answer of dual_sring.
+    """
     ring = A.ring
     c = ring.char
     table = character_table(ring)
@@ -257,7 +284,7 @@ def check_duality(A: SRing) -> VerifyReport:
     if B.rank != A.rank:
         return VerifyReport(False, ("rank not preserved",))
     failures: list[str] = []
-    if dual_sring(B, table) != A:
+    if _kernel_dual(B, table) != A:
         failures.append("dual of the dual differs from the input")
 
     perp = {c // m for m in A.a_ideal_divisors()}
@@ -279,14 +306,14 @@ def check_duality(A: SRing) -> VerifyReport:
         if split.ok != dual_split.ok:
             failures.append(f"tensor split over {sorted(Q)} does not match the dual")
         elif split.ok:
-            if (dual_sring(split.left) != dual_split.left
-                    or dual_sring(split.right) != dual_split.right):
+            if (_kernel_dual(split.left) != dual_split.left
+                    or _kernel_dual(split.right) != dual_split.right):
                 failures.append(f"tensor factors over {sorted(Q)} are not dual factors")
 
     for m in A.a_ideal_divisors():
         if m == 1 or c // m not in dual_ideals:
             continue
-        if dual_sring(quotient_sring(A, m)) != restrict(B, c // m):
+        if _kernel_dual(quotient_sring(A, m)) != restrict(B, c // m):
             failures.append(f"dual of the quotient by {m}R is not the restriction to {c // m}R")
 
     return VerifyReport(not failures, tuple(failures))

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
-from .cgring import (CGRing, CheckFailedError, EmptySetError, ideal_model, label_classes,
-                     parse_ring_spec, quotient)
+from .cgring import (CGRing, CheckFailedError, EmptySetError, _orbit_labels, ideal_model,
+                     label_classes, parse_ring_spec, quotient)
 from .galois import DEFAULT_MAX_RING_SIZE
 
 
@@ -53,12 +53,17 @@ class SRing:
     which two SRings over one ring share exactly when they are equal.
     The label vector is the ring's one stored form; the classes are
     built from it on first read, unless the checked constructor, which
-    holds them already, set them.  A ring from cyclotomic also keeps the
-    checked unit subgroup K whose orbits are its classes, and answers
-    its lower ideals and density from K.
+    holds them already, set them.  A ring whose classes are the orbits
+    of a unit subgroup K keeps K once it is known: a ring from cyclotomic
+    holds it from the start, any other learns it from orbit_subgroup, at
+    most once.  Such a ring answers its lower ideals and density, and
+    dual_sring and verify_sring answer its dual and convolution axiom,
+    from K.
     """
 
-    _subgroup: frozenset[int] | None = None  # K, on a ring from cyclotomic
+    # K once known: set by cyclotomic or orbit_subgroup; the empty set
+    # once orbit_subgroup has found no K (a subgroup always holds 1)
+    _subgroup: frozenset[int] | None = None
 
     def __init__(self, ring: CGRing, classes: Iterable[Iterable[int]]):
         """The checked constructor: each member is checked as given, before
@@ -120,12 +125,40 @@ class SRing:
         """Whether the set X of elements is a class."""
         return bool(X) and self.class_containing(next(iter(X))) == X
 
+    @cached_property
+    def _class_sizes(self) -> Counter[int]:
+        """The size of each class by label, from one count of the labels."""
+        return Counter(self.class_of)
+
     def is_aset(self, X: Iterable[int]) -> bool:
         """Whether X is a union of classes (the empty union counts): the
-        classes X meets hold exactly |X| elements."""
+        classes X meets hold exactly |X| elements, read from the class
+        sizes with no class built."""
         X = frozenset(X)
         met = set(map(self.class_of.__getitem__, X))
-        return sum(len(self.classes[k]) for k in met) == len(X)
+        return sum(map(self._class_sizes.__getitem__, met)) == len(X)
+
+    def orbit_subgroup(self) -> frozenset[int] | None:
+        """The unit subgroup K whose orbits are the classes, or None when
+        there is none; found at most once per SRing and kept.
+
+        A ring from cyclotomic holds K already.  Otherwise K can only be
+        the class of 1, the orbit of 1.  Each orbit has |K|/|Stab(x)|
+        elements, so a class size that does not divide |K|, read from
+        the count of the labels, rejects at once.  Else _subgroup_rows
+        checks that K is a unit subgroup, and its orbits are compared
+        with the labels.
+        """
+        if self._subgroup is None:
+            ring, class_of, sizes = self.ring, self.class_of, self._class_sizes
+            label = class_of[ring.one]
+            self._subgroup = frozenset()
+            if all(sizes[label] % size == 0 for size in sizes.values()):
+                K = frozenset(compress(ring.elements(), map(label.__eq__, class_of)))
+                rows = ring._subgroup_rows(K)
+                if rows is not None and _orbit_labels(ring.size, rows) == class_of:
+                    self._subgroup = K
+        return self._subgroup or None
 
     # -- intrinsic structure ------------------------------------------------
 
@@ -140,10 +173,10 @@ class SRing:
         constant, and each orbit is a difference of ideals; so A is dense
         exactly when no class meets two orbits, read against the ring's
         kept unit-orbit keys with no ideal built.  The orbits of a unit
-        subgroup K lie inside unit orbits, so a ring from cyclotomic is
+        subgroup K lie inside unit orbits, so a ring that keeps its K is
         dense with no pass at all.
         """
-        if self._subgroup is not None:
+        if self._subgroup:
             return True
         pairs = set(zip(self.class_of, self.ring.unit_orbit_keys()))
         return len(pairs) == self.rank
@@ -158,11 +191,11 @@ class SRing:
         """The lower ideal of each class that meets the units, keyed by class
         number in unit_class_indices order, found once per SRing.
 
-        On a ring from cyclotomic every unit class is u*K, and
+        On a ring that keeps its K every unit class is u*K, and
         multiplying by a unit maps cosets of an ideal to cosets of the
         same ideal, so all of them share the one lower ideal of K.
         """
-        if self._subgroup is not None:
+        if self._subgroup:
             return dict.fromkeys(self.unit_class_indices(), self.ring.lower_ideal(self._subgroup))
         return {k: self.ring.lower_ideal(self.classes[k]) for k in self.unit_class_indices()}
 
@@ -224,11 +257,14 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
     Unit invariance is checked on the kept unit generator rows; the units
     keeping the partition form a group, so the first unit in index order
     that does not is a generator, and the witness.  -1 is a unit, so the
-    row of -1 is built, and negation checked, only when that fails.  A
-    partition with {0} as a class spans an algebra exactly when its dual has
-    the same rank, so when no other axiom has failed, equal ranks settle
-    the convolution axiom without the scan over class pairs.  Otherwise
-    that scan runs and reports every failing pair and class.
+    row of -1 is built, and negation checked, only when that fails.  When
+    no other axiom has failed, the convolution axiom is settled without
+    the scan over class pairs.  A partition into the orbits of a unit
+    subgroup K (SRing.orbit_subgroup) is a Schur ring: the orbits of a
+    group of additive automorphisms span an algebra, so it passes with
+    no character table built.  Any other partition with {0} as a class
+    spans an algebra exactly when its dual has the same rank.  Otherwise
+    the scan runs and reports every failing pair and class.
     """
     from .duality import _dual_partition, character_table  # .duality imports this module
 
@@ -253,7 +289,8 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
                     if not A.is_class(frozenset(map(row.__getitem__, X))))
         failures.append({"axiom": "unit-invariance", "unit": u, "class": k})
 
-    if not failures and max(_dual_partition(character_table(ring), A.classes, perms)) + 1 == A.rank:
+    if not failures and (A.orbit_subgroup() is not None or max(
+            _dual_partition(character_table(ring), A.classes, perms)) + 1 == A.rank):
         return VerifyReport(True, ())
     for i, X in enumerate(A.classes):
         for j in range(i, A.rank):

@@ -19,7 +19,7 @@ from cgschur.cgring import CGRing, make_cg_ring, parse_ring_spec
 from cgschur.construct import all_subgroups
 from cgschur.duality import _dual_partition
 from cgschur.galois import GaloisRing, make_galois_ring
-from cgschur.sring import PartitionError, SRing, cyclotomic, labels, schur_closure
+from cgschur.sring import PartitionError, SRing, cyclotomic, labels, schur_closure, verify_sring
 
 
 def run_child(*argv: str, timeout: float | None = None, **env: str) -> subprocess.CompletedProcess:
@@ -732,6 +732,38 @@ def merge_multiples(A: SRing, m: int, w: int) -> list[list[int]]:
     for k, X in enumerate(A.classes):
         blocks.setdefault(find(k), []).extend(X)
     return [sorted(X) for X in blocks.values()]
+
+
+def gr82_exceptions() -> list[SRing]:
+    """Pure dense Schur rings of GR(8,2) that are not split by the steps of
+    decompose_pure.  Each takes the orbits of a unit subgroup K everywhere
+    but on 2R - 4R, the one stratum that is neither the units nor the
+    minimal ideal 4R.  Rank 11: K of order 8, whose 3 orbits there merge
+    into one class.  Rank 7: K of order 24, whose one orbit there splits
+    into the orbits of a subgroup K2 of order 8, kept when it verifies."""
+    ring = parse_ring_spec("GR(8,2)")
+    groups = all_subgroups(ring, ring.units())
+    keys = ring.unit_orbit_keys()
+    middle = keys[ring.scale(ring.one, 2)]
+    found = []
+    for K in groups:
+        if len(K) == 8:
+            A = cyclotomic(ring, K)
+            inside = [X for X in A.classes if keys[min(X)] == middle]
+            if len(inside) == 3:
+                outside = [X for X in A.classes if keys[min(X)] != middle]
+                found.append(SRing(ring, outside + [frozenset().union(*inside)]))
+        elif len(K) == 24:
+            outer = ring.orbit_labels(K)
+            for K2 in groups:
+                if len(K2) == 8 and K2 <= K:
+                    inner = ring.orbit_labels(K2)
+                    A = SRing.from_labels(ring, labels(
+                        (key == middle, (inner if key == middle else outer)[x])
+                        for x, key in enumerate(keys)))
+                    if A.rank == 7 and verify_sring(ring, A.classes).ok:
+                        found.append(A)
+    return found
 
 
 def rank2(ring: CGRing) -> SRing:

@@ -12,7 +12,7 @@ import re
 
 import pytest
 
-from conftest import kernel_subgroups, rank2, rational_witness_oracle
+from conftest import gr82_exceptions, kernel_subgroups, rank2, rational_witness_oracle
 
 from cgschur.cgring import CGRing, ideal_ring, make_cg_ring, parse_ring_spec, quotient
 from cgschur.classify import (
@@ -27,9 +27,8 @@ from cgschur.classify import (
     decompose_pure,
     reassemble,
 )
-from cgschur.construct import all_subgroups
 from cgschur.duality import dual_sring
-from cgschur.sring import (SRing, cyclotomic, is_tensor_over, labels, proper_prime_splits,
+from cgschur.sring import (SRing, cyclotomic, is_tensor_over, proper_prime_splits,
                            quotient_sring, tensor, verify_sring, wreath_pairs)
 
 
@@ -490,38 +489,6 @@ def test_even_quotient_of_a_pure_sring_can_be_impure(K):
 
 
 # -- pure Schur rings outside the odd-characteristic theorem ----------------------
-
-
-def gr82_exceptions() -> list[SRing]:
-    """Pure dense Schur rings of GR(8,2) that are not split by the steps of
-    decompose_pure.  Each takes the orbits of a unit subgroup K everywhere
-    but on 2R - 4R, the one stratum that is neither the units nor the
-    minimal ideal 4R.  Rank 11: K of order 8, whose 3 orbits there merge
-    into one class.  Rank 7: K of order 24, whose one orbit there splits
-    into the orbits of a subgroup K2 of order 8, kept when it verifies."""
-    ring = parse_ring_spec("GR(8,2)")
-    groups = all_subgroups(ring, ring.units())
-    keys = ring.unit_orbit_keys()
-    middle = keys[ring.scale(ring.one, 2)]
-    found = []
-    for K in groups:
-        if len(K) == 8:
-            A = cyclotomic(ring, K)
-            inside = [X for X in A.classes if keys[min(X)] == middle]
-            if len(inside) == 3:
-                outside = [X for X in A.classes if keys[min(X)] != middle]
-                found.append(SRing(ring, outside + [frozenset().union(*inside)]))
-        elif len(K) == 24:
-            outer = ring.orbit_labels(K)
-            for K2 in groups:
-                if len(K2) == 8 and K2 <= K:
-                    inner = ring.orbit_labels(K2)
-                    A = SRing.from_labels(ring, labels(
-                        (key == middle, (inner if key == middle else outer)[x])
-                        for x, key in enumerate(keys)))
-                    if A.rank == 7 and verify_sring(ring, A.classes).ok:
-                        found.append(A)
-    return found
 
 
 def test_gr82_pure_srings_outside_the_odd_theorem():

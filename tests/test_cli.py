@@ -275,7 +275,8 @@ def test_rational_primes_listing_no_prime_is_usage_error(capsys, sign_doc, liste
 def test_dual_digest_and_involution(capsys, sign_doc, tmp_path):
     code, doc = run_json(capsys, "dual", sign_doc)
     assert code == 0
-    source = json.loads(open(sign_doc).read())
+    with open(sign_doc, encoding="utf-8") as fh:
+        source = json.load(fh)
     blob = json.dumps(source, sort_keys=True, separators=(",", ":")).encode()
     assert doc["dual_of"] == hashlib.sha256(blob).hexdigest()
     doc.pop("dual_of")

@@ -27,13 +27,14 @@ from cgschur.duality import (
     perp_of_ideal,
     separation_check,
 )
-from cgschur.construct import all_subgroups, subgroup_generated
+from cgschur.construct import all_subgroups, build_nonpure_dense_sring, subgroup_generated
 from cgschur.sring import (
     PartitionError,
     SRing,
     StructureError,
     cyclotomic,
     labels,
+    quotient_sring,
     schur_closure,
     verify_sring,
     wreath_pairs,
@@ -51,11 +52,13 @@ from conftest import (
     enumerate_subgroups,
     exponent_counts,
     exponent_oracle,
+    gr82_exceptions,
     merge_multiples,
     merge_strata,
     pack,
     phi_c_remainder,
     random_coarsening,
+    rank2,
     spread_dual_oracle,
     sum_key,
     swap_broken,
@@ -547,12 +550,14 @@ def test_unfaithful_character_is_rejected(monkeypatch, spec, ci, trace):
 
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_dual_reads_the_kept_unit_rows(spec, monkeypatch):
-    # A dual reads the kept unit rows and the table's kept packed rows of
-    # the orbit representatives.  A fresh table builds one row per divisor,
-    # once; later duals build none, and so does verify_sring, whose unit
-    # pass covers negation on a unit-invariant partition.
-    # The ring's own table is warmed first, so dual_sring(A) reads it
-    # without building a row, and the count is made on a fresh table.
+    # The kernel reads the kept unit rows and the table's kept packed rows
+    # of the orbit representatives.  A fresh table builds one row per
+    # divisor, once; later duals build none, and so does verify_sring on a
+    # Schur ring that is not an orbit ring, whose unit pass covers
+    # negation on a unit-invariant partition.  dual_sring answers the
+    # +-1 ring from its group, so the kernel is entered through _dual.
+    # The ring's own table is warmed first, so _dual reads it without
+    # building a row, and the count is made on a fresh table.
     ring = parse_ring_spec(spec)
     A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
     ring.unit_generators()
@@ -561,14 +566,18 @@ def test_dual_reads_the_kept_unit_rows(spec, monkeypatch):
     calls = []
     real = CGRing.mul_row
     monkeypatch.setattr(CGRing, "mul_row", lambda self, r: calls.append(r) or real(self, r))
-    assert dual_sring(A, table).rank == A.rank
+    assert duality._dual(table, A).rank == A.rank
     assert sorted(calls) == sorted(ring.orbit_representatives())
     calls.clear()
-    for B in (A, dual_sring(A, table), dual_sring(A)):
-        assert dual_sring(B, table).rank == B.rank
+    for B in (A, duality._dual(table, A), duality._dual(character_table(ring), A)):
+        assert duality._dual(table, B).rank == B.rank
     assert calls == []
+    two = rank2(ring)  # R - {0} holds non-units, so it is no orbit ring
+    assert verify_sring(ring, two.classes).ok
+    assert calls == []
+    # on the orbit path verify_sring builds only the rows of K's generators
     assert verify_sring(ring, A.classes).ok
-    assert calls == []
+    assert calls == [ring.neg(ring.one)]
 
 
 def test_character_table_lives_on_its_ring():
@@ -648,16 +657,108 @@ def test_discrete_partition_has_the_discrete_dual(monkeypatch):
 def test_dual_at_3025_elements_keeps_no_rank_length_keys():
     # One packed sum per class and representative and one small int per
     # element: a rank-length key per dual class peaked at 22.5 MiB here.
+    # dual_sring answers the +-1 ring from its group, so the kernel is
+    # entered through _dual.
     ring = parse_ring_spec("GR(121)xGR(25)")
     A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
-    character_table(ring)
+    table = character_table(ring)
     tracemalloc.start()
     try:
-        B = dual_sring(A)
+        B = duality._dual(table, A)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert B.rank == 1513 and dual_sring(B) == A
+    assert B.rank == 1513 and duality._dual(table, B) == A
     assert peak < 12 * 2**20
     assert verify_sring(ring, A.classes).ok
     assert schur_closure(ring, [[ring.neg(ring.one)]]).rank == ring.size
+
+
+# -- orbit rings: the dual and the convolution axiom from the group ---------------
+
+def spy_kernel(monkeypatch) -> list:
+    """Record each call of the character-sum kernel, which still runs."""
+    calls = []
+    real = duality._dual_partition
+    monkeypatch.setattr(duality, "_dual_partition",
+                        lambda table, P, perms: calls.append(len(P)) or real(table, P, perms))
+    return calls
+
+
+@pytest.mark.parametrize("spec", ("GR(4,2)", "GR(8,2)", "GR(4,2)xGR(9)"))
+def test_orbit_rings_answer_dual_and_verify_from_their_group(spec, monkeypatch):
+    # A document-loaded copy of every cyclotomic ring is recognised: its
+    # dual equals the kernel's, it verifies, and the kernel never runs.
+    ring = parse_ring_spec(spec)
+    table = character_table(ring)
+    cases = []
+    for K in all_subgroups(ring, ring.units()):
+        A = cyclotomic(ring, K)
+        cases.append((K, SRing(ring, A.to_doc()["classes"]), duality._dual(table, A)))
+    calls = spy_kernel(monkeypatch)
+    for K, D, expected in cases:
+        B = dual_sring(D)
+        assert B == expected == D
+        assert D.orbit_subgroup() == K and B.orbit_subgroup() == K
+        assert dual_sring(B) == D
+        assert verify_sring(ring, D.classes).ok
+    assert calls == []
+
+
+def non_orbit_srings() -> list[tuple[str, SRing]]:
+    """Schur rings whose classes are no unit subgroup's orbits."""
+    out = [(f"GR(8,2) rank {A.rank} #{i}", A) for i, A in enumerate(gr82_exceptions())]
+    for args in ((2, 2, 3, 1), (3, 1, 2, 2)):
+        out.append((f"construction {args}", build_nonpure_dense_sring(*args)[1]))
+    ring = parse_ring_spec("GR(4,2)xGR(9)")
+    x = next(x for x in ring.elements() if ring.upper_ideal(frozenset({x})) == 3)
+    out.append(("closure of an element of 3R^x", schur_closure(ring, [[x]])))
+    return out
+
+
+def test_non_orbit_srings_reach_the_kernel(monkeypatch):
+    # The 8 pure GR(8,2) rings outside the odd theorem, both construction
+    # rings, and the closure of one element of the stratum 3R^x are not
+    # orbit rings: dual_sring and verify_sring run the kernel on them.
+    cases = non_orbit_srings()
+    assert len(cases) == 11
+    calls = spy_kernel(monkeypatch)
+    for label, A in cases:
+        D = SRing(A.ring, A.to_doc()["classes"])
+        assert D.orbit_subgroup() is None, label
+        calls.clear()
+        assert verify_sring(D.ring, D.classes).ok, label
+        assert len(calls) == 1, label
+        B = dual_sring(D)
+        assert len(calls) == 2 and B.rank == D.rank, label
+        assert B == duality._dual(character_table(D.ring), D), label
+
+
+def test_check_duality_runs_the_kernel_on_orbit_rings(monkeypatch):
+    # check_duality tests the kernel against the laws, so it dualises an
+    # orbit ring, its dual and each quotient with the kernel.  The +-1
+    # ring of GR(4)xGR(9) is dense and no tensor product, so every proper
+    # ideal, the zero ideal too, gives a quotient, and no factor is
+    # dualised.
+    ring = parse_ring_spec("GR(4)xGR(9)")
+    A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
+    quotients = [quotient_sring(A, m) for m in A.a_ideal_divisors()[1:]]
+    calls = spy_kernel(monkeypatch)
+    assert check_duality(A).ok
+    assert calls == [A.rank, A.rank] + [Q.rank for Q in quotients]
+
+
+def test_sign_document_at_3025_elements_skips_the_kernel(monkeypatch):
+    # The +-1 document of GR(121)xGR(25) verifies with no character table
+    # built, and its dual is itself; the kernel never runs.
+    ring = parse_ring_spec("GR(121)xGR(25)")
+    doc = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)])).to_doc()
+    calls = spy_kernel(monkeypatch)
+    loaded = parse_ring_spec("GR(121)xGR(25)")
+    D = SRing(loaded, doc["classes"])
+    assert verify_sring(loaded, doc["classes"]).ok
+    assert loaded._character_table is None
+    B = dual_sring(D)
+    assert B == D and B.rank == 1513
+    assert loaded._character_table is not None  # built for its faithfulness check
+    assert calls == []

@@ -31,7 +31,7 @@ from conftest import (
 from cgschur import cgring, cli, duality
 from cgschur.cgring import CGRing, ideal_model, ideal_ring, make_cg_ring, parse_ring_spec
 from cgschur.classify import reassemble
-from cgschur.construct import all_subgroups, subgroup_generated
+from cgschur.construct import all_subgroups, build_nonpure_dense_sring, subgroup_generated
 from cgschur.cgring import quotient as ring_quotient
 from cgschur.sring import (
     SRing,
@@ -369,6 +369,21 @@ def test_cyclotomic_answers_from_K_match_the_checked_partition(spec):
         assert "classes" not in vars(A)
         assert A.classes == B.classes and A.rank == len(A.classes)
         assert A.is_dense() and set(A.unit_lower_ideals.values()) == {ring.lower_ideal(K)}
+
+
+@pytest.mark.parametrize("spec", ["GR(4,2)xGR(9)", "GR(8,2)"])
+def test_a_ideals_read_class_sizes_from_the_labels(spec):
+    # is_aset reads the sizes of the classes X meets from one count of the
+    # labels, so a fresh cyclotomic ring answers with no class built; the
+    # answer is the ideal scan over the classes of the checked partition.
+    ring = parse_ring_spec(spec)
+    for K in all_subgroups(ring, ring.units()):
+        A, B = cyclotomic(ring, K), SRing(ring, ring.orbit_partition(K))
+        found = A.a_ideal_divisors()
+        assert "classes" not in vars(A)
+        assert found == B.a_ideal_divisors() == [
+            m for m in ring.divisors()
+            if all(X <= ring.ideal(m) or not X & ring.ideal(m) for X in B.classes)]
 
 
 def test_rank_counts_the_classes_of_unchecked_rings(z9):
@@ -838,6 +853,30 @@ def test_sring_lower_ideal_is_found_once(z9, monkeypatch):
     for _ in range(2):
         with pytest.raises(StructureError, match="disagree"):
             broken.lower_ideal()
+
+
+def test_orbit_subgroup_is_found_once(monkeypatch):
+    # Recognition runs at most once per SRing and keeps what it finds, so
+    # a recognised document answers its lower ideals and density from K.
+    # A class size that does not divide |K| rejects with no row built.
+    ring = parse_ring_spec("GR(4,2)xGR(9)")
+    K = subgroup_generated(ring, [ring.neg(ring.one), ring.units()[3]])
+    D = SRing(ring, cyclotomic(ring, K).to_doc()["classes"])
+    _, built, _ = build_nonpure_dense_sring(2, 2, 3, 1)
+    checks = []
+    real = CGRing._subgroup_rows
+    monkeypatch.setattr(CGRing, "_subgroup_rows", lambda self, X: checks.append(X) or real(self, X))
+    assert [D.orbit_subgroup(), D.orbit_subgroup()] == [K, K]
+    assert checks == [K]
+    lowers = []
+    real_lower = ring.lower_ideal
+    monkeypatch.setattr(ring, "lower_ideal", lambda X: lowers.append(X) or real_lower(X))
+    assert D.is_dense() and D.lower_ideal() == real_lower(K)
+    assert lowers == [K]
+    checks.clear()
+    for _ in range(2):
+        assert built.orbit_subgroup() is None
+    assert checks == [] and built.is_dense()
 
 
 def test_cyclotomic_keeps_its_rejections(z9):

@@ -9,18 +9,14 @@ index order, so each decomposition is checked by reassembling it exactly.
 The splits are guaranteed for valid inputs, so a failed step raises
 FalsificationError instead of returning a soft negative: it signals a
 bug, not a property of the input.  Input outside a theorem's scope gives
-NotApplicable or a report with `ok` false.
-
-Every function here assumes its input is a Schur ring and does not check
-it; the command line runs verify_sring first.  On a partition that is not
-one the results mean nothing: on GR(3,2) the classes {0}, {1, 2},
-{3, ..., 8} are not unit-invariant, yet decompose_pure raises
-FalsificationError and check_nondense_structure and
-check_quotient_purity report `ok` true.
+NotApplicable or a report with `ok` false.  The theorems speak of Schur
+rings only, so each classifier first runs SRing.verify and refuses any
+other partition with ValueError.
 """
 
 from __future__ import annotations
 
+import json
 from typing import NamedTuple
 
 from .cgring import CGRing, CheckFailedError, quotient
@@ -29,7 +25,6 @@ from .sring import (
     SRing,
     TensorSplit,
     WreathCert,
-    cyclotomic,
     is_tensor_over,
     labels,
     proper_prime_splits,
@@ -104,6 +99,13 @@ def _nontrivial_wreath(A: SRing) -> WreathCert | None:
     return next((c for c in wreath_pairs(A) if c.nontrivial), None)
 
 
+def _refuse_non_schur(A: SRing) -> None:
+    """ValueError with the first failure of A.verify(), unless A passes."""
+    if not (report := A.verify()).ok:
+        raise ValueError("the input is not a Schur ring; sring verify fails first with "
+                         + json.dumps(report.failures[0], sort_keys=True, separators=(",", ":")))
+
+
 def _checked(A: SRing, dec: Decomposition) -> Decomposition:
     """dec, after checking that its factors reassemble to A."""
     if reassemble(A.ring, dec.factors) != A:
@@ -159,6 +161,7 @@ def decompose_pure(A: SRing) -> Decomposition:
     Even characteristic and non-pure inputs are out of scope and give
     NotApplicable; any other failure raises FalsificationError.
     """
+    _refuse_non_schur(A)
     ring = A.ring
     if ring.char % 2 == 0:
         return Decomposition(KIND_NOT_APPLICABLE, (), (), "the characteristic is even")
@@ -173,24 +176,11 @@ def decompose_pure(A: SRing) -> Decomposition:
         certs.append(split)
         rest = split.right
 
-    if _rank2_nonfield(rest):
-        factors.append((frozenset(rest.ring.primes), rest, ROLE_RANK2))
-    else:
-        state = f"dense={rest.is_dense()}, pure={rest.is_pure()}"
-        K = rest.class_containing(rest.ring.one)
-        try:
-            orbits = cyclotomic(rest.ring, K)
-        except ValueError:
-            raise FalsificationError(
-                f"the class of 1 in the remainder over {rest.ring.spec()}"
-                f" is not a unit subgroup ({state})"
-            ) from None
-        if orbits != rest:
-            raise FalsificationError(
-                f"the remainder over {rest.ring.spec()} is not the orbit"
-                f" partition of the class of 1 ({state})"
-            )
-        factors.append((frozenset(rest.ring.primes), rest, ROLE_CYCLOTOMIC))
+    role = ROLE_RANK2 if _rank2_nonfield(rest) else ROLE_CYCLOTOMIC
+    if role == ROLE_CYCLOTOMIC and rest.orbit_subgroup() is None:
+        raise FalsificationError(f"the remainder over {rest.ring.spec()} is not the orbit partition"
+                                 f" of a unit subgroup (dense={rest.is_dense()}, pure={rest.is_pure()})")
+    factors.append((frozenset(rest.ring.primes), rest, role))
 
     return _checked(A, Decomposition(KIND_PURE_TENSOR, tuple(factors), tuple(certs)))
 
@@ -206,6 +196,7 @@ def classify_rational(A: SRing) -> Decomposition:
     admit one of the two, so reaching neither raises FalsificationError;
     an input with a moved unit class gives NotApplicable.
     """
+    _refuse_non_schur(A)
     ring = A.ring
     # the units fixing every unit class form a group, so the first unit that
     # moves one is among those grow yields
@@ -279,8 +270,10 @@ def check_nondense_structure(A: SRing) -> StructureReport:
     factor over a non-field (possibly the whole of A).  Pure inputs are
     additionally tested for the four-way equivalence of
     indecomposability with itself under duality and with the maximal and
-    minimal ideals all being A-ideals.  Never raises; `ok` reports.
+    minimal ideals all being A-ideals.  Raises ValueError on a partition
+    that is not a Schur ring; otherwise `ok` reports.
     """
+    _refuse_non_schur(A)
     ring = A.ring
     a_divisors = set(A.a_ideal_divisors())
     applicable = any(p not in a_divisors for p in sorted(ring.primes))
@@ -344,8 +337,9 @@ def check_quotient_purity(A: SRing, m: int) -> QuotientPurityReport:
     every prime (so no component collapses completely); m equal to the
     characteristic quotients by the zero ideal.  Hypothesis violations
     give a non-applicable report; `ok` holds only on an applicable
-    input whose quotient is pure.
+    input whose quotient is pure.  A non-Schur A raises ValueError first.
     """
+    _refuse_non_schur(A)
     ring = A.ring
     vals = ring.valuations(m)
     reasons = []

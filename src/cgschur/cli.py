@@ -190,13 +190,8 @@ def _cmd_construct(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]
 def _cmd_classify(args: argparse.Namespace, max_size: int) -> tuple[dict, bool]:
     from .classify import (KIND_NOT_APPLICABLE, check_nondense_structure,
                            check_quotient_purity, classify_rational, decompose_pure)
-    from .sring import verify_sring
 
     A = _load_sring(args.file, max_size)
-    report = verify_sring(A.ring, A.classes)  # the theorems speak of Schur rings only
-    if not report.ok:
-        raise ValueError("the input is not a Schur ring; sring verify fails first with "
-                         + _canonical(report.failures[0]))
     if args.action == "pure":
         dec = decompose_pure(A)
         return dec.to_doc(), dec.kind != KIND_NOT_APPLICABLE

@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .cgring import CGRing, CheckFailedError, _orbit_labels, make_cg_ring
 from .galois import is_prime, power_exceeds
-from .sring import SRing, _element_set, has_nontrivial_wreath, labels, verify_sring
+from .sring import SRing, _element_set, has_nontrivial_wreath, labels
 
 DEFAULT_MAX_CONSTRUCT_SIZE = 100_000
 ALL_SUBGROUPS_LIMIT = 256  # the largest order of G in all_subgroups, not a subgroup count
@@ -253,7 +253,7 @@ def build_nonpure_dense_sring(
     def check(name: str, ok: bool, witness: str) -> None:
         checks.append(CheckResult(name, bool(ok), witness))
 
-    report = verify_sring(ring, built.classes)
+    report = built.verify()
     check("partition_axioms", report.ok,
           "; ".join(json.dumps(f, sort_keys=True) for f in report.failures)
           or "all axioms hold")

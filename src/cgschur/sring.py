@@ -57,13 +57,14 @@ class SRing:
     of a unit subgroup K keeps K once it is known: a ring from cyclotomic
     holds it from the start, any other learns it from orbit_subgroup, at
     most once.  Such a ring answers its lower ideals and density, and
-    dual_sring and verify_sring answer its dual and convolution axiom,
-    from K.
+    dual_sring and verify answer its dual and the axioms, from K.  verify
+    checks the axioms at most once per SRing and keeps its report.
     """
 
     # K once known: set by cyclotomic or orbit_subgroup; the empty set
     # once orbit_subgroup has found no K (a subgroup always holds 1)
     _subgroup: frozenset[int] | None = None
+    _verdict: VerifyReport | None = None  # the report of verify, once found
 
     def __init__(self, ring: CGRing, classes: Iterable[Iterable[int]]):
         """The checked constructor: each member is checked as given, before
@@ -160,6 +161,22 @@ class SRing:
                     self._subgroup = K
         return self._subgroup or None
 
+    def verify(self) -> VerifyReport:
+        """Check the Schur ring axioms after the partition, with witnesses
+        for failures; found at most once per SRing and kept.
+
+        A ring that keeps its K is an orbit partition, a Schur ring.
+        Otherwise unit invariance is read from the kept unit generator
+        rows, negation (-1 is a unit) only when that fails.  If nothing
+        failed, the convolution axiom holds for an orbit partition (the
+        orbits of a group of additive automorphisms span an algebra) and
+        for any other exactly when its dual has the same rank; else the
+        scan over class pairs reports every failing pair and class.
+        """
+        if self._verdict is None:
+            self._verdict = _check_axioms(self) if not self._subgroup else VerifyReport(True, ())
+        return self._verdict
+
     # -- intrinsic structure ------------------------------------------------
 
     def a_ideal_divisors(self) -> list[int]:
@@ -252,26 +269,20 @@ class VerifyReport(NamedTuple):
 
 
 def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport:
-    """Check the four Schur ring axioms, reporting witnesses for failures.
-
-    Unit invariance is checked on the kept unit generator rows; the units
-    keeping the partition form a group, so the first unit in index order
-    that does not is a generator, and the witness.  -1 is a unit, so the
-    row of -1 is built, and negation checked, only when that fails.  When
-    no other axiom has failed, the convolution axiom is settled without
-    the scan over class pairs.  A partition into the orbits of a unit
-    subgroup K (SRing.orbit_subgroup) is a Schur ring: the orbits of a
-    group of additive automorphisms span an algebra, so it passes with
-    no character table built.  Any other partition with {0} as a class
-    spans an algebra exactly when its dual has the same rank.  Otherwise
-    the scan runs and reports every failing pair and class.
-    """
-    from .duality import _dual_partition, character_table  # .duality imports this module
-
+    """Check the four Schur ring axioms, reporting witnesses for failures:
+    the partition first, then the others by SRing.verify."""
     try:
         A = SRing(ring, classes)
     except PartitionError as err:
         return VerifyReport(False, ({"axiom": "partition", "witness": str(err)},))
+    return A.verify()
+
+
+def _check_axioms(A: SRing) -> VerifyReport:
+    """SRing.verify for a ring that keeps no K, failures in axiom order."""
+    from .duality import _dual_partition, character_table  # .duality imports this module
+
+    ring = A.ring
     failures: list[dict] = []
 
     if not A.is_class(frozenset({0})):

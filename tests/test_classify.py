@@ -36,6 +36,38 @@ def sign_pair(ring):
     return frozenset({ring.one, ring.neg(ring.one)})
 
 
+# GR(3,2) split into {0}, {1, 2}, {3, ..., 8}: no Schur ring, as 3 moves {1, 2}
+NON_SCHUR = [[0], [1, 2], [3, 4, 5, 6, 7, 8]]
+NON_SCHUR_ERROR = ("the input is not a Schur ring; sring verify fails first with"
+                   ' {"axiom":"unit-invariance","class":1,"unit":3}')
+
+
+@pytest.mark.parametrize("classify", [
+    decompose_pure, classify_rational, check_nondense_structure,
+    lambda A: check_quotient_purity(A, 3), lambda A: check_quotient_purity(A, 2),
+], ids=["pure", "rational", "nondense", "quotient", "quotient-non-divisor"])
+def test_classifiers_refuse_input_that_is_no_schur_ring(classify):
+    # The theorems speak of Schur rings only: each classifier verifies its
+    # input first, before its own hypotheses and before reading a modulus
+    # (2 divides no characteristic here), and refuses with the message the
+    # command line prints.
+    with pytest.raises(ValueError) as err:
+        classify(SRing(parse_ring_spec("GR(3,2)"), NON_SCHUR))
+    assert type(err.value) is ValueError and str(err.value) == NON_SCHUR_ERROR
+
+
+def test_cyclotomic_input_answers_from_its_kept_group(monkeypatch):
+    # A ring from cyclotomic keeps its K, so its verify and, with no split,
+    # its cyclotomic remainder are answered with no orbit recognition.
+    ring = make_cg_ring([(3, 2, 1), (5, 1, 1)])
+    A = cyclotomic(ring, sign_pair(ring))
+    calls = []
+    real = CGRing._subgroup_rows
+    monkeypatch.setattr(CGRing, "_subgroup_rows", lambda self, K: calls.append(K) or real(self, K))
+    dec = decompose_pure(A)
+    assert [role for _, _, role in dec.factors] == ["cyclotomic"] and calls == []
+
+
 # -- decompose_pure -----------------------------------------------------------
 
 
@@ -347,12 +379,15 @@ def test_classify_rejects_non_rational():
 def test_classify_rational_reads_one_row_per_fixer_generator(monkeypatch):
     # The rank-2 ring over GR(4,2)xGR(9) is rational: its 12 + 6 component
     # units fix the one unit class.  The group of fixers grows by the units
-    # outside it, so 4 rows are built instead of one per unit.
+    # outside it, so 4 rows are built instead of one per unit.  The ring is
+    # verified first, so only the rows of the rationality check are counted.
     ring = make_cg_ring([(2, 2, 2), (3, 2, 1)])
+    A = rank2(ring)
+    assert A.verify().ok
     calls = []
     original = CGRing.mul_row
     monkeypatch.setattr(CGRing, "mul_row", lambda self, r: calls.append(r) or original(self, r))
-    assert classify_rational(rank2(ring)).kind == KIND_RATIONAL_TENSOR
+    assert classify_rational(A).kind == KIND_RATIONAL_TENSOR
     units = [u for ci in range(2) for u in ring.embed_component_units(ci)]
     assert len(units) == 18
     assert calls == [19, 20, 22, 33] == list(ring.generate(units)[0])

@@ -15,10 +15,10 @@ import pytest
 
 import cgschur
 from cgschur.cli import main
-from cgschur.cgring import parse_ring_spec
+from cgschur.cgring import CGRing, parse_ring_spec
 from cgschur.classify import FalsificationError
 from cgschur.construct import ConstructionError, build_nonpure_dense_sring
-from cgschur.sring import PartitionError, SRing, StructureError, VerifyReport
+from cgschur.sring import PartitionError, SRing, StructureError, VerifyReport, cyclotomic
 from conftest import run_child
 
 
@@ -357,8 +357,7 @@ def test_construct_failed_check_exits_1(capsys, monkeypatch):
     # Axiom failures are dicts: the check message must format them, or the
     # failed build surfaces as a TypeError and exit 2 instead of exit 1.
     failure = {"axiom": "convolution", "pair": [0, 1], "class": 2}
-    monkeypatch.setattr("cgschur.construct.verify_sring",
-                        lambda ring, classes: VerifyReport(False, (failure,)))
+    monkeypatch.setattr(SRing, "verify", lambda self: VerifyReport(False, (failure,)))
     _, _, report = build_nonpure_dense_sring(2, 2, 3, 1)
     assert report.ok is False
     code, doc = run_json(capsys, "construct", "t210809a",
@@ -450,6 +449,22 @@ def test_classify_rejects_input_that_is_no_schur_ring(capsys, tmp_path, argv):
     assert (code, out) == (2, "")
     assert err == ("error: the input is not a Schur ring; sring verify fails first with"
                    ' {"axiom":"unit-invariance","class":1,"unit":3}\n')
+
+
+def test_classify_builds_one_checked_sring(capsys, tmp_path, monkeypatch):
+    # The classifier verifies the loaded ring itself and keeps the verdict
+    # and K on it, so one call builds one checked SRing and recognises its
+    # unit subgroup once.
+    ring = parse_ring_spec("GR(9)xGR(25)")
+    path = write_doc(tmp_path, "sign225.json", cyclotomic(ring, [ring.one, ring.neg(ring.one)]).to_doc())
+    calls = []
+    for owner, name in ((SRing, "__init__"), (CGRing, "_subgroup_rows")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    code, out, err = run_cli(capsys, "classify", "nondense", path)
+    assert (code, err) == (0, "") and json.loads(out)["ok"]
+    assert sorted(calls) == ["__init__", "_subgroup_rows"]
 
 
 def test_classify_nondense_wreath_certificate(capsys, tmp_path):

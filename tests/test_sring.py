@@ -99,6 +99,7 @@ def test_verify_matches_full_scan_oracle():
             for classes in (A.classes, swap_broken(A, rng)):
                 doc = verify_sring(ring, classes).to_doc()
                 assert doc == verify_sring_oracle(ring, classes)
+                assert SRing(ring, classes).verify().to_doc() == doc
                 failures += len(doc["failures"])
     assert failures > 100
 
@@ -164,6 +165,35 @@ def test_verify_late_mover_reads_only_kept_rows(left, right, monkeypatch):
     witness = 1 + 2 * first.size  # the unit (1, 2), moving {0} x {1}
     assert moved == [{"axiom": "unit-invariance", "unit": witness, "class": A.class_of[first.size]}]
     assert ring.units().index(witness) == first.unit_count
+
+
+def test_verify_keeps_its_verdict(monkeypatch):
+    # The report is found once per SRing: a second verify of a broken ring
+    # runs no convolution scan, while a fresh copy scans again.
+    ring = parse_ring_spec("GR(3,2)")
+    A = SRing(ring, [[0], [1, 2], range(3, 9)])
+    first = A.verify()
+    assert not first.ok
+    adds = []
+    original = CGRing.add
+    monkeypatch.setattr(CGRing, "add", lambda self, x, y: adds.append((x, y)) or original(self, x, y))
+    assert A.verify() is first and adds == []
+    assert SRing(ring, A.classes).verify() == first and adds
+
+
+def test_verify_of_a_cyclotomic_ring_runs_no_pass(monkeypatch):
+    # A ring from cyclotomic keeps its K, an orbit partition: it passes with
+    # no recognition, no class permutations and no character sums.
+    ring = parse_ring_spec("GR(4,2)xGR(9)")
+    A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
+    calls = []
+    for owner, name in ((CGRing, "_subgroup_rows"), (CGRing, "class_permutations"),
+                        (duality, "_dual_partition")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    assert A.verify().to_doc() == {"ok": True, "failures": []}
+    assert calls == []
 
 
 def test_verify_reports_zero_and_negation():

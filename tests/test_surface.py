@@ -168,9 +168,9 @@ patched = [(GaloisRing, "mul"), (GaloisRing, "add"), (CGRing, "mul"), (CGRing, "
 before = {key: vars(key[0])[key[1]] for key in patched}
 tracer = Tracer("t")
 tracer.install()
-from cgschur import construct, sring
+from cgschur import classify, duality
 assert all(vars(cls)[attr] is not before[cls, attr] for cls, attr in patched)
-assert construct.verify_sring is sring.verify_sring
+assert classify.dual_sring is duality.dual_sring
 make_cg_ring([(2, 2, 2), (3, 2, 1)]).mul(5, 7)
 counts = tracer.snapshot()
 assert counts["cgring.mul_calls"] == counts["cgring.mul_fallthrough_calls"] == 1

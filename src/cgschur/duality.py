@@ -14,9 +14,9 @@ On a unit-invariant partition the dual is found per unit orbit: each
 element is keyed by its sums over one head class per orbit of the class
 permutations, and the dual is the coarsest unit-invariant refinement of
 those head keys (Muzychuk and Ponomarenko, "Schur rings", Eur. J.
-Combin. 30, 2009, for the duality).  dual_sring answers a partition into
-the orbits of a unit subgroup with no character sums, as its own dual;
-check_duality runs the kernel on every input.
+Combin. 30, 2009, for the duality).  _dual, the one entry to the kernel,
+keeps the dual on the SRing.  dual_sring answers an orbit partition as
+its own dual, with no table built; check_duality runs the kernel always.
 """
 
 from __future__ import annotations
@@ -217,49 +217,43 @@ def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],
     return labels(q)
 
 
-def _dual(table: CharacterTable, A: SRing) -> SRing:
+def _dual(A: SRing) -> SRing:
     """The character-sum dual partition of any partition A, of A's rank
-    when A is a Schur ring."""
-    perms = A.ring.class_permutations(A.class_of)
-    return SRing.from_labels(A.ring, _dual_partition(table, A.classes, perms))
+    when A is a Schur ring; found at most once per SRing and kept."""
+    if A._kernel is None:
+        table = character_table(A.ring)
+        A._kernel = SRing.from_labels(A.ring, _dual_partition(table, A.classes, A._class_perms))
+    return A._kernel
 
 
-def _kernel_dual(A: SRing, table: CharacterTable | None = None) -> SRing:
-    """The character-sum dual of A from the kernel, with the rank checked."""
-    B = _dual(table or character_table(A.ring), A)
-    if B.rank != A.rank:
-        raise StructureError(f"dual rank {B.rank} differs from rank {A.rank}")
-    return B
-
-
-def dual_sring(A: SRing, table: CharacterTable | None = None) -> SRing:
+def dual_sring(A: SRing) -> SRing:
     """The dual Schur ring, with the rank checked.
 
-    The character table is read first either way, built on first use,
-    so its faithfulness check runs on every dual.  A partition into the orbits
-    of a unit subgroup K (A.orbit_subgroup()) is its own dual: chi(r*kx)
-    = chi(kr*x), so the K-orbits of characters lie inside dual classes,
-    and the ranks agree.  Its dual is its own label vector, keeping K, so
-    the dual of the dual is immediate.  Any other partition runs the
-    character-sum kernel.
+    A partition into the orbits of a unit subgroup K (A.orbit_subgroup())
+    is its own dual: chi(r*kx) = chi(kr*x), so the K-orbits of characters
+    lie inside dual classes, and the ranks agree.  Its dual is its own
+    label vector, keeping K, with no character table built.  Any other
+    partition reads the dual _dual keeps, which records no back-link, so
+    check_duality still dualises it.
     """
-    table = table or character_table(A.ring)
     K = A.orbit_subgroup()
     if K is None:
-        return _kernel_dual(A, table)
+        B = _dual(A)
+        if B.rank != A.rank:
+            raise StructureError(f"dual rank {B.rank} differs from rank {A.rank}")
+        return B
     B = SRing.from_labels(A.ring, A.class_of)
     B._subgroup = K
     return B
 
 
-def perp_of_ideal(ring: CGRing, m: int, table: CharacterTable | None = None) -> frozenset[int]:
+def perp_of_ideal(ring: CGRing, m: int) -> frozenset[int]:
     """Characters annihilating mR, as element labels; equals (c/m)R.
 
     chi(r*.) is additive, so it annihilates mR when it annihilates the
     additive generators g of mR: one mul_row per generator.
     """
-    table = table or character_table(ring)
-    exponent = table.exponent
+    exponent = character_table(ring).exponent
     rows = [ring.mul_row(g) for g in ring.ideal_generators(m)]
     return frozenset(
         r for r in ring.elements()
@@ -279,12 +273,11 @@ def check_duality(A: SRing) -> VerifyReport:
     """
     ring = A.ring
     c = ring.char
-    table = character_table(ring)
-    B = _dual(table, A)
+    B = _dual(A)
     if B.rank != A.rank:
         return VerifyReport(False, ("rank not preserved",))
     failures: list[str] = []
-    if _kernel_dual(B, table) != A:
+    if _dual(B) != A:
         failures.append("dual of the dual differs from the input")
 
     perp = {c // m for m in A.a_ideal_divisors()}
@@ -306,14 +299,13 @@ def check_duality(A: SRing) -> VerifyReport:
         if split.ok != dual_split.ok:
             failures.append(f"tensor split over {sorted(Q)} does not match the dual")
         elif split.ok:
-            if (_kernel_dual(split.left) != dual_split.left
-                    or _kernel_dual(split.right) != dual_split.right):
+            if _dual(split.left) != dual_split.left or _dual(split.right) != dual_split.right:
                 failures.append(f"tensor factors over {sorted(Q)} are not dual factors")
 
     for m in A.a_ideal_divisors():
         if m == 1 or c // m not in dual_ideals:
             continue
-        if _kernel_dual(quotient_sring(A, m)) != restrict(B, c // m):
+        if _dual(quotient_sring(A, m)) != restrict(B, c // m):
             failures.append(f"dual of the quotient by {m}R is not the restriction to {c // m}R")
 
     return VerifyReport(not failures, tuple(failures))

@@ -57,14 +57,16 @@ class SRing:
     of a unit subgroup K keeps K once it is known: a ring from cyclotomic
     holds it from the start, any other learns it from orbit_subgroup, at
     most once.  Such a ring answers its lower ideals and density, and
-    dual_sring and verify answer its dual and the axioms, from K.  verify
-    checks the axioms at most once per SRing and keeps its report.
+    dual_sring and verify answer its dual and the axioms, from K.  Each
+    SRing keeps, once found, its verify report, class permutations and
+    character-sum dual (duality._dual), which verify and dual_sring share.
     """
 
     # K once known: set by cyclotomic or orbit_subgroup; the empty set
     # once orbit_subgroup has found no K (a subgroup always holds 1)
     _subgroup: frozenset[int] | None = None
     _verdict: VerifyReport | None = None  # the report of verify, once found
+    _kernel: SRing | None = None  # the dual of duality._dual, once found
 
     def __init__(self, ring: CGRing, classes: Iterable[Iterable[int]]):
         """The checked constructor: each member is checked as given, before
@@ -127,6 +129,11 @@ class SRing:
         return bool(X) and self.class_containing(next(iter(X))) == X
 
     @cached_property
+    def _class_perms(self) -> list[list[int]] | None:
+        """ring.class_permutations of the labels, found once per SRing."""
+        return self.ring.class_permutations(self.class_of)
+
+    @cached_property
     def _class_sizes(self) -> Counter[int]:
         """The size of each class by label, from one count of the labels."""
         return Counter(self.class_of)
@@ -166,12 +173,12 @@ class SRing:
         for failures; found at most once per SRing and kept.
 
         A ring that keeps its K is an orbit partition, a Schur ring.
-        Otherwise unit invariance is read from the kept unit generator
-        rows, negation (-1 is a unit) only when that fails.  If nothing
-        failed, the convolution axiom holds for an orbit partition (the
-        orbits of a group of additive automorphisms span an algebra) and
-        for any other exactly when its dual has the same rank; else the
-        scan over class pairs reports every failing pair and class.
+        Otherwise unit invariance is read from the kept class permutations,
+        negation (-1 is a unit) only when that fails.  If nothing failed,
+        the convolution axiom holds for an orbit partition (the orbits of a
+        group of additive automorphisms span an algebra) and for any other
+        exactly when its kept kernel dual has the same rank; else the scan
+        over class pairs reports every failing pair and class.
         """
         if self._verdict is None:
             self._verdict = _check_axioms(self) if not self._subgroup else VerifyReport(True, ())
@@ -280,7 +287,7 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
 
 def _check_axioms(A: SRing) -> VerifyReport:
     """SRing.verify for a ring that keeps no K, failures in axiom order."""
-    from .duality import _dual_partition, character_table  # .duality imports this module
+    from .duality import _dual  # .duality imports this module
 
     ring = A.ring
     failures: list[dict] = []
@@ -288,8 +295,7 @@ def _check_axioms(A: SRing) -> VerifyReport:
     if not A.is_class(frozenset({0})):
         failures.append({"axiom": "zero-class", "witness": sorted(A.class_containing(0))})
 
-    perms = ring.class_permutations(A.class_of)
-    if perms is None:
+    if A._class_perms is None:
         minus = ring.mul_row(ring.neg(ring.one)).__getitem__
         for k, X in enumerate(A.classes):
             image = frozenset(map(minus, X))
@@ -300,8 +306,7 @@ def _check_axioms(A: SRing) -> VerifyReport:
                     if not A.is_class(frozenset(map(row.__getitem__, X))))
         failures.append({"axiom": "unit-invariance", "unit": u, "class": k})
 
-    if not failures and (A.orbit_subgroup() is not None or max(
-            _dual_partition(character_table(ring), A.classes, perms)) + 1 == A.rank):
+    if not failures and (A.orbit_subgroup() is not None or _dual(A).rank == A.rank):
         return VerifyReport(True, ())
     for i, X in enumerate(A.classes):
         for j in range(i, A.rank):
@@ -362,9 +367,9 @@ def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
     also refines P** (S** = S); the dual is always closed under negation
     and keeps unit invariance.  The loop stops when P and P* have equal
     rank, which by the duality criterion makes P a Schur ring, and then
-    the smallest one refining the start partition.
+    the smallest one refining the start partition; P keeps the dual P*.
     """
-    from .duality import _dual, character_table  # .duality imports this module
+    from .duality import _dual  # .duality imports this module
 
     seed_sets = [_element_set(ring, S, "seed element") for S in seeds]
     units = ring.units()
@@ -374,13 +379,12 @@ def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
     for i, T in enumerate(translates):
         for x in T:
             marks[x].append(i)
-    table = character_table(ring)
     P = SRing.from_labels(ring, labels(zip(ring.unit_orbit_keys(), map(tuple, marks))))
     while True:
-        D = _dual(table, P)
+        D = _dual(P)
         if D.rank == P.rank:
             return P
-        P = _dual(table, D)
+        P = _dual(D)
 
 
 # -- derived rings -----------------------------------------------------------

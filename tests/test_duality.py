@@ -17,7 +17,7 @@ import weakref
 import pytest
 
 from cgschur import duality
-from cgschur.cgring import CGRing, make_cg_ring, parse_ring_spec
+from cgschur.cgring import CGRing, label_classes, make_cg_ring, parse_ring_spec
 from cgschur.duality import (
     _dual_partition,
     CharacterTable,
@@ -363,6 +363,12 @@ def assert_matches_spread(table, classes) -> list[int]:
     return dual
 
 
+def kernel_classes(table, classes) -> list[list[int]]:
+    """assert_matches_spread's dual as sorted classes in label order, the
+    form of dual_classes, so one kernel pass serves both comparisons."""
+    return [sorted(X) for X in label_classes(assert_matches_spread(table, classes))]
+
+
 def kernel_inputs(ring, rng: random.Random):
     """Partitions for the kernel: a cyclotomic ring and a closure, their
     unit-invariant coarsenings, and partitions that take the fallback."""
@@ -386,8 +392,7 @@ def test_dual_classes_orbit_kernel_matches_oracle(spec):
     seen = {True: 0, False: 0}
     for classes in kernel_inputs(ring, rng):
         seen[ring.class_permutations(SRing(ring, classes).class_of) is not None] += 1
-        assert dual_classes(table, classes) == dual_classes_oracle(table, classes)
-        assert_matches_spread(table, classes)
+        assert kernel_classes(table, classes) == dual_classes_oracle(table, classes)
     assert seen[True] and seen[False]  # both the orbit kernel and the fallback ran
 
 
@@ -503,9 +508,8 @@ def test_dual_classes_match_power_basis(spec):
     zero, equal = set(), set()
     for classes in tensor_inputs(ring, rng):
         classes = [sorted(X) for X in classes]
-        dual = dual_classes(table, classes)
+        dual = kernel_classes(table, classes)
         assert dual == dual_classes(oracle, classes)
-        assert_matches_spread(table, classes)
         # sampled sums over a class or an ideal: zero and equality decisions
         # against the remainder modulo Phi_c; r2 shares the dual class of r
         # half of the time
@@ -551,26 +555,25 @@ def test_unfaithful_character_is_rejected(monkeypatch, spec, ci, trace):
 @pytest.mark.parametrize("spec", KERNEL_RINGS)
 def test_dual_reads_the_kept_unit_rows(spec, monkeypatch):
     # The kernel reads the kept unit rows and the table's kept packed rows
-    # of the orbit representatives.  A fresh table builds one row per
-    # divisor, once; later duals build none, and so does verify_sring on a
-    # Schur ring that is not an orbit ring, whose unit pass covers
+    # of the orbit representatives.  A fresh table, installed on the ring
+    # after its first one kept a row per divisor, builds them again, once;
+    # later duals of other SRings build none, and so does verify_sring on
+    # a Schur ring that is not an orbit ring, whose unit pass covers
     # negation on a unit-invariant partition.  dual_sring answers the
     # +-1 ring from its group, so the kernel is entered through _dual.
-    # The ring's own table is warmed first, so _dual reads it without
-    # building a row, and the count is made on a fresh table.
     ring = parse_ring_spec(spec)
     A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
     ring.unit_generators()
     assert len(character_table(ring).representative_rows) == len(ring.divisors())
-    table = CharacterTable(ring)
+    ring._character_table = CharacterTable(ring)
     calls = []
     real = CGRing.mul_row
     monkeypatch.setattr(CGRing, "mul_row", lambda self, r: calls.append(r) or real(self, r))
-    assert duality._dual(table, A).rank == A.rank
+    assert duality._dual(A).rank == A.rank
     assert sorted(calls) == sorted(ring.orbit_representatives())
     calls.clear()
-    for B in (A, duality._dual(table, A), duality._dual(character_table(ring), A)):
-        assert duality._dual(table, B).rank == B.rank
+    for B in (duality._dual(A), SRing.from_labels(ring, A.class_of)):
+        assert duality._dual(B).rank == B.rank
     assert calls == []
     two = rank2(ring)  # R - {0} holds non-units, so it is no orbit ring
     assert verify_sring(ring, two.classes).ok
@@ -661,14 +664,14 @@ def test_dual_at_3025_elements_keeps_no_rank_length_keys():
     # entered through _dual.
     ring = parse_ring_spec("GR(121)xGR(25)")
     A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
-    table = character_table(ring)
+    character_table(ring)
     tracemalloc.start()
     try:
-        B = duality._dual(table, A)
+        B = duality._dual(A)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert B.rank == 1513 and duality._dual(table, B) == A
+    assert B.rank == 1513 and duality._dual(B) == A
     assert peak < 12 * 2**20
     assert verify_sring(ring, A.classes).ok
     assert schur_closure(ring, [[ring.neg(ring.one)]]).rank == ring.size
@@ -690,11 +693,10 @@ def test_orbit_rings_answer_dual_and_verify_from_their_group(spec, monkeypatch):
     # A document-loaded copy of every cyclotomic ring is recognised: its
     # dual equals the kernel's, it verifies, and the kernel never runs.
     ring = parse_ring_spec(spec)
-    table = character_table(ring)
     cases = []
     for K in all_subgroups(ring, ring.units()):
         A = cyclotomic(ring, K)
-        cases.append((K, SRing(ring, A.to_doc()["classes"]), duality._dual(table, A)))
+        cases.append((K, SRing(ring, A.to_doc()["classes"]), duality._dual(A)))
     calls = spy_kernel(monkeypatch)
     for K, D, expected in cases:
         B = dual_sring(D)
@@ -731,7 +733,37 @@ def test_non_orbit_srings_reach_the_kernel(monkeypatch):
         assert len(calls) == 1, label
         B = dual_sring(D)
         assert len(calls) == 2 and B.rank == D.rank, label
-        assert B == duality._dual(character_table(D.ring), D), label
+        assert B == duality._dual(SRing(D.ring, D.classes)), label
+
+
+def test_verified_document_dualises_with_its_kept_kernel_dual(monkeypatch):
+    # The kernel dual is kept on the SRing: verify then dual_sring on a
+    # document-loaded construction ring run the kernel once between them,
+    # not once each.  dual_sring records no back-link, so check_duality on
+    # the document still dualises A, its dual, the tensor factors and the
+    # quotients: 10 passes.
+    doc = build_nonpure_dense_sring(2, 2, 3, 1)[1].to_doc()
+    calls = spy_kernel(monkeypatch)
+    D = SRing(parse_ring_spec(doc["ring"]), doc["classes"])
+    assert D.orbit_subgroup() is None
+    assert D.verify().ok and dual_sring(D).rank == D.rank
+    assert len(calls) == 1
+    calls.clear()
+    assert check_duality(SRing(parse_ring_spec(doc["ring"]), doc["classes"])).ok
+    assert len(calls) == 10
+
+
+def test_closure_verifies_and_dualises_with_no_kernel_run(monkeypatch):
+    # A closure keeps the dual its loop stopped on, so its verify and
+    # dual_sring read it; the closure of one element of 3R^x is no orbit
+    # ring, so neither answers from a group.
+    ring = parse_ring_spec("GR(4,2)xGR(9)")
+    x = next(x for x in ring.elements() if ring.upper_ideal(frozenset({x})) == 3)
+    C = schur_closure(ring, [[x]])
+    calls = spy_kernel(monkeypatch)
+    assert C.verify().ok and C.orbit_subgroup() is None
+    assert dual_sring(C).rank == C.rank
+    assert calls == []
 
 
 def test_check_duality_runs_the_kernel_on_orbit_rings(monkeypatch):
@@ -750,7 +782,8 @@ def test_check_duality_runs_the_kernel_on_orbit_rings(monkeypatch):
 
 def test_sign_document_at_3025_elements_skips_the_kernel(monkeypatch):
     # The +-1 document of GR(121)xGR(25) verifies with no character table
-    # built, and its dual is itself; the kernel never runs.
+    # built, and its dual is itself, with none built either; the kernel
+    # never runs.
     ring = parse_ring_spec("GR(121)xGR(25)")
     doc = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)])).to_doc()
     calls = spy_kernel(monkeypatch)
@@ -760,5 +793,5 @@ def test_sign_document_at_3025_elements_skips_the_kernel(monkeypatch):
     assert loaded._character_table is None
     B = dual_sring(D)
     assert B == D and B.rank == 1513
-    assert loaded._character_table is not None  # built for its faithfulness check
+    assert loaded._character_table is None
     assert calls == []

@@ -13,7 +13,10 @@ reads ``self._fields``; ``KEEP`` exempts a field as ``"Class.field"``.
 The benchmark's tracer must also still find the kernel methods it counts.
 Every backticked ``module.attr`` or ``Class.attr`` reference in README.md
 to a module or class of the package must resolve, so a deleted name
-cannot linger in the documentation.
+cannot linger in the documentation.  And the package keeps to the
+standard library and exact arithmetic: an AST scan finds no absolute
+import outside ``sys.stdlib_module_names``, no float literal, no name
+``float`` and no true division ``/``.
 """
 
 from __future__ import annotations
@@ -287,3 +290,40 @@ def test_unresolved_readme_references_are_found():
             " `cgschur.sring.labels`, `ring.one` and\n```\n`CGRing.gone`\n```\n")
     assert _unresolved(text, spaces) == (
         {"CGRing.projection_row", "IdealRingMap.section_map"}, 4)
+
+
+def _inexact_or_foreign(text: str) -> list[tuple[int, str]]:
+    """What breaks "standard library only, no floats" in one source text,
+    as (line, what) in line order: an absolute import of a module outside
+    the standard library, a float literal, the name float, or a true
+    division."""
+    found = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            roots = [alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots = [node.module.partition(".")[0]]
+        else:
+            roots = []
+        found += [(node.lineno, f"import {root}") for root in roots
+                  if root not in sys.stdlib_module_names]
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, f"float literal {node.value!r}"))
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "name float"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "true division"))
+    return sorted(found)
+
+
+def test_package_is_stdlib_only_and_float_free():
+    found = {path.name: _inexact_or_foreign(path.read_text(encoding="utf-8")) for path in SRC}
+    assert not any(found.values()), {name: hits for name, hits in found.items() if hits}
+
+
+def test_inexact_or_foreign_source_is_found():
+    text = ("from __future__ import annotations\nimport numpy.linalg\nfrom . import galois\n"
+            "from os import path\nx = 7 // 2\ny = x / 2\nx /= 2\nz = 0.5 + float(x)\n")
+    assert _inexact_or_foreign(text) == [
+        (2, "import numpy"), (6, "true division"), (7, "true division"),
+        (8, "float literal 0.5"), (8, "name float")]

@@ -278,32 +278,30 @@ def check_nondense_structure(A: SRing) -> StructureReport:
     a_divisors = set(A.a_ideal_divisors())
     applicable = any(p not in a_divisors for p in sorted(ring.primes))
 
-    wreath = split = None
-    self_rank2 = False
-    structure_ok = True
-    if applicable:
-        wreath = _nontrivial_wreath(A)
-        if wreath is None:
-            self_rank2 = _rank2_nonfield(A)
-            if not self_rank2:
-                split = _rank2_split(A)
-        structure_ok = wreath is not None or self_rank2 or split is not None
+    pure, rank2 = A.is_pure(), _rank2_nonfield(A)
+    wreath = _nontrivial_wreath(A) if applicable else None
+    unlayered = applicable and wreath is None
+    # A's first rank-2 split, searched at most once
+    split = None if rank2 or not (unlayered or pure) else _rank2_split(A)
+    structure_ok = not unlayered or rank2 or split is not None
 
     four_way = None
     equivalent = True
-    if A.is_pure():
+    if pure:
         dual = dual_sring(A)
+        indecomposable = not rank2 and split is None
         four_way = (
-            not _rank2_nonfield(A) and _rank2_split(A) is None,
+            indecomposable,
+            # an orbit ring is its own dual, whose split is searched already
+            indecomposable if dual is A else
             dual.is_pure() and not _rank2_nonfield(dual) and _rank2_split(dual) is None,
             not applicable,  # every maximal ideal an A-ideal
             all(ring.char // p in a_divisors for p in ring.primes),
         )
         equivalent = len(set(four_way)) == 1
 
-    return StructureReport(
-        applicable, wreath, self_rank2, split, four_way, structure_ok and equivalent
-    )
+    return StructureReport(applicable, wreath, unlayered and rank2, split if unlayered else None,
+                           four_way, structure_ok and equivalent)
 
 
 # -- purity of quotients ------------------------------------------------------

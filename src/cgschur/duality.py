@@ -14,9 +14,10 @@ On a unit-invariant partition the dual is found per unit orbit: each
 element is keyed by its sums over one head class per orbit of the class
 permutations, and the dual is the coarsest unit-invariant refinement of
 those head keys (Muzychuk and Ponomarenko, "Schur rings", Eur. J.
-Combin. 30, 2009, for the duality).  _dual, the one entry to the kernel,
-keeps the dual on the SRing.  dual_sring answers an orbit partition as
-its own dual, with no table built; check_duality runs the kernel always.
+Combin. 30, 2009, for the duality).  SRing.kernel_dual, the one caller
+of the kernel, keeps the dual on its SRing.  dual_sring answers an orbit
+partition as its own dual, with no table built; check_duality reads
+kernel_dual always.
 """
 
 from __future__ import annotations
@@ -217,33 +218,21 @@ def _dual_partition(table: CharacterTable, classes: Sequence[Iterable[int]],
     return labels(q)
 
 
-def _dual(A: SRing) -> SRing:
-    """The character-sum dual partition of any partition A, of A's rank
-    when A is a Schur ring; found at most once per SRing and kept."""
-    if A._kernel is None:
-        table = character_table(A.ring)
-        A._kernel = SRing.from_labels(A.ring, _dual_partition(table, A.classes, A._class_perms))
-    return A._kernel
-
-
 def dual_sring(A: SRing) -> SRing:
     """The dual Schur ring, with the rank checked.
 
     A partition into the orbits of a unit subgroup K (A.orbit_subgroup())
     is its own dual: chi(r*kx) = chi(kr*x), so the K-orbits of characters
-    lie inside dual classes, and the ranks agree.  Its dual is its own
-    label vector, keeping K, with no character table built.  Any other
-    partition reads the dual _dual keeps, which records no back-link, so
+    lie inside dual classes, and the ranks agree.  Such an A is returned
+    itself, keeping K, with no character table built.  Any other
+    partition reads A.kernel_dual, which records no back-link, so
     check_duality still dualises it.
     """
-    K = A.orbit_subgroup()
-    if K is None:
-        B = _dual(A)
-        if B.rank != A.rank:
-            raise StructureError(f"dual rank {B.rank} differs from rank {A.rank}")
-        return B
-    B = SRing.from_labels(A.ring, A.class_of)
-    B._subgroup = K
+    if A.orbit_subgroup() is not None:
+        return A
+    B = A.kernel_dual
+    if B.rank != A.rank:
+        raise StructureError(f"dual rank {B.rank} differs from rank {A.rank}")
     return B
 
 
@@ -268,19 +257,20 @@ def check_duality(A: SRing) -> VerifyReport:
     """Verify the duality laws on one Schur ring; failures mean bugs.
 
     Every dual here, of A, of its dual and of its tensor factors and
-    quotients, runs the character-sum kernel, orbit rings too, so the
+    quotients, is the kernel_dual of its SRing, orbit rings too, so the
     laws test the kernel rather than the orbit-ring answer of dual_sring.
     """
     ring = A.ring
     c = ring.char
-    B = _dual(A)
+    B = A.kernel_dual
     if B.rank != A.rank:
         return VerifyReport(False, ("rank not preserved",))
     failures: list[str] = []
-    if _dual(B) != A:
+    if B.kernel_dual != A:
         failures.append("dual of the dual differs from the input")
 
-    perp = {c // m for m in A.a_ideal_divisors()}
+    ideals = A.a_ideal_divisors()
+    perp = {c // m for m in ideals}
     dual_ideals = set(B.a_ideal_divisors())
     if perp != dual_ideals:
         failures.append("A-ideal sets do not correspond under m -> c/m")
@@ -299,13 +289,14 @@ def check_duality(A: SRing) -> VerifyReport:
         if split.ok != dual_split.ok:
             failures.append(f"tensor split over {sorted(Q)} does not match the dual")
         elif split.ok:
-            if _dual(split.left) != dual_split.left or _dual(split.right) != dual_split.right:
+            if (split.left.kernel_dual != dual_split.left
+                    or split.right.kernel_dual != dual_split.right):
                 failures.append(f"tensor factors over {sorted(Q)} are not dual factors")
 
-    for m in A.a_ideal_divisors():
+    for m in ideals:
         if m == 1 or c // m not in dual_ideals:
             continue
-        if _dual(quotient_sring(A, m)) != restrict(B, c // m):
+        if quotient_sring(A, m).kernel_dual != restrict(B, c // m):
             failures.append(f"dual of the quotient by {m}R is not the restriction to {c // m}R")
 
     return VerifyReport(not failures, tuple(failures))

@@ -57,16 +57,16 @@ class SRing:
     of a unit subgroup K keeps K once it is known: a ring from cyclotomic
     holds it from the start, any other learns it from orbit_subgroup, at
     most once.  Such a ring answers its lower ideals and density, and
-    dual_sring and verify answer its dual and the axioms, from K.  Each
-    SRing keeps, once found, its verify report, class permutations and
-    character-sum dual (duality._dual), which verify and dual_sring share.
+    verify the axioms, from K, and dual_sring returns it as its own dual.
+    Each SRing keeps, once found, its verify report, class permutations
+    and kernel_dual, which verify, dual_sring and schur_closure share; no
+    other module reads or writes its private fields.
     """
 
     # K once known: set by cyclotomic or orbit_subgroup; the empty set
     # once orbit_subgroup has found no K (a subgroup always holds 1)
     _subgroup: frozenset[int] | None = None
     _verdict: VerifyReport | None = None  # the report of verify, once found
-    _kernel: SRing | None = None  # the dual of duality._dual, once found
 
     def __init__(self, ring: CGRing, classes: Iterable[Iterable[int]]):
         """The checked constructor: each member is checked as given, before
@@ -138,6 +138,16 @@ class SRing:
         """The size of each class by label, from one count of the labels."""
         return Counter(self.class_of)
 
+    @cached_property
+    def kernel_dual(self) -> SRing:
+        """The character-sum dual partition, of this rank when this is a
+        Schur ring; found by the kernel at most once per SRing and kept.
+        The dual keeps no link back, so its own kernel_dual runs anew."""
+        from .duality import _dual_partition, character_table  # .duality imports this module
+
+        return SRing.from_labels(self.ring, _dual_partition(
+            character_table(self.ring), self.classes, self._class_perms))
+
     def is_aset(self, X: Iterable[int]) -> bool:
         """Whether X is a union of classes (the empty union counts): the
         classes X meets hold exactly |X| elements, read from the class
@@ -177,7 +187,7 @@ class SRing:
         negation (-1 is a unit) only when that fails.  If nothing failed,
         the convolution axiom holds for an orbit partition (the orbits of a
         group of additive automorphisms span an algebra) and for any other
-        exactly when its kept kernel dual has the same rank; else the scan
+        exactly when its kernel_dual has the same rank; else the scan
         over class pairs reports every failing pair and class.
         """
         if self._verdict is None:
@@ -287,8 +297,6 @@ def verify_sring(ring: CGRing, classes: Sequence[Iterable[int]]) -> VerifyReport
 
 def _check_axioms(A: SRing) -> VerifyReport:
     """SRing.verify for a ring that keeps no K, failures in axiom order."""
-    from .duality import _dual  # .duality imports this module
-
     ring = A.ring
     failures: list[dict] = []
 
@@ -306,7 +314,7 @@ def _check_axioms(A: SRing) -> VerifyReport:
                     if not A.is_class(frozenset(map(row.__getitem__, X))))
         failures.append({"axiom": "unit-invariance", "unit": u, "class": k})
 
-    if not failures and (A.orbit_subgroup() is not None or _dual(A).rank == A.rank):
+    if not failures and (A.orbit_subgroup() is not None or A.kernel_dual.rank == A.rank):
         return VerifyReport(True, ())
     for i, X in enumerate(A.classes):
         for j in range(i, A.rank):
@@ -367,10 +375,9 @@ def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
     also refines P** (S** = S); the dual is always closed under negation
     and keeps unit invariance.  The loop stops when P and P* have equal
     rank, which by the duality criterion makes P a Schur ring, and then
-    the smallest one refining the start partition; P keeps the dual P*.
+    the smallest one refining the start partition; P keeps the dual P*
+    as its kernel_dual.
     """
-    from .duality import _dual  # .duality imports this module
-
     seed_sets = [_element_set(ring, S, "seed element") for S in seeds]
     units = ring.units()
     translates = (T for S in seed_sets
@@ -381,10 +388,10 @@ def schur_closure(ring: CGRing, seeds: Sequence[Iterable[int]] = ()) -> SRing:
             marks[x].append(i)
     P = SRing.from_labels(ring, labels(zip(ring.unit_orbit_keys(), map(tuple, marks))))
     while True:
-        D = _dual(P)
+        D = P.kernel_dual
         if D.rank == P.rank:
             return P
-        P = _dual(D)
+        P = D.kernel_dual
 
 
 # -- derived rings -----------------------------------------------------------

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import gr82_exceptions, kernel_subgroups, rank2, rational_witness_oracle
 
+from cgschur import classify
 from cgschur.cgring import CGRing, ideal_ring, make_cg_ring, parse_ring_spec, quotient
 from cgschur.classify import (
     KIND_NOT_APPLICABLE,
@@ -453,6 +454,27 @@ def test_structure_non_pure_skips_four_way():
     assert not report.applicable
     assert report.four_way is None
     assert report.ok
+
+
+def test_structure_searches_each_rank2_split_once(monkeypatch):
+    # The +-1 document of GR(9)xGR(25) is dense, so only the four-way test
+    # searches; the document is recognised as an orbit ring, its own dual,
+    # whose search is A's.  The rank-2 tensor has no wreath, so the
+    # certificate searches; the four-way test reads that split, and the
+    # dual, no orbit ring, finds its own at the first split.  Each makes
+    # two split tests (4 and 3 before the search was shared).
+    ring, z9, z25 = (parse_ring_spec(spec) for spec in ("GR(9)xGR(25)", "GR(9)", "GR(25)"))
+    cases = [SRing(ring, cyclotomic(ring, sign_pair(ring)).classes),
+             tensor(rank2(z9), cyclotomic(z25, sign_pair(z25)))]
+    calls = []
+    real = classify.is_tensor_over
+    monkeypatch.setattr(classify, "is_tensor_over",
+                        lambda A, Q: calls.append(sorted(Q)) or real(A, Q))
+    for A in cases:
+        calls.clear()
+        report = check_nondense_structure(A)
+        assert report.ok and report.four_way is not None
+        assert len(calls) == 2, A
 
 
 # -- check_quotient_purity ------------------------------------------------------

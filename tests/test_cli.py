@@ -625,12 +625,16 @@ HEAVY_MODULES = {"dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib"}
 ENTRY_MODULES = {"cgschur", "cgschur.__main__", "cgschur.cli", "cgschur.cgring", "cgschur.galois"}
 
 # One call per verb footprint, and the library modules it loads besides
-# ENTRY_MODULES; "DOC" is replaced by a Schur ring file.
+# ENTRY_MODULES; "DOC" is replaced by a Schur ring file, an orbit ring, and
+# "BROKEN" by a partition that fails unit invariance.  Neither verify runs
+# the kernel, so neither loads duality.
 VERB_MODULES = [
     (["ring", "info", "GR(9)"], set()),
     (["sring", "pure", "DOC"], {"sring"}),
     (["sring", "cyc", "GR(9)", "--group", "8"], {"sring", "construct"}),
-    (["sring", "verify", "DOC"], {"sring", "duality"}),
+    (["sring", "closure", "GR(9)", "--seed", "1"], {"sring", "duality"}),
+    (["sring", "verify", "DOC"], {"sring"}),
+    (["sring", "verify", "BROKEN"], {"sring"}),
     (["classify", "pure", "DOC"], {"sring", "duality", "classify"}),
     (list(CONSTRUCT_2231), {"sring", "duality", "construct"}),
 ]
@@ -652,14 +656,21 @@ def ran():
 """
 
 
-def test_cold_import_footprint(sign_doc):
+def test_cold_import_footprint(sign_doc, tmp_path):
     # Only modules added after the baseline count, so whatever site loads
-    # at start-up cannot fail the test.  Each call runs in its own child.
+    # at start-up cannot fail the test.  What `import cgschur` adds of the
+    # standard library differs between Python versions, so only the
+    # package's own modules are compared on the first line; the heavy
+    # modules are checked among everything added.  Each call runs in its
+    # own child.
+    files = {"DOC": sign_doc, "BROKEN": write_doc(tmp_path, "broken.json", {
+        "ring": "GR(9)", "classes": [[0], [1, 2], [3, 4, 5, 6, 7, 8]]})}
     for argv, extra in VERB_MODULES:
-        argv = [sign_doc if word == "DOC" else word for word in argv]
+        argv = [files.get(word, word) for word in argv]
         proc = run_child("-c", RAN + f"""
 import cgschur
-print(json.dumps([sorted(set(sys.modules) - before), ran()]))
+print(json.dumps([sorted(m for m in set(sys.modules) - before if m.startswith("cgschur")),
+                  ran()]))
 from cgschur.__main__ import main
 code = main({argv!r})
 print(json.dumps([code, ran(), sorted(set(sys.modules) - before)]))

@@ -560,7 +560,7 @@ def test_dual_reads_the_kept_unit_rows(spec, monkeypatch):
     # later duals of other SRings build none, and so does verify_sring on
     # a Schur ring that is not an orbit ring, whose unit pass covers
     # negation on a unit-invariant partition.  dual_sring answers the
-    # +-1 ring from its group, so the kernel is entered through _dual.
+    # +-1 ring from its group, so the kernel is entered through kernel_dual.
     ring = parse_ring_spec(spec)
     A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
     ring.unit_generators()
@@ -569,11 +569,11 @@ def test_dual_reads_the_kept_unit_rows(spec, monkeypatch):
     calls = []
     real = CGRing.mul_row
     monkeypatch.setattr(CGRing, "mul_row", lambda self, r: calls.append(r) or real(self, r))
-    assert duality._dual(A).rank == A.rank
+    assert A.kernel_dual.rank == A.rank
     assert sorted(calls) == sorted(ring.orbit_representatives())
     calls.clear()
-    for B in (duality._dual(A), SRing.from_labels(ring, A.class_of)):
-        assert duality._dual(B).rank == B.rank
+    for B in (A.kernel_dual, SRing.from_labels(ring, A.class_of)):
+        assert B.kernel_dual.rank == B.rank
     assert calls == []
     two = rank2(ring)  # R - {0} holds non-units, so it is no orbit ring
     assert verify_sring(ring, two.classes).ok
@@ -661,17 +661,17 @@ def test_dual_at_3025_elements_keeps_no_rank_length_keys():
     # One packed sum per class and representative and one small int per
     # element: a rank-length key per dual class peaked at 22.5 MiB here.
     # dual_sring answers the +-1 ring from its group, so the kernel is
-    # entered through _dual.
+    # entered through kernel_dual.
     ring = parse_ring_spec("GR(121)xGR(25)")
     A = cyclotomic(ring, subgroup_generated(ring, [ring.neg(ring.one)]))
     character_table(ring)
     tracemalloc.start()
     try:
-        B = duality._dual(A)
+        B = A.kernel_dual
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert B.rank == 1513 and duality._dual(B) == A
+    assert B.rank == 1513 and B.kernel_dual == A
     assert peak < 12 * 2**20
     assert verify_sring(ring, A.classes).ok
     assert schur_closure(ring, [[ring.neg(ring.one)]]).rank == ring.size
@@ -690,17 +690,18 @@ def spy_kernel(monkeypatch) -> list:
 
 @pytest.mark.parametrize("spec", ("GR(4,2)", "GR(8,2)", "GR(4,2)xGR(9)"))
 def test_orbit_rings_answer_dual_and_verify_from_their_group(spec, monkeypatch):
-    # A document-loaded copy of every cyclotomic ring is recognised: its
-    # dual equals the kernel's, it verifies, and the kernel never runs.
+    # A document-loaded copy of every cyclotomic ring is recognised: it is
+    # its own dual, as the ring from cyclotomic is, which equals the
+    # kernel's; it verifies, and the kernel never runs.
     ring = parse_ring_spec(spec)
     cases = []
     for K in all_subgroups(ring, ring.units()):
         A = cyclotomic(ring, K)
-        cases.append((K, SRing(ring, A.to_doc()["classes"]), duality._dual(A)))
+        cases.append((K, A, SRing(ring, A.to_doc()["classes"]), A.kernel_dual))
     calls = spy_kernel(monkeypatch)
-    for K, D, expected in cases:
+    for K, A, D, expected in cases:
         B = dual_sring(D)
-        assert B == expected == D
+        assert B is D and dual_sring(A) is A and B == expected
         assert D.orbit_subgroup() == K and B.orbit_subgroup() == K
         assert dual_sring(B) == D
         assert verify_sring(ring, D.classes).ok
@@ -733,7 +734,7 @@ def test_non_orbit_srings_reach_the_kernel(monkeypatch):
         assert len(calls) == 1, label
         B = dual_sring(D)
         assert len(calls) == 2 and B.rank == D.rank, label
-        assert B == duality._dual(SRing(D.ring, D.classes)), label
+        assert B == SRing(D.ring, D.classes).kernel_dual, label
 
 
 def test_verified_document_dualises_with_its_kept_kernel_dual(monkeypatch):

@@ -11,6 +11,8 @@ unless ``KEEP`` records why it stays.  Likewise each field of a
 package outside its declaration line or in those users, or the class
 reads ``self._fields``; ``KEEP`` exempts a field as ``"Class.field"``.
 The benchmark's tracer must also still find the kernel methods it counts.
+SRing keeps its private state itself: no module but ``sring.py`` reads
+or writes an attribute named like one of SRing's private fields.
 Every backticked ``module.attr`` or ``Class.attr`` reference in README.md
 to a module or class of the package must resolve, so a deleted name
 cannot linger in the documentation.  And the package keeps to the
@@ -148,6 +150,52 @@ def test_same_named_methods_calling_each_other_are_unreached():
     assert _unreached([MUTUAL], []) == {"A", "f"}
     assert _unreached([MUTUAL + "\nA().f()\n"], []) == set()
     assert _unreached([MUTUAL], ["A().f()"]) == set()
+
+
+def _private_fields(text: str, cls: str) -> set[str]:
+    """The private field names of class cls in one text: the names its body
+    annotates, its cached properties and the `self._x =` targets of its
+    methods."""
+    node = next(n for n in ast.parse(text).body if isinstance(n, ast.ClassDef) and n.name == cls)
+    names = set()
+    for stmt in node.body:
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names.add(stmt.target.id)
+        elif isinstance(stmt, ast.FunctionDef) and any(
+                isinstance(dec, ast.Name) and dec.id == "cached_property"
+                for dec in stmt.decorator_list):
+            names.add(stmt.name)
+    for sub in ast.walk(node):
+        targets = sub.targets if isinstance(sub, ast.Assign) else (
+            [sub.target] if isinstance(sub, (ast.AugAssign, ast.AnnAssign)) else [])
+        names |= {t.attr for target in targets for t in ast.walk(target)
+                  if isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
+                  and t.value.id == "self"}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _attributes_named(text: str, names: set[str]) -> set[str]:
+    """The names among names that one text reads or writes as `x.name`."""
+    return {node.attr for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.Attribute) and node.attr in names}
+
+
+def test_no_module_but_sring_touches_a_private_sring_field():
+    home = ROOT / "src" / "cgschur" / "sring.py"
+    fields = _private_fields(home.read_text(encoding="utf-8"), "SRing")
+    assert {"_subgroup", "_verdict", "_class_perms", "_class_sizes"} <= fields, fields
+    found = {path.name: sorted(_attributes_named(path.read_text(encoding="utf-8"), fields))
+             for path in SRC if path != home}
+    assert not any(found.values()), {name: hits for name, hits in found.items() if hits}
+
+
+def test_private_field_access_is_found():
+    text = ("class S:\n    _a: int | None = None\n    b: int = 0\n\n"
+            "    @cached_property\n    def _c(self):\n        return 1\n\n"
+            "    def f(self):\n        self._d, self.e = 1, 2\n        self._a += 1\n")
+    assert _private_fields(text, "S") == {"_a", "_c", "_d"}
+    other = "x._a = y._c\nz.b, z._e = 1, ring._d_rows\n"
+    assert _attributes_named(other, {"_a", "_c", "_d"}) == {"_a", "_c"}
 
 
 # Runs in a fresh child, in the order of bench/worker.py (`import cgschur`)

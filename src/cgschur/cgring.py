@@ -99,6 +99,7 @@ class CGRing:
         self._unit_generators: tuple[int, ...] | None = None
         self._unit_rows: tuple[tuple[int, ...], ...] = ()
         self._unit_orbit_keys: tuple[int, ...] | None = None
+        self._fixed_point_counts: tuple[int, ...] | None = None
         self._character_table = None  # filled by duality.character_table
 
     def __repr__(self) -> str:
@@ -437,12 +438,27 @@ class CGRing:
         of the part x_i: one row of p_i^v_i per component, multiplied in
         mixed radix."""
         if self._unit_orbit_keys is None:
-            keys = [1]
-            for comp in self.components:
-                row = [comp.p ** comp.valuation(i) for i in comp.elements()]
-                keys = [a * b for b in row for a in keys]
-            self._unit_orbit_keys = tuple(keys)
+            self._unit_orbit_keys = self._product_row(
+                [comp.p ** comp.valuation(i) for i in comp.elements()] for comp in self.components)
         return self._unit_orbit_keys
+
+    def fixed_point_counts(self) -> tuple[int, ...]:
+        """|{y : x*y = y}| = |Ann(x - 1)| for each element x, kept once per
+        ring.  In a component the annihilator of p^v times a unit is
+        p^(n-v)*R_i, of p^(d*v) elements: one row per component, multiplied."""
+        if self._fixed_point_counts is None:
+            self._fixed_point_counts = self._product_row(
+                [comp.p ** (comp.d * comp.valuation(comp.sub(a, 1))) for a in comp.elements()]
+                for comp in self.components)
+        return self._fixed_point_counts
+
+    @staticmethod
+    def _product_row(comp_rows: Iterable[list[int]]) -> tuple[int, ...]:
+        """The row whose entry at x is the product of comp_rows[i][x_i]."""
+        out = [1]
+        for row in comp_rows:
+            out = [a * b for b in row for a in out]
+        return tuple(out)
 
     def orbit_partition(self, K: Iterable[int]) -> list[frozenset[int]]:
         """Orbits of a unit subgroup K acting by multiplication, ordered by

@@ -51,13 +51,14 @@ class SRing:
     class_of[x] is the number of the class of x, so classes are numbered
     by first appearance in element order: the canonical label vector,
     which two SRings over one ring share exactly when they are equal.
-    The label vector is the ring's one stored form; the classes are
-    built from it on first read, unless the checked constructor, which
-    holds them already, set them.  A ring whose classes are the orbits
-    of a unit subgroup K keeps K once it is known: a ring from cyclotomic
-    holds it from the start, any other learns it from orbit_subgroup, at
-    most once.  Such a ring answers its lower ideals and density, and
-    verify the axioms, from K, and dual_sring returns it as its own dual.
+    The constructors store it; the classes are built from it on first
+    read, unless the checked constructor, which holds them, set them.
+    A ring whose classes are the orbits of a unit subgroup K keeps K once
+    known: a ring from cyclotomic holds K and its generator rows, counts
+    its rank from K and walks its labels from the rows when first read;
+    any other learns K from orbit_subgroup, at most once.  Such a ring
+    answers its lower ideals, purity and density, and verify the axioms,
+    from K, and dual_sring returns it as its own dual.
     Each SRing keeps, once found, its verify report, class permutations
     and kernel_dual, which verify, dual_sring and schur_closure share; no
     other module reads or writes its private fields.
@@ -67,6 +68,7 @@ class SRing:
     # once orbit_subgroup has found no K (a subgroup always holds 1)
     _subgroup: frozenset[int] | None = None
     _verdict: VerifyReport | None = None  # the report of verify, once found
+    _generator_rows: list[list[int]] | None = None  # set by cyclotomic, dropped once class_of is built
 
     def __init__(self, ring: CGRing, classes: Iterable[Iterable[int]]):
         """The checked constructor: each member is checked as given, before
@@ -99,6 +101,13 @@ class SRing:
         return A
 
     @cached_property
+    def class_of(self) -> list[int]:
+        """The label vector the constructors set; a ring from cyclotomic
+        walks it from K's generator rows on first read and drops them."""
+        rows, self._generator_rows = self._generator_rows, None
+        return _orbit_labels(self.ring.size, rows)
+
+    @cached_property
     def classes(self) -> tuple[frozenset[int], ...]:
         """The classes in label order, built from class_of on first read."""
         return tuple(label_classes(self.class_of))
@@ -106,7 +115,12 @@ class SRing:
     @cached_property
     def rank(self) -> int:
         """The number of classes: counted from the classes when they are
-        built, else the largest label plus one."""
+        built, else the largest label plus one.  A ring from cyclotomic
+        with no labels yet counts K's orbits by Burnside's lemma: the
+        mean over k in K of the ring's fixed_point_counts."""
+        if "class_of" not in self.__dict__:
+            fixed = self.ring.fixed_point_counts()
+            return sum(map(fixed.__getitem__, self._subgroup)) // len(self._subgroup)
         classes = self.__dict__.get("classes")
         return len(classes) if classes is not None else max(self.class_of) + 1
 
@@ -230,15 +244,23 @@ class SRing:
         same ideal, so all of them share the one lower ideal of K.
         """
         if self._subgroup:
-            return dict.fromkeys(self.unit_class_indices(), self.ring.lower_ideal(self._subgroup))
+            return dict.fromkeys(self.unit_class_indices(), self._subgroup_lower_ideal)
         return {k: self.ring.lower_ideal(self.classes[k]) for k in self.unit_class_indices()}
+
+    @cached_property
+    def _subgroup_lower_ideal(self) -> int:
+        """The lower ideal of the kept K, found once per SRing."""
+        return self.ring.lower_ideal(self._subgroup)
 
     def lower_ideal(self) -> int:
         """The common lower ideal of the classes that meet the units.
 
         All such classes share one lower ideal; disagreement means the
-        partition is not a Schur ring, and every call raises.
+        partition is not a Schur ring, and every call raises.  A ring that
+        keeps its K reads the lower ideal of K, with no label read.
         """
+        if self._subgroup:
+            return self._subgroup_lower_ideal
         found = set(self.unit_lower_ideals.values())
         if len(found) != 1:
             raise StructureError(f"unit classes disagree on the lower ideal: {sorted(found)}")
@@ -345,14 +367,17 @@ def _check_axioms(A: SRing) -> VerifyReport:
 def cyclotomic(ring: CGRing, K: Iterable[int]) -> SRing:
     """The Schur ring whose classes are the orbits of a unit subgroup.
 
-    orbit_labels checks, at its one generate, that K is a unit subgroup,
-    and returns a canonical label vector, so the partition needs no
-    second check by the SRing constructor.  The ring keeps the checked
-    K, from which it reads its lower ideals and density.
+    One generate checks that K is a unit subgroup (ValueError otherwise)
+    and gives its generator rows.  The ring keeps K and the rows, reads
+    its rank, lower ideals and density from K, and walks its canonical
+    label vector from the rows only when it is first read.
     """
     K = _element_set(ring, K, "unit")
-    A = SRing.from_labels(ring, ring.orbit_labels(K))
-    A._subgroup = K
+    rows = ring._subgroup_rows(K)
+    if rows is None:
+        raise ValueError("K must be a subgroup of the units")
+    A = SRing.__new__(SRing)
+    A.ring, A._subgroup, A._generator_rows = ring, K, rows
     return A
 
 

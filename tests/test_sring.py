@@ -28,8 +28,9 @@ from conftest import (
     verify_sring_oracle,
 )
 
-from cgschur import cgring, cli, duality
-from cgschur.cgring import CGRing, ideal_model, ideal_ring, make_cg_ring, parse_ring_spec
+from cgschur import cgring, cli, duality, sring
+from cgschur.cgring import (CGRing, ideal_model, ideal_ring, label_classes, make_cg_ring,
+                            parse_ring_spec)
 from cgschur.classify import reassemble
 from cgschur.construct import all_subgroups, build_nonpure_dense_sring, subgroup_generated
 from cgschur.cgring import quotient as ring_quotient
@@ -399,6 +400,48 @@ def test_cyclotomic_answers_from_K_match_the_checked_partition(spec):
         assert "classes" not in vars(A)
         assert A.classes == B.classes and A.rank == len(A.classes)
         assert A.is_dense() and set(A.unit_lower_ideals.values()) == {ring.lower_ideal(K)}
+
+
+@pytest.mark.parametrize("spec, count", [
+    ("GR(4,2)xGR(9)", 96), ("GR(8,2)", 54), ("GR(9)xGR(25)", 32), ("GR(32)", 11),
+    ("GR(2,3)xGR(9)", 8), ("GR(3)xGR(5)xGR(7)", 54)])
+def test_burnside_rank_and_answers_from_K_match_the_labels(spec, count):
+    # A fresh cyclotomic ring counts its orbits by Burnside's lemma and reads
+    # its lower ideal, purity and density from K; a label-only ring of the
+    # same orbits keeps no K and answers from its classes.  Every subgroup,
+    # the trivial one and the whole unit group included.
+    ring = parse_ring_spec(spec)
+    groups = kernel_subgroups(spec)
+    assert len(groups) == count and {frozenset({ring.one}), ring.unit_set()} <= set(groups)
+    for K in groups:
+        A, B = cyclotomic(ring, K), SRing.from_labels(ring, ring.orbit_labels(K))
+        assert A.rank == len(label_classes(B.class_of)) and "class_of" not in vars(A)
+        assert B._subgroup is None
+        assert (A.lower_ideal(), A.is_pure(), A.is_dense()) == (
+            B.lower_ideal(), B.is_pure(), B.is_dense())
+
+
+def test_cyclotomic_builds_its_labels_on_first_read(monkeypatch):
+    # cyclotomic checks K with one generate and walks no orbit; the labels
+    # are walked from the kept rows only when the classes are first read.
+    ring = parse_ring_spec("GR(4,2)xGR(9)")
+    groups = all_subgroups(ring, ring.units())
+    walks, checks = [], []
+    walk, check = sring._orbit_labels, CGRing._subgroup_rows
+    monkeypatch.setattr(sring, "_orbit_labels", lambda n, rows: walks.append(n) or walk(n, rows))
+    monkeypatch.setattr(CGRing, "_subgroup_rows", lambda self, K: checks.append(K) or check(self, K))
+    rings = [cyclotomic(ring, K) for K in groups]
+    answers = [(A.rank, A.is_pure(), A.is_dense(), A.lower_ideal()) for A in rings]
+    assert (len(answers), len(walks), len(checks)) == (96, 0, 96)
+    A, K = rings[-1], groups[-1]
+    classes = A.classes
+    assert walks == [ring.size] and A._generator_rows is None
+    assert A.class_of == ring.orbit_labels(K) and classes == tuple(ring.orbit_partition(K))
+    # {1, u} with u*u != 1 holds only units but is no group
+    u = next(u for u in ring.units() if ring.mul(u, u) != ring.one)
+    with pytest.raises(ValueError, match="K must be a subgroup of the units"):
+        cyclotomic(ring, {ring.one, u})
+    assert walks == [ring.size]
 
 
 @pytest.mark.parametrize("spec", ["GR(4,2)xGR(9)", "GR(8,2)"])

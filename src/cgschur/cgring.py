@@ -170,13 +170,11 @@ class CGRing:
         additions instead of |R| calls to mul."""
         return self._combine(comp.mul_row(ri) for comp, ri in zip(self.components, self.parts(r)))
 
-    TABLE_LIMIT = TABLE_LIMIT  # galois's one size rule, read by callers as CGRing.TABLE_LIMIT
-
     def mul_table(self) -> list[list[int]]:
         """Dense multiplication table, one mul_row per element and not kept;
-        only for rings up to the TABLE_LIMIT that also bounds which
-        component rows are kept."""
-        if self.size > self.TABLE_LIMIT:
+        only for rings up to galois.TABLE_LIMIT, the one size rule that
+        also bounds which component rows are kept."""
+        if self.size > TABLE_LIMIT:
             raise ValueError(f"ring of size {self.size} is too large to tabulate")
         return [self.mul_row(a) for a in self.elements()]
 
@@ -418,19 +416,6 @@ class CGRing:
                 return rows
         return None
 
-    def orbit_labels(self, K: Iterable[int]) -> list[int]:
-        """The canonical label vector of the orbits of a unit subgroup K
-        acting by multiplication: orbits numbered by least member.
-
-        One generate checks that K is a unit subgroup (ValueError
-        otherwise) and keeps the rows of its generators, and
-        _orbit_labels reads each row once.
-        """
-        rows = self._subgroup_rows(frozenset(K))
-        if rows is None:
-            raise ValueError("K must be a subgroup of the units")
-        return _orbit_labels(self.size, rows)
-
     def unit_orbit_keys(self) -> tuple[int, ...]:
         """The divisor m with xR = mR for each element x, kept once per
         ring.  Every x is a unit times m*1, so the keys are equal exactly
@@ -459,12 +444,6 @@ class CGRing:
         for row in comp_rows:
             out = [a * b for b in row for a in out]
         return tuple(out)
-
-    def orbit_partition(self, K: Iterable[int]) -> list[frozenset[int]]:
-        """Orbits of a unit subgroup K acting by multiplication, ordered by
-        minimum: the classes of orbit_labels(K), which raises ValueError
-        unless K is a unit subgroup."""
-        return label_classes(self.orbit_labels(K))
 
     # -- purity ------------------------------------------------------------
 

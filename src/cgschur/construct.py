@@ -221,7 +221,7 @@ def build_nonpure_dense_sring(
     if (q**e - 1) % p:
         raise ValueError(f"{p} does not divide {q}^{e} - 1 = {q**e - 1}")
 
-    ring = make_cg_ring([(p, 2, d), (q, 2, e)])
+    ring = make_cg_ring([(p, 2, d), (q, 2, e)], max_size=max_size)
     left_torsion = _torsion_subgroup(ring, 0, q)
     right_torsion = _torsion_subgroup(ring, 1, p)
     left_principal = frozenset(ring.embed_principal_units(0))

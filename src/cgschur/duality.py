@@ -32,6 +32,7 @@ from .sring import (
     StructureError,
     VerifyReport,
     _element_set,
+    cyclotomic,
     is_tensor_over,
     labels,
     proper_prime_splits,
@@ -331,15 +332,16 @@ def separation_check(ring: CGRing, K: Iterable[int], S: Iterable[int],
     For a pure orbit the separating unit exists whenever S != S2, and
     some unit character has nonzero sum on a nonempty S; both witnesses
     are reported, or left None as a refutation on non-pure orbits.  The
-    orbit is read from orbit_partition(K), which raises ValueError unless
-    K is a unit subgroup.  Each sum reads the packed value of chi(r*x) at
-    the members x of S and S2 alone, one product each.
+    orbit is the class of x in cyclotomic(ring, K), which raises
+    ValueError unless K is a unit subgroup.  Each sum reads the packed
+    value of chi(r*x) at the members x of S and S2 alone, one product
+    each.
     """
     S, S2 = _element_set(ring, S, "S member"), _element_set(ring, S2, "S2 member")
     if not S:
         raise ValueError("S must be nonempty")
     x = next(iter(S))
-    orbit = next((O for O in ring.orbit_partition(K) if x in O), frozenset())
+    orbit = cyclotomic(ring, K).class_containing(x)
     if not (S | S2) <= orbit:
         raise ValueError("S and S2 must lie in a single K-orbit")
     values, mul = character_table(ring)._packed_exponent, ring.mul

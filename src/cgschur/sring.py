@@ -51,8 +51,8 @@ class SRing:
     class_of[x] is the number of the class of x, so classes are numbered
     by first appearance in element order: the canonical label vector,
     which two SRings over one ring share exactly when they are equal.
-    The constructors store it; the classes are built from it on first
-    read, unless the checked constructor, which holds them, set them.
+    The constructors store only it; the classes are built from it on
+    first read.
     A ring whose classes are the orbits of a unit subgroup K keeps K once
     known: a ring from cyclotomic holds K and its generator rows, counts
     its rank from K and walks its labels from the rows when first read;
@@ -72,7 +72,8 @@ class SRing:
 
     def __init__(self, ring: CGRing, classes: Iterable[Iterable[int]]):
         """The checked constructor: each member is checked as given, before
-        any set merges True into 1 or a repeated member into one."""
+        any set merges True into 1 or a repeated member into one, and only
+        the label vector is stored, as from_labels does."""
         raw = [list(X) for X in classes]
         for X in raw:
             if not X:
@@ -89,7 +90,7 @@ class SRing:
                 class_of[x] = k
         if -1 in class_of:
             raise PartitionError(f"element {class_of.index(-1)} not covered")
-        self.ring, self.classes, self.class_of = ring, tuple(map(frozenset, raw)), class_of
+        self.ring, self.class_of = ring, class_of
 
     @classmethod
     def from_labels(cls, ring: CGRing, class_of: list[int]) -> SRing:
@@ -114,15 +115,13 @@ class SRing:
 
     @cached_property
     def rank(self) -> int:
-        """The number of classes: counted from the classes when they are
-        built, else the largest label plus one.  A ring from cyclotomic
-        with no labels yet counts K's orbits by Burnside's lemma: the
-        mean over k in K of the ring's fixed_point_counts."""
+        """The number of classes: the largest label plus one.  A ring from
+        cyclotomic with no labels yet counts K's orbits by Burnside's
+        lemma: the mean over k in K of the ring's fixed_point_counts."""
         if "class_of" not in self.__dict__:
             fixed = self.ring.fixed_point_counts()
             return sum(map(fixed.__getitem__, self._subgroup)) // len(self._subgroup)
-        classes = self.__dict__.get("classes")
-        return len(classes) if classes is not None else max(self.class_of) + 1
+        return max(self.class_of) + 1
 
     def __repr__(self) -> str:
         return f"SRing({self.ring.spec()}, rank {self.rank})"
@@ -237,14 +236,7 @@ class SRing:
     @cached_property
     def unit_lower_ideals(self) -> dict[int, int]:
         """The lower ideal of each class that meets the units, keyed by class
-        number in unit_class_indices order, found once per SRing.
-
-        On a ring that keeps its K every unit class is u*K, and
-        multiplying by a unit maps cosets of an ideal to cosets of the
-        same ideal, so all of them share the one lower ideal of K.
-        """
-        if self._subgroup:
-            return dict.fromkeys(self.unit_class_indices(), self._subgroup_lower_ideal)
+        number in unit_class_indices order, found once per SRing."""
         return {k: self.ring.lower_ideal(self.classes[k]) for k in self.unit_class_indices()}
 
     @cached_property

@@ -18,8 +18,14 @@ import cgschur
 from cgschur.cgring import CGRing, make_cg_ring, parse_ring_spec
 from cgschur.construct import all_subgroups
 from cgschur.duality import _dual_partition
-from cgschur.galois import GaloisRing, make_galois_ring
+from cgschur.galois import TABLE_LIMIT, GaloisRing, make_galois_ring
 from cgschur.sring import PartitionError, SRing, cyclotomic, labels, schur_closure, verify_sring
+
+
+SWAP_DOC = {  # orbits of the coefficient swap of GR(4,2): a Schur ring, not unit-invariant
+    "ring": "GR(4,2)",
+    "classes": [[0], [1, 4], [2, 8], [3, 12], [5], [6, 9], [7, 13], [10], [11, 14], [15]],
+}
 
 
 def run_child(*argv: str, timeout: float | None = None, **env: str) -> subprocess.CompletedProcess:
@@ -41,7 +47,7 @@ def product_table(ring: CGRing) -> list[list[int]]:
 def products(ring: CGRing) -> Callable[[int, int], int]:
     """a*b read from the memoised product table, or per-element CGRing.mul
     for rings too large to tabulate."""
-    if ring.size > CGRing.TABLE_LIMIT:
+    if ring.size > TABLE_LIMIT:
         return ring.mul
     table = product_table(ring)
     return lambda a, b: table[a][b]
@@ -701,7 +707,7 @@ def merge_strata(A: SRing, rng: random.Random) -> list[list[int]]:
     The picked orbits are joined into one or two classes; A's classes in
     the other orbits stay, so every unit maps each class onto a class.
     """
-    strata = A.ring.orbit_partition(A.ring.units())[1:]  # [0] is {0}
+    strata = cyclotomic(A.ring, A.ring.units()).classes[1:]  # [0] is {0}
     picked = rng.sample(strata, rng.randrange(1, len(strata) + 1))
     cut = rng.randrange(1, len(picked) + 1)
     merged = [sorted(set().union(*part)) for part in (picked[:cut], picked[cut:]) if part]
@@ -754,10 +760,10 @@ def gr82_exceptions() -> list[SRing]:
                 outside = [X for X in A.classes if keys[min(X)] != middle]
                 found.append(SRing(ring, outside + [frozenset().union(*inside)]))
         elif len(K) == 24:
-            outer = ring.orbit_labels(K)
+            outer = cyclotomic(ring, K).class_of
             for K2 in groups:
                 if len(K2) == 8 and K2 <= K:
-                    inner = ring.orbit_labels(K2)
+                    inner = cyclotomic(ring, K2).class_of
                     A = SRing.from_labels(ring, labels(
                         (key == middle, (inner if key == middle else outer)[x])
                         for x, key in enumerate(keys)))
@@ -772,7 +778,7 @@ def rank2(ring: CGRing) -> SRing:
 
 def random_invariant_seed(ring: CGRing, K: frozenset[int], rng: random.Random) -> set[int]:
     """A union of one or two K-orbits, so the seed is K-invariant."""
-    orbits = ring.orbit_partition(K)
+    orbits = cyclotomic(ring, K).classes
     picks = rng.sample(orbits, rng.randrange(1, 3))
     out: set[int] = set()
     for orb in picks:

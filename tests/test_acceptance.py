@@ -112,7 +112,7 @@ def test_criterion_03_duality_involution():
             assert B.rank == A.rank
             # the dual is the orbit partition of the dual group, which the
             # self-dual labeling realizes as the K-orbits again
-            assert B == SRing(ring, ring.orbit_partition(K))
+            assert B == SRing(ring, cyclotomic(ring, K).classes)
             assert dual_sring(B) == A
             checked += 1
     assert checked == 4 + 10 + 6 + 96
@@ -265,7 +265,7 @@ def test_criterion_06_separation():
         assert pure_groups
         seen: set[frozenset[int]] = set()
         for K in pure_groups:
-            for O in ring.orbit_partition(K):
+            for O in cyclotomic(ring, K).classes:
                 if len(O) > 12 or not ring.is_pure_set(O) or O in seen:
                     continue
                 seen.add(O)

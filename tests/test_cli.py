@@ -19,7 +19,7 @@ from cgschur.cgring import CGRing, parse_ring_spec
 from cgschur.classify import FalsificationError
 from cgschur.construct import ConstructionError, build_nonpure_dense_sring
 from cgschur.sring import PartitionError, SRing, StructureError, VerifyReport, cyclotomic
-from conftest import run_child
+from conftest import SWAP_DOC, run_child
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -754,12 +754,6 @@ GOLDEN = {
     "construct-3122": (0, "47b3a1830109e792db911933e09e353ffb5c975f854c72cad8bca33e7480d857"),
     "construct-3222": (0, "4cd9d4bfe6f201e20f2e0463ff8878f925992036e716b67852e150ff31ee76eb"),
 }
-
-SWAP_DOC = {  # orbits of the coefficient swap of GR(4,2): a Schur ring, not unit-invariant
-    "ring": "GR(4,2)",
-    "classes": [[0], [1, 4], [2, 8], [3, 12], [5], [6, 9], [7, 13], [10], [11, 14], [15]],
-}
-
 
 def test_golden_stdout(capsys, tmp_path):
     seen = {}

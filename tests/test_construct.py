@@ -21,7 +21,8 @@ from cgschur.construct import (
     build_nonpure_dense_sring,
     subgroup_generated,
 )
-from cgschur.sring import has_nontrivial_wreath
+from cgschur.galois import DEFAULT_MAX_RING_SIZE
+from cgschur.sring import cyclotomic, has_nontrivial_wreath
 from conftest import (
     all_subgroups_oracle,
     cyclic_log_oracle,
@@ -256,6 +257,21 @@ def test_build_rejects_p_not_dividing_the_right_teichmuller_order():
         build_nonpure_dense_sring(3, 2, 2, 1)
 
 
+def test_build_passes_its_size_limit_to_the_ring(monkeypatch):
+    # GR(4,8)xGR(25) has 1,638,400 elements: within a raised limit of
+    # 2,000,000, but the ring was once built under the default 2^20.
+    seen = []
+
+    def spy(components, max_size=DEFAULT_MAX_RING_SIZE):
+        seen.append(max_size)
+        raise ValueError("no ring built")
+
+    monkeypatch.setattr(construct, "make_cg_ring", spy)
+    with pytest.raises(ValueError, match="no ring built"):
+        build_nonpure_dense_sring(2, 8, 5, 1, max_size=2_000_000)
+    assert seen == [2_000_000]
+
+
 def test_units_link_recomputed_from_discrete_logs():
     instance, _, _ = build_nonpure_dense_sring(2, 2, 3, 1)
     ring = instance.ring
@@ -310,14 +326,13 @@ def test_principal_decomposition_matches_linear_algebra(spec):
 
 
 def test_build_grows_each_group_once(monkeypatch):
-    # The three groups were grown by subgroup_generated, again by
-    # orbit_labels for their orbit vectors, and the units group a third
-    # time for its generator rows in the group_product check.
+    # The three groups were grown by subgroup_generated, again for their
+    # orbit vectors, and the units group a third time for its generator
+    # rows in the group_product check.
     def refuse(*args):
         raise AssertionError("a group was grown again")
 
     monkeypatch.setattr(construct, "subgroup_generated", refuse)
-    monkeypatch.setattr(CGRing, "orbit_labels", refuse)
     grown, real = [], CGRing.generate
 
     def generate(ring, elements):
@@ -345,7 +360,7 @@ def test_orbits_agree_matches_per_stratum_orbits():
     left, right = ring.components
     keys = ring.unit_orbit_keys()
     groups = (instance.full_group, instance.units_group, instance.nonunits_group)
-    vectors = [ring.orbit_labels(G) for G in groups]
+    vectors = [cyclotomic(ring, G).class_of for G in groups]
     verdicts = set()
     for x in ring.elements():
         a, b = ring.parts(x)

@@ -11,6 +11,7 @@ from itertools import combinations
 import pytest
 from conftest import (
     KERNEL_RINGS,
+    SWAP_DOC,
     closure_start_oracle,
     coset_counts_oracle,
     enumerate_subgroups,
@@ -311,7 +312,7 @@ def test_closure_start_matches_stratum_oracle(spec, monkeypatch):
     # partition, and adding the ideals as seeds changes nothing.
     ring = parse_ring_spec(spec)
     rng = random.Random(spec)
-    orbits = rng.sample(ring.orbit_partition(rng.choice(kernel_subgroups(spec))), 3)
+    orbits = rng.sample(cyclotomic(ring, rng.choice(kernel_subgroups(spec))).classes, 3)
     ideals = [ring.ideal(m) for m in ring.divisors()]
     for seeds in ([], [range(1, ring.size)], [orbits[0] | orbits[1], orbits[1] | orbits[2]]):
         start, A = closure_start(monkeypatch, ring, seeds)
@@ -386,18 +387,18 @@ def test_cyclotomic_matches_checked_orbit_partition(spec):
 
 @pytest.mark.parametrize("spec", ["GR(4,2)xGR(9)", "GR(9)xGR(25)", "GR(8,2)"])
 def test_cyclotomic_answers_from_K_match_the_checked_partition(spec):
-    # A ring from cyclotomic keeps K and reads its unit lower ideals and
+    # A ring from cyclotomic keeps K and reads its lower ideal, purity and
     # density from it; the checked constructor on the same orbits takes the
-    # per-class path.  Rank and unit classes are read before the classes,
-    # which the label-first ring builds only when asked.
+    # per-class path.  Rank, unit classes and those answers are read before
+    # the classes, which the label-first ring builds only when asked.
     ring = parse_ring_spec(spec)
     for K in all_subgroups(ring, ring.units()):
-        A, B = cyclotomic(ring, K), SRing(ring, ring.orbit_partition(K))
-        assert (A.rank, A.unit_class_indices(), A.unit_lower_ideals) == (
-            B.rank, B.unit_class_indices(), B.unit_lower_ideals)
+        A, B = cyclotomic(ring, K), SRing(ring, cyclotomic(ring, K).classes)
+        assert (A.rank, A.unit_class_indices()) == (B.rank, B.unit_class_indices())
         assert (A.lower_ideal(), A.is_pure(), A.is_dense()) == (
             B.lower_ideal(), B.is_pure(), B.is_dense())
         assert "classes" not in vars(A)
+        assert A.unit_lower_ideals == B.unit_lower_ideals
         assert A.classes == B.classes and A.rank == len(A.classes)
         assert A.is_dense() and set(A.unit_lower_ideals.values()) == {ring.lower_ideal(K)}
 
@@ -414,7 +415,7 @@ def test_burnside_rank_and_answers_from_K_match_the_labels(spec, count):
     groups = kernel_subgroups(spec)
     assert len(groups) == count and {frozenset({ring.one}), ring.unit_set()} <= set(groups)
     for K in groups:
-        A, B = cyclotomic(ring, K), SRing.from_labels(ring, ring.orbit_labels(K))
+        A, B = cyclotomic(ring, K), SRing.from_labels(ring, cyclotomic(ring, K).class_of)
         assert A.rank == len(label_classes(B.class_of)) and "class_of" not in vars(A)
         assert B._subgroup is None
         assert (A.lower_ideal(), A.is_pure(), A.is_dense()) == (
@@ -436,7 +437,8 @@ def test_cyclotomic_builds_its_labels_on_first_read(monkeypatch):
     A, K = rings[-1], groups[-1]
     classes = A.classes
     assert walks == [ring.size] and A._generator_rows is None
-    assert A.class_of == ring.orbit_labels(K) and classes == tuple(ring.orbit_partition(K))
+    expected = cgring._orbit_labels(ring.size, ring.generate(K)[1])  # not counted by the spy
+    assert A.class_of == expected and classes == tuple(label_classes(expected))
     # {1, u} with u*u != 1 holds only units but is no group
     u = next(u for u in ring.units() if ring.mul(u, u) != ring.one)
     with pytest.raises(ValueError, match="K must be a subgroup of the units"):
@@ -451,12 +453,28 @@ def test_a_ideals_read_class_sizes_from_the_labels(spec):
     # answer is the ideal scan over the classes of the checked partition.
     ring = parse_ring_spec(spec)
     for K in all_subgroups(ring, ring.units()):
-        A, B = cyclotomic(ring, K), SRing(ring, ring.orbit_partition(K))
+        A, B = cyclotomic(ring, K), SRing(ring, cyclotomic(ring, K).classes)
         found = A.a_ideal_divisors()
         assert "classes" not in vars(A)
         assert found == B.a_ideal_divisors() == [
             m for m in ring.divisors()
             if all(X <= ring.ideal(m) or not X & ring.ideal(m) for X in B.classes)]
+
+
+def test_checked_constructor_stores_only_the_labels():
+    # The checked constructor keeps the label vector alone, as from_labels
+    # does; the classes are built from it on first read, in order of least
+    # member, whatever order the input lists them in.
+    sign = parse_ring_spec("GR(9)xGR(25)")
+    pairs = {frozenset({x, sign.neg(x)}) for x in sign.elements()}
+    for ring, given, rank in ((parse_ring_spec(SWAP_DOC["ring"]), SWAP_DOC["classes"], 10),
+                              (sign, pairs, 113)):
+        expected = sorted(map(sorted, given))
+        A = SRing(ring, [reversed(X) for X in reversed(expected)])
+        assert "classes" not in vars(A) and A.rank == rank
+        assert A.classes == tuple(map(frozenset, expected)) and A.rank == len(A.classes)
+        assert A.to_doc() == {"ring": ring.spec(), "classes": expected}
+    assert A.to_doc()["classes"][:3] == [[0], [1, 8], [2, 7]]
 
 
 def test_rank_counts_the_classes_of_unchecked_rings(z9):
